@@ -42,6 +42,7 @@ from .core import (
     ClickTally,
     DanglingClickError,
     DuplicateClickError,
+    DuplicateImpressionError,
     EventLog,
     ImpressionEvent,
     MalformedRecordError,
@@ -60,14 +61,15 @@ from .estimators import (
     ctr_time_window,
 )
 from .traffic import (
+    FRAUD_QUERY_ID_BASE,
     FraudFlag,
     FraudPlan,
     HorizonExceededError,
     TrafficConfig,
     detect_scripted,
+    fraud_events,
     gen_organic,
-    inject_human_fraud,
-    inject_scripted_fraud,
+    inject_fraud,
 )
 
 __version__ = "0.1.0"

@@ -16,8 +16,6 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-import os
-import tempfile
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -34,8 +32,8 @@ from .core import (
     ClickEvent,
     ClickTally,
     EventLog,
-    ImpressionEvent,
     event_sort_key,
+    write_atomic,
 )
 from .estimators import WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
@@ -43,15 +41,11 @@ from .traffic import (
     FraudPlan,
     HorizonExceededError,
     TrafficConfig,
+    checked_click_times,
     detect_scripted,
+    fraud_events,
     organic_events,
-    plan_click_times,
-    plan_events,
 )
-
-# Synthetic fraud impressions get query ids from here up, far above anything
-# the organic generator can mint in a sane scenario.
-FRAUD_QUERY_ID_BASE = 1_000_000_000
 
 SHAPE_INCREASING = "increasing"
 SHAPE_RISE_THEN_FALL = "rise_then_fall"
@@ -329,12 +323,12 @@ class ScenarioConfig:
             raise ValueError("no estimators configured")
         labels = [spec.label for spec in self.estimators]
         if len(set(labels)) != len(labels):
-            raise ValueError("estimator kinds must be unique")
+            raise ValueError("estimators.specs: estimator kinds must be unique")
         if not 0.0 <= self.default_ctr <= 1.0:
             raise ValueError(f"default_ctr outside [0, 1]: {self.default_ctr}")
         missing = sorted(set(self.bids) - set(self.traffic.base_ctr))
         if missing:
-            raise ValueError(f"no base CTR for {missing}")
+            raise ValueError(f"base_ctr.{missing[0]}: missing")
         if self.traffic.horizon_ms != self.horizon_ms or self.traffic.seed != self.seed:
             raise ValueError("traffic horizon/seed must match the scenario")
         for plan in self.fraud_plans:
@@ -349,7 +343,8 @@ class ScenarioConfig:
 _SPEC_SYNTAX = "time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>]"
 
 
-def _parse_spec_token(token: str, where: str) -> WindowSpec:
+def parse_spec(token: str, where: str) -> WindowSpec:
+    """One ``KIND[:PARAM]`` estimator token; errors start with ``where``."""
     kind, sep, raw = token.partition(":")
     if kind == "relative" and not sep:
         return WindowSpec.relative()
@@ -376,32 +371,11 @@ class _Section:
 
     def take_int(self, key, default=None, lo=None, hi=None) -> int | None:
         raw = self._items.pop(key, None)
-        if raw is None:
-            if default is None:
-                return None
-            return default
-        try:
-            v = int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected an integer, got {raw!r}") from None
-        return self._bound(key, v, lo, hi)
+        return default if raw is None else self._number(key, raw, int, lo, hi)
 
     def take_float(self, key, default=None, lo=None, hi=None) -> float | None:
         raw = self._items.pop(key, None)
-        if raw is None:
-            return default
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected a number, got {raw!r}") from None
-        return self._bound(key, v, lo, hi)
-
-    def _bound(self, key, v, lo, hi):
-        if lo is not None and v < lo:
-            raise ConfigError(f"{self.name}.{key}: must be >= {lo}, got {v}")
-        if hi is not None and v > hi:
-            raise ConfigError(f"{self.name}.{key}: must be <= {hi}, got {v}")
-        return v
+        return default if raw is None else self._number(key, raw, float, lo, hi)
 
     def require(self, key: str) -> str:
         if key not in self._items:
@@ -409,16 +383,22 @@ class _Section:
         return self._items.pop(key)
 
     def require_int(self, key, lo=None, hi=None) -> int:
-        self._peek_required(key)
-        return self.take_int(key, lo=lo, hi=hi)
+        return self._number(key, self.require(key), int, lo, hi)
 
     def require_float(self, key, lo=None, hi=None) -> float:
-        self._peek_required(key)
-        return self.take_float(key, lo=lo, hi=hi)
+        return self._number(key, self.require(key), float, lo, hi)
 
-    def _peek_required(self, key):
-        if key not in self._items:
-            raise ConfigError(f"{self.name}.{key}: missing")
+    def _number(self, key, raw, convert, lo, hi):
+        try:
+            v = convert(raw)
+        except ValueError:
+            what = "an integer" if convert is int else "a number"
+            raise ConfigError(f"{self.name}.{key}: expected {what}, got {raw!r}") from None
+        if lo is not None and v < lo:
+            raise ConfigError(f"{self.name}.{key}: must be >= {lo}, got {v}")
+        if hi is not None and v > hi:
+            raise ConfigError(f"{self.name}.{key}: must be <= {hi}, got {v}")
+        return v
 
     def items(self):
         return list(self._items.items())
@@ -478,9 +458,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if adv not in bids:
             raise ConfigError(f"base_ctr.{adv}: not a bidding advertiser")
         base_ctr[adv] = base_sec.take_float(adv, lo=0.0, hi=1.0)
-    for adv in advertisers:
-        if adv not in base_ctr:
-            raise ConfigError(f"base_ctr.{adv}: missing")
 
     sc = _Section("scenario", parser["scenario"])
     seed = sc.require_int("seed", lo=0, hi=MAX_SEED)
@@ -513,10 +490,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     tokens = est.require("specs").split()
     if not tokens:
         raise ConfigError("estimators.specs: at least one estimator is required")
-    specs = tuple(_parse_spec_token(tok, "estimators.specs") for tok in tokens)
-    labels = [s.label for s in specs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("estimators.specs: estimator kinds must be unique")
+    specs = tuple(parse_spec(tok, "estimators.specs") for tok in tokens)
     est.finish()
 
     det_min_run, det_tol = 5, 10
@@ -552,11 +526,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 seed=fr.take_int("seed", default=(seed + len(plans) + 1) % (MAX_SEED + 1)),
             )
         fr.finish()
-        last = plan_click_times(plan)[-1]
-        if last >= horizon_ms:
-            raise ConfigError(
-                f"{name}.start_ms: clicks reach t={last}, beyond horizon_ms={horizon_ms}"
-            )
+        try:
+            checked_click_times(plan, horizon_ms)
+        except HorizonExceededError as exc:
+            raise ConfigError(f"{name}.start_ms: {exc}") from None
         plans.append(plan)
 
     try:
@@ -598,18 +571,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
     primary = {a: cfg.estimators[0].build(a) for a in advertisers}
 
-    fraud: list = []
-    next_fraud_qid = FRAUD_QUERY_ID_BASE
-    for plan in cfg.fraud_plans:
-        times = plan_click_times(plan)
-        if times[-1] >= cfg.horizon_ms:
-            raise HorizonExceededError(
-                f"plan reaches t={times[-1]} but the horizon is {cfg.horizon_ms}"
-            )
-        fraud.extend(plan_events(plan, next_fraud_qid))
-        next_fraud_qid += plan.count
-    fraud.sort(key=event_sort_key)
-
+    fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
     log = EventLog(cfg.horizon_ms)
     fraud_idx = 0
     next_qid = 0
@@ -707,18 +669,6 @@ def format_rate(x: float) -> str:
     return str(Decimal(repr(x)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def series_columns(series: Sequence[SeriesRow]) -> list[str]:
     return list(series[0].ctr) if series else []
 
@@ -735,7 +685,7 @@ def emit_csv(series: Sequence[SeriesRow], path: str | Path) -> None:
             v = row.ctr.get(col)
             cells.append("" if v is None else format_rate(v))
         writer.writerow(cells)
-    _atomic_write_text(Path(path), buf.getvalue())
+    write_atomic(path, [buf.getvalue()])
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -808,7 +758,7 @@ def emit_plot(series: Sequence[SeriesRow], path: str | Path, title: str = "") ->
         ly = mt + 16 + 20 * i
         _line(svg, width - mr + 12, ly - 4, width - mr + 36, ly - 4, {"stroke": color, "stroke-width": "2"})
         _text(svg, width - mr + 42, ly, col)
-    _atomic_write_text(Path(path), ET.tostring(svg, encoding="unicode") + "\n")
+    write_atomic(path, [ET.tostring(svg, encoding="unicode"), "\n"])
 
 
 def _line(parent, x1, y1, x2, y2, attrs) -> None:

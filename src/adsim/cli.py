@@ -7,6 +7,7 @@ curve-shape or cycle expectation failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from .bench import (
     SHAPE_INCREASING,
     SHAPE_RISE_THEN_FALL,
     ConfigError,
-    ScenarioConfig,
     SeriesRow,
     ShapeViolation,
     build_series,
@@ -24,6 +24,7 @@ from .bench import (
     emit_plot,
     format_rate,
     load_config,
+    parse_spec,
     replay_reference_tables,
     run_scenario,
 )
@@ -170,12 +171,7 @@ def _cmd_compare(args) -> int:
         configured.get(kind) or default(cfg)
         for kind, default in _COMPARE_DEFAULTS.items()
     )
-    cfg = ScenarioConfig(
-        **{
-            **{f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
-            "estimators": specs,
-        }
-    )
+    cfg = dataclasses.replace(cfg, estimators=specs)
     result = run_scenario(cfg)
     print(f"all-estimator comparison for {cfg.focus!r}:")
     print(_render_series(result.rows))
@@ -197,7 +193,7 @@ def _cmd_replay(args) -> int:
     if focus is None:
         raise ConfigError("advertiser: the log is empty, specify one explicitly")
     tokens = args.spec or ["relative"]
-    specs = [_parse_cli_spec(tok) for tok in tokens]
+    specs = [parse_spec(tok, "spec") for tok in tokens]
     if len({s.label for s in specs}) != len(specs):
         raise ConfigError("spec: estimator kinds must be unique")
     rows = build_series(log.stripped(), focus, specs, args.tick_ms)
@@ -208,12 +204,6 @@ def _cmd_replay(args) -> int:
         print(f"replayed estimates for {focus!r}:")
         print(_render_series(rows))
     return 0
-
-
-def _parse_cli_spec(token: str) -> WindowSpec:
-    from .bench import _parse_spec_token
-
-    return _parse_spec_token(token, "spec")
 
 
 def _cmd_demo_gfp(args) -> int:

@@ -6,9 +6,9 @@ opaque strings; their lexicographic order is the global tie-break everywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -35,6 +35,10 @@ class DanglingClickError(AdsimError):
 
 class DuplicateClickError(AdsimError):
     """Second click on an impression that was already clicked."""
+
+
+class DuplicateImpressionError(AdsimError):
+    """Second impression with the same advertiser and query id."""
 
 
 class MalformedRecordError(AdsimError):
@@ -132,8 +136,9 @@ class EventLog:
     """Append-only, time-ordered stream of impressions and clicks.
 
     Single writer; iteration and tallies are read-only and may be shared.
-    Clicks must reference an impression already in the log for the same
-    advertiser, and each impression can be clicked at most once.
+    Each (advertiser, query id) names at most one impression. Clicks must
+    reference an impression already in the log for the same advertiser, and
+    each impression can be clicked at most once.
     """
 
     def __init__(self, horizon: int = 0):
@@ -170,7 +175,12 @@ class EventLog:
                 )
             self._clicked.add(key)
         else:
-            self._impressions.add((e.advertiser, e.query_id))
+            key = (e.advertiser, e.query_id)
+            if key in self._impressions:
+                raise DuplicateImpressionError(
+                    f"impression {e.query_id} of {e.advertiser!r} already in the log"
+                )
+            self._impressions.add(key)
         self._events.append(e)
 
     def tally(self, from_ms: int, to_ms: int) -> ClickTally:
@@ -192,11 +202,6 @@ class EventLog:
 
     def advertisers(self) -> list[AdvertiserId]:
         return sorted({e.advertiser for e in self._events})
-
-    def max_query_id(self) -> int:
-        """Largest query id present, -1 on an empty log. Used to mint fresh ids."""
-        ids = [e.query_id for e in self._events if isinstance(e, ImpressionEvent)]
-        return max(ids, default=-1)
 
     @property
     def events(self) -> Sequence[Event]:
@@ -261,20 +266,30 @@ def _event_record(e: Event) -> dict:
     }
 
 
-def write_log(log: EventLog, path: str | Path) -> None:
-    """Serialize to JSONL, atomically (write to a temp file, then rename)."""
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the chunks as UTF-8 to a temp file beside ``path``, then rename it.
+
+    The temp file is created like any new file, so the result gets the mode
+    the umask allows, not a private 0600.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_dumps({"kind": "header", "horizon": log.horizon}) + "\n")
-            for e in log:
-                fh.write(_dumps(_event_record(e)) + "\n")
+        with fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def write_log(log: EventLog, path: str | Path) -> None:
+    """Serialize to JSONL, atomically."""
+    records = itertools.chain(
+        [{"kind": "header", "horizon": log.horizon}], map(_event_record, log)
+    )
+    write_atomic(path, (_dumps(rec) + "\n" for rec in records))
 
 
 def _parse_int(rec: dict, key: str, line_no: int) -> int:

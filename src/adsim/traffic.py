@@ -24,11 +24,16 @@ from .core import (
     EventLog,
     ImpressionEvent,
     Seed,
+    event_sort_key,
 )
 from .auction import SlotAllocation
 
 SCRIPTED = "scripted"
 HUMAN = "human"
+
+# Synthetic fraud impressions get query ids from here up, far above anything
+# the organic generator can mint in a sane scenario.
+FRAUD_QUERY_ID_BASE = 1_000_000_000
 
 
 class HorizonExceededError(AdsimError):
@@ -179,39 +184,43 @@ def plan_click_times(plan: FraudPlan) -> list[int]:
     return times
 
 
-def plan_events(plan: FraudPlan, query_id_start: int) -> list[Event]:
-    """Impression/click pairs for the plan; one synthetic impression per click."""
-    source = ClickSource.SCRIPTED_FRAUD if plan.kind == SCRIPTED else ClickSource.HUMAN_FRAUD
+def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
+    """:func:`plan_click_times`, raising HorizonExceededError if the last click
+    falls at or past ``horizon_ms``."""
+    times = plan_click_times(plan)
+    if times[-1] >= horizon_ms:
+        raise HorizonExceededError(
+            f"clicks reach t={times[-1]}, beyond horizon_ms={horizon_ms}"
+        )
+    return times
+
+
+def fraud_events(plans: Sequence[FraudPlan], horizon_ms: int) -> list[Event]:
+    """Impression/click pairs for every plan, in canonical order.
+
+    Each click gets its own synthetic impression in slot 1. Their query ids
+    run from FRAUD_QUERY_ID_BASE through the plans in order.
+    """
     events: list[Event] = []
-    for k, t in enumerate(plan_click_times(plan)):
-        qid = query_id_start + k
-        events.append(ImpressionEvent(t, plan.target, 1, qid))
-        events.append(ClickEvent(t, plan.target, 1, qid, source))
+    qid = FRAUD_QUERY_ID_BASE
+    for plan in plans:
+        source = ClickSource.SCRIPTED_FRAUD if plan.kind == SCRIPTED else ClickSource.HUMAN_FRAUD
+        for t in checked_click_times(plan, horizon_ms):
+            events.append(ImpressionEvent(t, plan.target, 1, qid))
+            events.append(ClickEvent(t, plan.target, 1, qid, source))
+            qid += 1
+    events.sort(key=event_sort_key)
     return events
 
 
-def _inject(log: EventLog, plan: FraudPlan) -> EventLog:
-    times = plan_click_times(plan)
-    if times[-1] >= log.horizon:
-        raise HorizonExceededError(
-            f"plan reaches t={times[-1]} but the log ends at {log.horizon}"
-        )
-    events = list(log) + plan_events(plan, log.max_query_id() + 1)
-    return EventLog.from_events(events, log.horizon)
+def inject_fraud(log: EventLog, plans: Sequence[FraudPlan]) -> EventLog:
+    """New log with the plans' clicks merged in; the input is untouched.
 
-
-def inject_scripted_fraud(log: EventLog, plan: FraudPlan) -> EventLog:
-    """New log with the scripted plan's clicks merged in; the input is untouched."""
-    if plan.kind != SCRIPTED:
-        raise ValueError(f"expected a scripted plan, got {plan.kind!r}")
-    return _inject(log, plan)
-
-
-def inject_human_fraud(log: EventLog, plan: FraudPlan) -> EventLog:
-    """New log with the human click-crew merged in; the input is untouched."""
-    if plan.kind != HUMAN:
-        raise ValueError(f"expected a human plan, got {plan.kind!r}")
-    return _inject(log, plan)
+    Fraud ids are those :func:`fraud_events` mints. On a log that already
+    holds one of them for the same advertiser, such as a simulated run with
+    fraud, this raises DuplicateImpressionError.
+    """
+    return EventLog.from_events([*log, *fraud_events(plans, log.horizon)], log.horizon)
 
 
 # ---------------------------------------------------------------------------

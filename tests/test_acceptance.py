@@ -4,10 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 from time import perf_counter
+
+import numpy as np
+import pytest
 
 from adsim.auction import (
     AuctionConfig,
@@ -26,6 +30,7 @@ from adsim.bench import (
     SHAPE_RISE_THEN_FALL,
     curve_shape_check,
     emit_csv,
+    emit_plot,
     load_config,
     replay_reference_tables,
     run_scenario,
@@ -46,8 +51,7 @@ from adsim.traffic import (
     TrafficConfig,
     detect_scripted,
     gen_organic,
-    inject_human_fraud,
-    inject_scripted_fraud,
+    inject_fraud,
 )
 from adsim.auction import SlotAllocation
 from oracles import (
@@ -398,9 +402,9 @@ def test_criterion_7_fraud_detection():
     hits = total = 0
     for seed in range(20):
         cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2}, 60_000, seed)
-        log = inject_scripted_fraud(
+        log = inject_fraud(
             gen_organic(cfg, _slots("a", "b")),
-            FraudPlan(kind=SCRIPTED, target="z", start_ms=2_000, count=25, interval_ms=400),
+            [FraudPlan(kind=SCRIPTED, target="z", start_ms=2_000, count=25, interval_ms=400)],
         )
         hits += len(_flagged_refs(log, "z") & _fraud_refs(log, "z"))
         total += 25
@@ -427,12 +431,14 @@ def test_criterion_7_fraud_detection():
     hu_hits = hu_total = 0
     for seed in range(2_000, 2_020):
         cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2}, 120_000, seed)
-        log = inject_human_fraud(
+        log = inject_fraud(
             gen_organic(cfg, _slots("a", "b")),
-            FraudPlan(
-                kind=HUMAN, target="z", start_ms=2_000, count=40,
-                mean_gap_ms=1_500.0, gap_sigma=0.5, seed=seed - 1_993,
-            ),
+            [
+                FraudPlan(
+                    kind=HUMAN, target="z", start_ms=2_000, count=40,
+                    mean_gap_ms=1_500.0, gap_sigma=0.5, seed=seed - 1_993,
+                )
+            ],
         )
         hu_hits += len(_flagged_refs(log, "z") & _fraud_refs(log, "z"))
         hu_total += 40
@@ -455,12 +461,31 @@ def test_criterion_7_fraud_detection():
 
 
 # ---------------------------------------------------------------------------
-# 8. Byte-identical reruns.
+# 8. Byte-identical reruns, pinned to digests.
+
+# SHA-256 of scenario.example.ini's artifacts as `adsim run` writes them, keyed
+# by drop_flagged. They depend on default_rng's PCG64 stream, so they are
+# pinned to the numpy version they were measured with.
+PINNED_NUMPY = "2.4.6"
+PINNED_EVENTS_JSONL = "90cbed0b41259648221458d14667af3f0234acfcd25731d69d26f76ec52eb257"
+PINNED_DIGESTS = {
+    False: {
+        "events.jsonl": PINNED_EVENTS_JSONL,
+        "series.csv": "b5cee620fc83a978ff3874b9582aa973eaf160aef8dc03ba7eb799cc1fcce9b3",
+        "series.svg": "82f0ba07b8ffb6ce6d3477823952edbc49f34f89e23ae49e7ed9fd70c057b21b",
+    },
+    True: {
+        "events.jsonl": PINNED_EVENTS_JSONL,
+        "series.csv": "4d7db2ae46ea2595744e536d564fb566a9b86d7e70de21fe60698d0b65b0b924",
+        "series.svg": "fb52d64a0d7cef32649b4ca0561cd3e95f2944bdcd1b5b963eefc96a85440498",
+    },
+}
 
 
 def test_criterion_8_determinism(tmp_path, example_ini):
     cfg = load_config(example_ini)
     problems = []
+    digests = {}
     for mode in (False, True):
         paths = []
         for run_i in (0, 1):
@@ -469,16 +494,28 @@ def test_criterion_8_determinism(tmp_path, example_ini):
             out.mkdir()
             write_log(result.log, out / "events.jsonl")
             emit_csv(result.rows, out / "series.csv")
+            emit_plot(result.rows, out / "series.svg", title=f"focus: {cfg.focus}")
             paths.append(out)
-        for name in ("events.jsonl", "series.csv"):
+        for name in PINNED_DIGESTS[mode]:
             b0 = (paths[0] / name).read_bytes()
             b1 = (paths[1] / name).read_bytes()
             if b0 != b1:
                 problems.append(f"{name} differs between reruns (drop_flagged={mode})")
+            digests[mode, name] = hashlib.sha256(b0).hexdigest()
+    clicks = sum(1 for e in result.log if isinstance(e, ClickEvent))
+    if (len(result.log), clicks) != (847, 187):  # the README's quick-start line
+        problems.append(f"{len(result.log)} events ({clicks} clicks), README says 847 (187)")
+    if np.__version__ != PINNED_NUMPY:
+        _report(8, not problems, problems[0] if problems else "byte-identical reruns")
+        pytest.skip(f"digests pinned with numpy {PINNED_NUMPY}, running {np.__version__}")
+    for (mode, name), digest in digests.items():
+        if digest != PINNED_DIGESTS[mode][name]:
+            problems.append(f"{name} digest drifted (drop_flagged={mode}): {digest}")
     _report(
         8,
         not problems,
         problems[0]
         if problems
-        else "JSONL logs and CSVs byte-identical across reruns, with and without drop-flagged",
+        else "JSONL logs, CSVs and SVGs byte-identical across reruns and equal to the "
+        "pinned digests, with and without drop-flagged",
     )

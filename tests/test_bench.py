@@ -7,7 +7,6 @@ import pytest
 
 from adsim.auction import BY_CTR_WEIGHTED, AuctionConfig
 from adsim.bench import (
-    FRAUD_QUERY_ID_BASE,
     PRINTED_CLICKS,
     PRINTED_IMPRESSIONS,
     PRINTED_LEGACY_CTR,
@@ -36,7 +35,14 @@ from adsim.bench import (
 )
 from adsim.core import ClickEvent, ClickSource, ImpressionEvent
 from adsim.estimators import WindowSpec
-from adsim.traffic import SCRIPTED, FraudPlan, TrafficConfig
+from adsim.traffic import (
+    FRAUD_QUERY_ID_BASE,
+    HUMAN,
+    SCRIPTED,
+    FraudPlan,
+    TrafficConfig,
+    fraud_events,
+)
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -272,12 +278,21 @@ def test_minimal_config_defaults(tmp_path):
         (lambda s: s.replace("a = 100", "a = -5"), "bids.a"),
         (lambda s: s.replace("a = 0.2", "a = 1.2"), "base_ctr.a"),
         (lambda s: s.replace("[base_ctr]\na = 0.2", "[base_ctr]\nzz = 0.2"), "base_ctr"),
+        (lambda s: s.replace("a = 100", "a = 100\nb = 50"), "base_ctr.b: missing"),
         (lambda s: s.replace("specs = relative", "specs = weekly:3"), "unknown estimator"),
         (lambda s: s.replace("specs = relative", "specs = time:abc"), "bad window parameter"),
         (lambda s: s.replace("specs = relative", "specs = time:5 time:9"), "must be unique"),
         (
+            lambda s: s.replace("specs = relative", "specs = relative relative:500"),
+            "estimators.specs",
+        ),
+        (
             lambda s: s + "\n[fraud:x]\nkind = scripted\ntarget = a\nstart_ms = 4990\ncount = 5\ninterval_ms = 100\n",
             "beyond horizon_ms",
+        ),
+        (
+            lambda s: s + "\n[fraud:x]\nkind = human\ntarget = a\nstart_ms = 4000\ncount = 50\nmean_gap_ms = 100\ngap_sigma = 0.1\n",
+            "fraud:x.start_ms",
         ),
         (
             lambda s: s + "\n[fraud:x]\nkind = slow\ntarget = a\nstart_ms = 0\ncount = 5\n",
@@ -325,6 +340,24 @@ def test_simulate_is_deterministic_and_labels_fraud():
         if isinstance(e, ImpressionEvent) and e.query_id < FRAUD_QUERY_ID_BASE
     ]
     assert organic_imps, "organic traffic missing"
+
+
+def test_simulate_writes_exactly_the_fraud_events():
+    cfg = tiny_config(
+        fraud_plans=(
+            FraudPlan(kind=SCRIPTED, target="a", start_ms=5_000, count=20, interval_ms=200),
+            FraudPlan(
+                kind=HUMAN, target="b", start_ms=1_000, count=30,
+                mean_gap_ms=300.0, gap_sigma=0.4, seed=3,
+            ),
+        )
+    )
+
+    def query_id(e):
+        return e.query_id if isinstance(e, ImpressionEvent) else e.impression_ref
+
+    fraud = [e for e in simulate(cfg) if query_id(e) >= FRAUD_QUERY_ID_BASE]
+    assert fraud == fraud_events(cfg.fraud_plans, cfg.horizon_ms)
 
 
 def test_series_rows_are_cumulative_and_cover_every_tick():

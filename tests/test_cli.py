@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from adsim.cli import main
@@ -55,6 +58,19 @@ def test_run_writes_the_three_artifacts(tmp_path, ini, capsys):
     # ctr columns come in the fixed schema order, not configuration order
     assert header == "time,impressions,clicks,total_clicks,ctr_time,ctr_relative"
     assert len((out / "series.csv").read_text().splitlines()) == 9  # header + 8 ticks
+
+
+def test_run_artifacts_get_the_umask_mode(tmp_path, ini):
+    old = os.umask(0o022)
+    try:
+        assert main(["run", str(ini), "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("events.jsonl", "series.csv", "series.svg"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "events.jsonl", "scenario.ini", "series.csv", "series.svg"
+    ]  # no temp files left behind
 
 
 def test_run_is_byte_deterministic(tmp_path, ini):

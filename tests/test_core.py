@@ -10,6 +10,7 @@ from adsim.core import (
     ClickTally,
     DanglingClickError,
     DuplicateClickError,
+    DuplicateImpressionError,
     EventLog,
     ImpressionEvent,
     MalformedRecordError,
@@ -108,6 +109,14 @@ def test_clicks_must_reference_a_prior_impression_of_the_same_advertiser():
         log.append(clk(12, "a", ref=5))
 
 
+def test_impressions_are_unique_per_advertiser_and_query_id():
+    log = EventLog(100)
+    log.append(imp(10, "a", qid=5))
+    log.append(imp(10, "b", qid=5))  # same query, another advertiser
+    with pytest.raises(DuplicateImpressionError):
+        log.append(imp(11, "a", qid=5))
+
+
 def test_tally_window_is_half_open():
     log = EventLog(100)
     log.append(imp(10, qid=0))
@@ -151,11 +160,9 @@ def test_from_events_sorts_canonically():
 
 def test_log_introspection():
     log = EventLog(100)
-    assert log.max_query_id() == -1
     assert log.advertisers() == []
     log.append(imp(1, "b", qid=7))
     log.append(imp(2, "a", qid=3))
-    assert log.max_query_id() == 7
     assert log.advertisers() == ["a", "b"]
     assert len(log) == 2
     assert list(log) == [log[0], log[1]]
@@ -258,6 +265,16 @@ def test_stripped_click_round_trips_as_null_source(tmp_path):
             ],
             2,
             "unknown impression",
+        ),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":1,"t":1}',
+                '{"advertiser":"b","kind":"impression","query_id":0,"slot":1,"t":1}',
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":1,"t":2}',
+            ],
+            4,
+            "already in the log",
         ),
     ],
 )

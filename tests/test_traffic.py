@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 
 from adsim.auction import SlotAllocation
-from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent
+from adsim.core import (
+    ClickEvent,
+    ClickSource,
+    DuplicateImpressionError,
+    EventLog,
+    ImpressionEvent,
+    event_sort_key,
+)
 from adsim.traffic import (
+    FRAUD_QUERY_ID_BASE,
     HUMAN,
     SCRIPTED,
     FraudPlan,
     HorizonExceededError,
     TrafficConfig,
     detect_scripted,
+    fraud_events,
     gen_organic,
-    inject_human_fraud,
-    inject_scripted_fraud,
+    inject_fraud,
     organic_events,
     plan_click_times,
-    plan_events,
 )
 
 
@@ -144,15 +151,40 @@ def test_human_times_are_seeded_and_increasing():
 
 def test_plan_events_pair_each_click_with_its_own_impression():
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=10, count=3, interval_ms=5)
-    events = plan_events(plan, query_id_start=77)
+    events = fraud_events([plan], horizon_ms=100)
     assert len(events) == 6
     imps = [e for e in events if isinstance(e, ImpressionEvent)]
     clicks = [e for e in events if isinstance(e, ClickEvent)]
-    assert [e.query_id for e in imps] == [77, 78, 79]
-    assert [c.impression_ref for c in clicks] == [77, 78, 79]
+    base = FRAUD_QUERY_ID_BASE
+    assert [e.query_id for e in imps] == [base, base + 1, base + 2]
+    assert [c.impression_ref for c in clicks] == [base, base + 1, base + 2]
     assert all(c.t == i.t for c, i in zip(clicks, imps))
     assert all(e.slot == 1 for e in events)
     assert all(c.source is ClickSource.SCRIPTED_FRAUD for c in clicks)
+
+
+def test_fraud_events_number_the_plans_in_order_and_sort_canonically():
+    late = FraudPlan(kind=SCRIPTED, target="a", start_ms=50, count=2, interval_ms=10)
+    early = FraudPlan(
+        kind=HUMAN, target="b", start_ms=0, count=3, mean_gap_ms=5.0, gap_sigma=0.2
+    )
+    events = fraud_events([late, early], horizon_ms=100)
+    assert events == sorted(events, key=event_sort_key)
+    clicks = sorted(
+        (e.advertiser, e.impression_ref, e.source)
+        for e in events
+        if isinstance(e, ClickEvent)
+    )
+    base = FRAUD_QUERY_ID_BASE
+    assert clicks == [
+        ("a", base, ClickSource.SCRIPTED_FRAUD),
+        ("a", base + 1, ClickSource.SCRIPTED_FRAUD),
+        ("b", base + 2, ClickSource.HUMAN_FRAUD),
+        ("b", base + 3, ClickSource.HUMAN_FRAUD),
+        ("b", base + 4, ClickSource.HUMAN_FRAUD),
+    ]
+    with pytest.raises(HorizonExceededError, match="beyond horizon_ms=60"):
+        fraud_events([early, late], horizon_ms=60)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +194,7 @@ def test_plan_events_pair_each_click_with_its_own_impression():
 def test_injection_conserves_the_original_traffic():
     log = gen_organic(organic_cfg(seed=8), alloc("a", "b"))
     plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=30, interval_ms=400)
-    merged = inject_scripted_fraud(log, plan)
+    merged = inject_fraud(log, [plan])
     assert len(merged) == len(log) + 60
     before = log.tally(0, log.horizon).per_advertiser
     after = merged.tally(0, log.horizon).per_advertiser
@@ -184,19 +216,15 @@ def test_injection_rejects_plans_past_the_horizon():
     log = gen_organic(organic_cfg(seed=8), alloc("a", "b"))
     late = FraudPlan(kind=SCRIPTED, target="a", start_ms=29_000, count=10, interval_ms=200)
     with pytest.raises(HorizonExceededError):
-        inject_scripted_fraud(log, late)
+        inject_fraud(log, [late])
 
 
-def test_injection_checks_the_plan_kind():
+def test_injecting_twice_collides_on_the_fraud_ids():
     log = gen_organic(organic_cfg(seed=8), alloc("a", "b"))
-    human = FraudPlan(
-        kind=HUMAN, target="a", start_ms=0, count=2, mean_gap_ms=50.0, gap_sigma=0.1
-    )
-    scripted = FraudPlan(kind=SCRIPTED, target="a", start_ms=0, count=2, interval_ms=50)
-    with pytest.raises(ValueError):
-        inject_scripted_fraud(log, human)
-    with pytest.raises(ValueError):
-        inject_human_fraud(log, scripted)
+    plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=3, interval_ms=400)
+    once = inject_fraud(log, [plan])
+    with pytest.raises(DuplicateImpressionError):
+        inject_fraud(once, [plan])
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +287,14 @@ def test_detector_parameter_validation():
 def test_detector_never_reads_click_labels():
     log = gen_organic(organic_cfg(seed=12), alloc("a", "b"))
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=1_000, count=12, interval_ms=300)
-    merged = inject_scripted_fraud(log, plan)
+    merged = inject_fraud(log, [plan])
     assert detect_scripted(merged) == detect_scripted(merged.stripped())
 
 
 def test_detector_catches_injected_scripted_runs_in_organic_noise():
     log = gen_organic(organic_cfg(seed=12), alloc("a", "b"))
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=1_000, count=12, interval_ms=300)
-    merged = inject_scripted_fraud(log, plan)
+    merged = inject_fraud(log, [plan])
     fraud_refs = {c.impression_ref for c in clicks_of(merged, "z")}
     flagged = set()
     for f in detect_scripted(merged.stripped()):
