@@ -68,7 +68,6 @@ from .traffic import (
     TrafficConfig,
     detect_scripted,
     fraud_events,
-    gen_organic,
     inject_fraud,
 )
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import AdsimError, AdvertiserId
+from .core import AdsimError, AdvertiserId, check_min
 
 BY_BID = "by_bid"
 BY_CTR_WEIGHTED = "by_ctr_weighted"
@@ -63,12 +63,10 @@ class AuctionConfig:
     ranking: str = BY_BID
 
     def __post_init__(self):
-        if self.num_slots < 1:
-            raise ValueError(f"num_slots must be >= 1, got {self.num_slots}")
-        if self.reserve_price < 0:
-            raise ValueError(f"negative reserve: {self.reserve_price}")
+        check_min("num_slots", self.num_slots, 1)
+        check_min("reserve_price", self.reserve_price, 0)
         if self.ranking not in RANKINGS:
-            raise ValueError(f"unknown ranking {self.ranking!r}")
+            raise ValueError(f"ranking: expected one of {RANKINGS}, got {self.ranking!r}")
 
 
 def rank(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,7 +24,7 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .auction import AuctionConfig, Bid, RANKINGS, gsp_allocate, rank
+from .auction import AuctionConfig, Bid, gsp_allocate, rank
 from .core import (
     MAX_SEED,
     AdsimError,
@@ -32,11 +32,15 @@ from .core import (
     ClickEvent,
     ClickTally,
     EventLog,
+    check_min,
+    check_range,
     event_sort_key,
     write_atomic,
 )
 from .estimators import WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
+    HUMAN,
+    SCRIPTED,
     FraudFlag,
     FraudPlan,
     HorizonExceededError,
@@ -294,6 +298,14 @@ def curve_shape_check(
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A whole scenario.
+
+    Its checks and those of the configs it holds are the only scenario
+    bounds. Messages start with the offending value's INI path; those of
+    ``AuctionConfig`` and ``FraudPlan`` start with the key alone, and
+    :func:`load_config` adds the section.
+    """
+
     seed: int
     horizon_ms: int
     tick_ms: int
@@ -303,37 +315,37 @@ class ScenarioConfig:
     traffic: TrafficConfig
     estimators: tuple[WindowSpec, ...]
     fraud_plans: tuple[FraudPlan, ...] = ()
-    valuations: Mapping[AdvertiserId, int] = field(default_factory=dict)
     default_ctr: float = 0.1
     detector_min_run: int = 5
     detector_tolerance_ms: int = 10
 
     def __post_init__(self):
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed outside unsigned 64-bit range: {self.seed}")
-        if self.horizon_ms < 1:
-            raise ValueError("horizon_ms must be >= 1")
-        if not 1 <= self.tick_ms <= self.horizon_ms:
-            raise ValueError("tick_ms must be in [1, horizon_ms]")
+        check_range("scenario.seed", self.seed, 0, MAX_SEED)
+        check_min("scenario.horizon_ms", self.horizon_ms, 1)
+        check_range("scenario.tick_ms", self.tick_ms, 1, self.horizon_ms)
+        check_range("scenario.default_ctr", self.default_ctr, 0.0, 1.0)
         if not self.bids:
-            raise ValueError("no bids")
+            raise ValueError("bids: at least one advertiser is required")
+        for adv, amount in self.bids.items():
+            check_min(f"bids.{adv}", amount, 0)
         if self.focus not in self.bids:
-            raise ValueError(f"focus {self.focus!r} has no bid")
-        if not self.estimators:
-            raise ValueError("no estimators configured")
-        labels = [spec.label for spec in self.estimators]
-        if len(set(labels)) != len(labels):
-            raise ValueError("estimators.specs: estimator kinds must be unique")
-        if not 0.0 <= self.default_ctr <= 1.0:
-            raise ValueError(f"default_ctr outside [0, 1]: {self.default_ctr}")
+            raise ValueError(f"scenario.focus: {self.focus!r} has no bid")
+        for adv in self.traffic.base_ctr:
+            if adv not in self.bids:
+                raise ValueError(f"base_ctr.{adv}: not a bidding advertiser")
         missing = sorted(set(self.bids) - set(self.traffic.base_ctr))
         if missing:
             raise ValueError(f"base_ctr.{missing[0]}: missing")
-        if self.traffic.horizon_ms != self.horizon_ms or self.traffic.seed != self.seed:
-            raise ValueError("traffic horizon/seed must match the scenario")
-        for plan in self.fraud_plans:
+        if not self.estimators:
+            raise ValueError("estimators.specs: at least one estimator is required")
+        labels = [spec.label for spec in self.estimators]
+        if len(set(labels)) != len(labels):
+            raise ValueError("estimators.specs: estimator kinds must be unique")
+        check_min("detector.min_run", self.detector_min_run, 3)
+        check_min("detector.tolerance_ms", self.detector_tolerance_ms, 0)
+        for i, plan in enumerate(self.fraud_plans):
             if plan.target not in self.bids:
-                raise ValueError(f"fraud target {plan.target!r} has no bid")
+                raise ValueError(f"fraud_plans[{i}].target: {plan.target!r} has no bid")
 
     @property
     def advertisers(self) -> list[AdvertiserId]:
@@ -346,17 +358,14 @@ _SPEC_SYNTAX = "time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>]"
 def parse_spec(token: str, where: str) -> WindowSpec:
     """One ``KIND[:PARAM]`` estimator token; errors start with ``where``."""
     kind, sep, raw = token.partition(":")
-    if kind == "relative" and not sep:
-        return WindowSpec.relative()
-    if kind not in ("time", "impressions", "clicks", "relative"):
-        raise ConfigError(f"{where}: unknown estimator {token!r} (expected {_SPEC_SYNTAX})")
     try:
-        param = int(raw)
+        param = int(raw) if sep else None
     except ValueError:
         raise ConfigError(f"{where}: bad window parameter in {token!r}") from None
-    if param < 1:
-        raise ConfigError(f"{where}: window parameter must be >= 1 in {token!r}")
-    return WindowSpec(kind, param)
+    try:
+        return WindowSpec(kind, param)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc} in {token!r} (expected {_SPEC_SYNTAX})") from None
 
 
 class _Section:
@@ -369,39 +378,31 @@ class _Section:
     def take(self, key: str, default: str | None = None) -> str | None:
         return self._items.pop(key, default)
 
-    def take_int(self, key, default=None, lo=None, hi=None) -> int | None:
+    def take_int(self, key, default=None) -> int | None:
         raw = self._items.pop(key, None)
-        return default if raw is None else self._number(key, raw, int, lo, hi)
+        return default if raw is None else self._number(key, raw, int)
 
-    def take_float(self, key, default=None, lo=None, hi=None) -> float | None:
+    def take_float(self, key, default=None) -> float | None:
         raw = self._items.pop(key, None)
-        return default if raw is None else self._number(key, raw, float, lo, hi)
+        return default if raw is None else self._number(key, raw, float)
 
     def require(self, key: str) -> str:
         if key not in self._items:
             raise ConfigError(f"{self.name}.{key}: missing")
         return self._items.pop(key)
 
-    def require_int(self, key, lo=None, hi=None) -> int:
-        return self._number(key, self.require(key), int, lo, hi)
+    def require_int(self, key) -> int:
+        return self._number(key, self.require(key), int)
 
-    def require_float(self, key, lo=None, hi=None) -> float:
-        return self._number(key, self.require(key), float, lo, hi)
+    def require_float(self, key) -> float:
+        return self._number(key, self.require(key), float)
 
-    def _number(self, key, raw, convert, lo, hi):
+    def _number(self, key, raw, convert):
         try:
-            v = convert(raw)
+            return convert(raw)
         except ValueError:
             what = "an integer" if convert is int else "a number"
             raise ConfigError(f"{self.name}.{key}: expected {what}, got {raw!r}") from None
-        if lo is not None and v < lo:
-            raise ConfigError(f"{self.name}.{key}: must be >= {lo}, got {v}")
-        if hi is not None and v > hi:
-            raise ConfigError(f"{self.name}.{key}: must be <= {hi}, got {v}")
-        return v
-
-    def items(self):
-        return list(self._items.items())
 
     def finish(self) -> None:
         if self._items:
@@ -410,13 +411,24 @@ class _Section:
 
 
 _KNOWN_SECTIONS = {
-    "scenario", "auction", "bids", "valuations", "traffic",
-    "base_ctr", "estimators", "detector",
+    "scenario", "auction", "bids", "traffic", "base_ctr", "estimators", "detector",
 }
 
 
+def _located(prefix: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; its ValueError becomes a ConfigError behind ``prefix``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse the INI-style scenario format (see the annotated example file)."""
+    """Parse the INI-style scenario format (see the annotated example file).
+
+    Only types, section and key names, fraud targets and the fraud horizon are
+    checked here; every other bound belongs to the dataclasses.
+    """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
     )
@@ -437,119 +449,90 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{name}: missing section")
 
     bids_sec = _Section("bids", parser["bids"])
-    bids = {}
-    for adv, _ in bids_sec.items():
-        bids[adv] = bids_sec.take_int(adv, lo=0)
-    if not bids:
-        raise ConfigError("bids: at least one advertiser is required")
-    advertisers = sorted(bids)
-
-    valuations = {}
-    if "valuations" in parser:
-        val_sec = _Section("valuations", parser["valuations"])
-        for adv, _ in val_sec.items():
-            if adv not in bids:
-                raise ConfigError(f"valuations.{adv}: not a bidding advertiser")
-            valuations[adv] = val_sec.take_int(adv, lo=0)
-
+    bids = {adv: bids_sec.require_int(adv) for adv in parser["bids"]}
     base_sec = _Section("base_ctr", parser["base_ctr"])
-    base_ctr = {}
-    for adv, _ in base_sec.items():
-        if adv not in bids:
-            raise ConfigError(f"base_ctr.{adv}: not a bidding advertiser")
-        base_ctr[adv] = base_sec.take_float(adv, lo=0.0, hi=1.0)
+    base_ctr = {adv: base_sec.require_float(adv) for adv in parser["base_ctr"]}
 
     sc = _Section("scenario", parser["scenario"])
-    seed = sc.require_int("seed", lo=0, hi=MAX_SEED)
-    horizon_ms = sc.require_int("horizon_ms", lo=1)
-    tick_ms = sc.require_int("tick_ms", lo=1, hi=horizon_ms)
-    focus = sc.take("focus", advertisers[0])
-    if focus not in bids:
-        raise ConfigError(f"scenario.focus: {focus!r} has no bid")
-    default_ctr = sc.take_float("default_ctr", default=0.1, lo=0.0, hi=1.0)
+    seed = sc.require_int("seed")
+    horizon_ms = sc.require_int("horizon_ms")
+    tick_ms = sc.require_int("tick_ms")
+    focus = sc.take("focus", min(bids, default=""))
+    default_ctr = sc.take_float("default_ctr", default=0.1)
     sc.finish()
 
     au = _Section("auction", parser["auction"])
-    num_slots = au.require_int("num_slots", lo=1)
-    reserve = au.take_int("reserve_price", default=0, lo=0)
-    ranking = au.take("ranking", "by_bid")
-    if ranking not in RANKINGS:
-        raise ConfigError(f"auction.ranking: expected one of {RANKINGS}, got {ranking!r}")
+    auction_cfg = _located(
+        "auction.", AuctionConfig,
+        au.require_int("num_slots"),
+        au.take_int("reserve_price", default=0),
+        au.take("ranking", "by_bid"),
+    )
     au.finish()
-    auction_cfg = AuctionConfig(num_slots, reserve, ranking)
 
     tr = _Section("traffic", parser["traffic"])
-    qps = tr.require_float("queries_per_second", lo=0.0)
-    decay = tr.take_float("position_decay", default=0.6)
-    if not 0.0 < decay <= 1.0:
-        raise ConfigError(f"traffic.position_decay: outside (0, 1]: {decay}")
+    traffic_cfg = _located(
+        "", TrafficConfig,
+        tr.require_float("queries_per_second"),
+        base_ctr,
+        tr.take_float("position_decay", default=0.6),
+    )
     tr.finish()
-    traffic_cfg = TrafficConfig(qps, base_ctr, horizon_ms, seed, decay)
 
     est = _Section("estimators", parser["estimators"])
-    tokens = est.require("specs").split()
-    if not tokens:
-        raise ConfigError("estimators.specs: at least one estimator is required")
-    specs = tuple(parse_spec(tok, "estimators.specs") for tok in tokens)
+    specs = tuple(parse_spec(tok, "estimators.specs") for tok in est.require("specs").split())
     est.finish()
 
-    det_min_run, det_tol = 5, 10
-    if "detector" in parser:
-        det = _Section("detector", parser["detector"])
-        det_min_run = det.take_int("min_run", default=5, lo=3)
-        det_tol = det.take_int("tolerance_ms", default=10, lo=0)
-        det.finish()
+    det = _Section("detector", parser["detector"] if "detector" in parser else {})
+    det_min_run = det.take_int("min_run", default=5)
+    det_tol = det.take_int("tolerance_ms", default=10)
+    det.finish()
 
-    plans = []
+    plans = {}
     for name in parser.sections():
         if not name.startswith("fraud:"):
             continue
         fr = _Section(name, parser[name])
         kind = fr.require("kind")
-        if kind not in ("scripted", "human"):
-            raise ConfigError(f"{name}.kind: expected scripted or human, got {kind!r}")
         target = fr.require("target")
         if target not in bids:
             raise ConfigError(f"{name}.target: {target!r} has no bid")
-        start_ms = fr.require_int("start_ms", lo=0)
-        count = fr.require_int("count", lo=1)
-        if kind == "scripted":
-            plan = FraudPlan(
-                kind, target, start_ms, count,
-                interval_ms=fr.require_int("interval_ms", lo=1),
-            )
+        start_ms = fr.require_int("start_ms")
+        count = fr.require_int("count")
+        if kind == SCRIPTED:
+            extra = {"interval_ms": fr.require_int("interval_ms")}
+        elif kind == HUMAN:
+            extra = {
+                "mean_gap_ms": fr.require_float("mean_gap_ms"),
+                "gap_sigma": fr.require_float("gap_sigma"),
+                "seed": fr.take_int("seed", default=(seed + len(plans) + 1) % (MAX_SEED + 1)),
+            }
         else:
-            plan = FraudPlan(
-                kind, target, start_ms, count,
-                mean_gap_ms=fr.require_float("mean_gap_ms", lo=1.0),
-                gap_sigma=fr.require_float("gap_sigma", lo=0.0),
-                seed=fr.take_int("seed", default=(seed + len(plans) + 1) % (MAX_SEED + 1)),
-            )
+            extra = {}
+        plans[name] = _located(f"{name}.", FraudPlan, kind, target, start_ms, count, **extra)
         fr.finish()
+
+    cfg = _located(
+        "", ScenarioConfig,
+        seed=seed,
+        horizon_ms=horizon_ms,
+        tick_ms=tick_ms,
+        focus=focus,
+        bids=bids,
+        auction=auction_cfg,
+        traffic=traffic_cfg,
+        estimators=specs,
+        fraud_plans=tuple(plans.values()),
+        default_ctr=default_ctr,
+        detector_min_run=det_min_run,
+        detector_tolerance_ms=det_tol,
+    )
+    for name, plan in plans.items():
         try:
             checked_click_times(plan, horizon_ms)
         except HorizonExceededError as exc:
             raise ConfigError(f"{name}.start_ms: {exc}") from None
-        plans.append(plan)
-
-    try:
-        return ScenarioConfig(
-            seed=seed,
-            horizon_ms=horizon_ms,
-            tick_ms=tick_ms,
-            focus=focus,
-            bids=bids,
-            auction=auction_cfg,
-            traffic=traffic_cfg,
-            estimators=specs,
-            fraud_plans=tuple(plans),
-            valuations=valuations,
-            default_ctr=default_ctr,
-            detector_min_run=det_min_run,
-            detector_tolerance_ms=det_tol,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -185,17 +185,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    log = read_log(args.log)
     if args.tick_ms < 1:
         raise ConfigError("tick-ms: must be >= 1")
+    specs = [parse_spec(tok, "spec") for tok in args.spec or ["relative"]]
+    if len({s.label for s in specs}) != len(specs):
+        raise ConfigError("spec: estimator kinds must be unique")
+    log = read_log(args.log)
     advertisers = log.advertisers()
     focus = args.advertiser or (advertisers[0] if advertisers else None)
     if focus is None:
         raise ConfigError("advertiser: the log is empty, specify one explicitly")
-    tokens = args.spec or ["relative"]
-    specs = [parse_spec(tok, "spec") for tok in tokens]
-    if len({s.label for s in specs}) != len(specs):
-        raise ConfigError("spec: estimator kinds must be unique")
+    if advertisers and focus not in advertisers:
+        raise ConfigError(f"advertiser: {focus!r} is not in the log")
     rows = build_series(log.stripped(), focus, specs, args.tick_ms)
     if args.csv:
         emit_csv(rows, args.csv)

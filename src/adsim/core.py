@@ -21,6 +21,19 @@ Seed = int
 MAX_SEED = 2**64 - 1
 
 
+def check_min(path: str, value, lo) -> None:
+    """Raise ValueError starting with ``path`` unless ``lo <= value``."""
+    if value < lo:
+        raise ValueError(f"{path}: must be >= {lo}, got {value}")
+
+
+def check_range(path: str, value, lo, hi) -> None:
+    """Raise ValueError starting with ``path`` unless ``lo <= value <= hi``."""
+    check_min(path, value, lo)
+    if value > hi:
+        raise ValueError(f"{path}: must be <= {hi}, got {value}")
+
+
 class AdsimError(Exception):
     """Base class for every error raised by this package."""
 

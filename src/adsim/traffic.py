@@ -24,6 +24,8 @@ from .core import (
     EventLog,
     ImpressionEvent,
     Seed,
+    check_min,
+    check_range,
     event_sort_key,
 )
 from .auction import SlotAllocation
@@ -50,22 +52,14 @@ class TrafficConfig:
 
     queries_per_second: float
     base_ctr: Mapping[AdvertiserId, float]
-    horizon_ms: int
-    seed: Seed
     position_decay: float = 0.6
 
     def __post_init__(self):
-        if self.queries_per_second < 0:
-            raise ValueError(f"negative query rate: {self.queries_per_second}")
+        check_min("traffic.queries_per_second", self.queries_per_second, 0.0)
         for adv, p in self.base_ctr.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"base CTR for {adv!r} outside [0, 1]: {p}")
-        if self.horizon_ms < 0:
-            raise ValueError(f"negative horizon: {self.horizon_ms}")
+            check_range(f"base_ctr.{adv}", p, 0.0, 1.0)
         if not 0.0 < self.position_decay <= 1.0:
-            raise ValueError(f"position decay outside (0, 1]: {self.position_decay}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed outside unsigned 64-bit range: {self.seed}")
+            raise ValueError(f"traffic.position_decay: outside (0, 1]: {self.position_decay}")
 
 
 @dataclass(frozen=True)
@@ -90,23 +84,20 @@ class FraudPlan:
 
     def __post_init__(self):
         if self.kind not in (SCRIPTED, HUMAN):
-            raise ValueError(f"unknown fraud kind {self.kind!r}")
+            raise ValueError(f"kind: expected scripted or human, got {self.kind!r}")
         if not self.target:
-            raise ValueError("empty target advertiser")
-        if self.start_ms < 0:
-            raise ValueError(f"negative start: {self.start_ms}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+            raise ValueError("target: empty advertiser id")
+        check_min("start_ms", self.start_ms, 0)
+        check_min("count", self.count, 1)
         if self.kind == SCRIPTED:
-            if self.interval_ms is None or self.interval_ms < 1:
-                raise ValueError("scripted plan needs interval_ms >= 1")
+            needed = {"interval_ms": 1}
         else:
-            if self.mean_gap_ms is None or self.mean_gap_ms <= 0:
-                raise ValueError("human plan needs mean_gap_ms > 0")
-            if self.gap_sigma is None or self.gap_sigma < 0:
-                raise ValueError("human plan needs gap_sigma >= 0")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed outside unsigned 64-bit range: {self.seed}")
+            needed = {"mean_gap_ms": 1.0, "gap_sigma": 0.0}
+        for key, lo in needed.items():
+            if getattr(self, key) is None:
+                raise ValueError(f"{key}: required by a {self.kind} plan")
+            check_min(key, getattr(self, key), lo)
+        check_range("seed", self.seed, 0, MAX_SEED)
 
 
 @dataclass(frozen=True)
@@ -131,10 +122,10 @@ def organic_events(
     t_hi: int,
     query_id_start: int,
 ) -> tuple[list[Event], int]:
-    """Draw one window of organic traffic; returns (events, next query id).
+    """Draw organic traffic over ``[t_lo, t_hi)``; returns (events, next query id).
 
-    Split out from :func:`gen_organic` so a scenario runner can draw traffic
-    tick by tick against a changing allocation while sharing one RNG.
+    A scenario runner calls this once per tick against the current allocation,
+    sharing one RNG across ticks.
     """
     span_ms = t_hi - t_lo
     if span_ms <= 0:
@@ -152,18 +143,6 @@ def organic_events(
                 events.append(ClickEvent(t, adv, alloc.slot, qid, ClickSource.ORGANIC))
         qid += 1
     return events, qid
-
-
-def gen_organic(cfg: TrafficConfig, allocation: Sequence[SlotAllocation]) -> EventLog:
-    """Organic-only log over ``[0, horizon_ms)`` for a fixed slot allocation."""
-    if not allocation:
-        raise ValueError("empty allocation")
-    missing = sorted({a.advertiser for a in allocation} - set(cfg.base_ctr))
-    if missing:
-        raise ValueError(f"no base CTR for {missing}")
-    rng = np.random.default_rng(cfg.seed)
-    events, _ = organic_events(cfg, allocation, rng, 0, cfg.horizon_ms, 0)
-    return EventLog.from_events(events, cfg.horizon_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,10 @@ from adsim.traffic import (
     FraudPlan,
     TrafficConfig,
     detect_scripted,
-    gen_organic,
     inject_fraud,
 )
 from adsim.auction import SlotAllocation
+from helpers import organic_log
 from oracles import (
     click_window_brute,
     est_counts,
@@ -401,9 +401,9 @@ def test_criterion_7_fraud_detection():
 
     hits = total = 0
     for seed in range(20):
-        cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2}, 60_000, seed)
+        cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2})
         log = inject_fraud(
-            gen_organic(cfg, _slots("a", "b")),
+            organic_log(cfg, _slots("a", "b"), 60_000, seed),
             [FraudPlan(kind=SCRIPTED, target="z", start_ms=2_000, count=25, interval_ms=400)],
         )
         hits += len(_flagged_refs(log, "z") & _fraud_refs(log, "z"))
@@ -416,8 +416,8 @@ def test_criterion_7_fraud_detection():
 
     false_hits = clicks = 0
     for seed in range(1_000, 1_020):
-        cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2, "c": 0.2}, 60_000, seed)
-        log = gen_organic(cfg, _slots("a", "b", "c"))
+        cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2, "c": 0.2})
+        log = organic_log(cfg, _slots("a", "b", "c"), 60_000, seed)
         false_hits += sum(
             len(f.flagged_click_ids) for f in detect_scripted(log.stripped())
         )
@@ -430,9 +430,9 @@ def test_criterion_7_fraud_detection():
 
     hu_hits = hu_total = 0
     for seed in range(2_000, 2_020):
-        cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2}, 120_000, seed)
+        cfg = TrafficConfig(5.0, {"a": 0.2, "b": 0.2})
         log = inject_fraud(
-            gen_organic(cfg, _slots("a", "b")),
+            organic_log(cfg, _slots("a", "b"), 120_000, seed),
             [
                 FraudPlan(
                     kind=HUMAN, target="z", start_ms=2_000, count=40,

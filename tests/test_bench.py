@@ -53,7 +53,7 @@ def tiny_config(**overrides) -> ScenarioConfig:
         focus="a",
         bids={"a": 1000, "b": 300},
         auction=AuctionConfig(2),
-        traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.2}, 20_000, 7),
+        traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.2}),
         estimators=(WindowSpec.relative(), WindowSpec.time_window(5_000)),
     )
     base.update(overrides)
@@ -198,8 +198,8 @@ def test_scenario_config_cross_checks():
         tiny_config(estimators=())
     with pytest.raises(ValueError):
         tiny_config(estimators=(WindowSpec.relative(), WindowSpec.relative(99)))
-    with pytest.raises(ValueError):
-        tiny_config(traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.2}, 20_000, 8))
+    with pytest.raises(ValueError, match="^detector.min_run:"):
+        tiny_config(detector_min_run=2)
     with pytest.raises(ValueError):
         tiny_config(
             fraud_plans=(
@@ -215,7 +215,6 @@ def test_load_config_reads_the_annotated_example(example_ini):
     assert cfg.horizon_ms == 60_000 and cfg.tick_ms == 1_000
     assert cfg.focus == "alpha"
     assert cfg.bids == {"alpha": 1000, "bravo": 300, "delta": 500}
-    assert cfg.valuations == {"alpha": 1100, "bravo": 800, "delta": 600}
     assert cfg.auction == AuctionConfig(2, 0, BY_CTR_WEIGHTED)
     assert cfg.traffic.queries_per_second == 5.0
     assert cfg.traffic.base_ctr == {"alpha": 0.30, "bravo": 0.20, "delta": 0.10}
@@ -301,6 +300,22 @@ def test_minimal_config_defaults(tmp_path):
         (
             lambda s: s + "\n[fraud:x]\nkind = scripted\ntarget = q\nstart_ms = 0\ncount = 5\ninterval_ms = 10\n",
             "fraud:x.target",
+        ),
+        (lambda s: s + "\n[detector]\nmin_run = 2\n", "detector.min_run"),
+        (lambda s: s + "\n[detector]\ntolerance_ms = -1\n", "detector.tolerance_ms"),
+        (lambda s: s.replace("num_slots = 1", "num_slots = 1\nranking = best"), "auction.ranking"),
+        (
+            lambda s: s.replace("queries_per_second = 2.0", "queries_per_second = 2.0\nposition_decay = 0"),
+            "traffic.position_decay",
+        ),
+        (lambda s: s.replace("tick_ms = 500", "tick_ms = 500\nfocus = zz"), "scenario.focus"),
+        (
+            lambda s: s + "\n[fraud:x]\nkind = human\ntarget = a\nstart_ms = 0\ncount = 5\nmean_gap_ms = 0.5\ngap_sigma = 0.1\n",
+            "fraud:x.mean_gap_ms",
+        ),
+        (
+            lambda s: s + "\n[fraud:x]\nkind = human\ntarget = a\nstart_ms = 0\ncount = 5\nmean_gap_ms = 100\ngap_sigma = 0.1\nseed = -1\n",
+            "fraud:x.seed",
         ),
     ],
 )
@@ -464,7 +479,7 @@ def test_drop_flagged_removes_scripted_clicks_from_the_series():
 def test_flags_found_by_run_scenario_cover_the_injection():
     # the target draws no organic clicks, so the injected run survives intact
     cfg = tiny_config(
-        traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.0}, 20_000, 7),
+        traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.0}),
         fraud_plans=(
             FraudPlan(kind=SCRIPTED, target="b", start_ms=2_000, count=25, interval_ms=300),
         ),

@@ -102,6 +102,14 @@ def test_run_reports_bad_config(tmp_path, capsys):
     assert "scenario.seed" in capsys.readouterr().err
 
 
+def test_run_reports_a_bad_fraud_seed(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    crew = "\n[fraud:crew]\nkind = human\ntarget = b\nstart_ms = 0\ncount = 5\n"
+    path.write_text(MINIMAL_INI + crew + "mean_gap_ms = 100\ngap_sigma = 0.5\nseed = -1\n")
+    assert main(["run", str(path)]) == 2
+    assert "fraud:crew.seed" in capsys.readouterr().err
+
+
 def test_tables_prints_the_ledger_and_shape_checks(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out
@@ -165,6 +173,18 @@ def test_replay_rejects_duplicate_spec_kinds(tmp_path, ini, capsys):
     main(["run", str(ini), "--out", str(out)])
     code = main(["replay", str(out / "events.jsonl"), "--spec", "time:1", "--spec", "time:2"])
     assert code == 2
+
+
+def test_replay_rejects_bad_flags_before_reading_the_log(tmp_path, ini, capsys):
+    out = tmp_path / "out"
+    main(["run", str(ini), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["replay", str(out / "events.jsonl"), "--advertiser", "nobody"]) == 2
+    assert "advertiser: 'nobody' is not in the log" in capsys.readouterr().err
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    assert main(["replay", str(bad), "--tick-ms", "0"]) == 2
+    assert "tick-ms" in capsys.readouterr().err
 
 
 def test_replay_rejects_malformed_logs(tmp_path, capsys):

@@ -21,22 +21,25 @@ from adsim.traffic import (
     TrafficConfig,
     detect_scripted,
     fraud_events,
-    gen_organic,
     inject_fraud,
     organic_events,
     plan_click_times,
 )
+
+from helpers import organic_log
 
 
 def alloc(*advertisers):
     return tuple(SlotAllocation(i + 1, a, 0, 0) for i, a in enumerate(advertisers))
 
 
-def organic_cfg(seed=0, **kw):
+HORIZON_MS = 30_000
+
+
+def organic_cfg(**kw):
     kw.setdefault("queries_per_second", 5.0)
     kw.setdefault("base_ctr", {"a": 0.3, "b": 0.3})
-    kw.setdefault("horizon_ms", 30_000)
-    return TrafficConfig(seed=seed, **kw)
+    return TrafficConfig(**kw)
 
 
 def clicks_of(log, adv):
@@ -48,16 +51,12 @@ def clicks_of(log, adv):
 
 
 def test_traffic_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^traffic.queries_per_second:"):
         organic_cfg(queries_per_second=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^base_ctr.a:"):
         organic_cfg(base_ctr={"a": 1.5})
-    with pytest.raises(ValueError):
-        organic_cfg(horizon_ms=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^traffic.position_decay:"):
         organic_cfg(position_decay=0.0)
-    with pytest.raises(ValueError):
-        organic_cfg(seed=-1)
 
 
 def test_fraud_plan_validation():
@@ -73,6 +72,10 @@ def test_fraud_plan_validation():
         FraudPlan(kind=HUMAN, target="a", start_ms=0, count=5, mean_gap_ms=0.0, gap_sigma=0.5)
     with pytest.raises(ValueError):
         FraudPlan(kind=HUMAN, target="a", start_ms=0, count=5, mean_gap_ms=100.0)
+    with pytest.raises(ValueError, match="^mean_gap_ms: must be >= 1.0"):
+        FraudPlan(kind=HUMAN, target="a", start_ms=0, count=5, mean_gap_ms=0.5, gap_sigma=0.5)
+    with pytest.raises(ValueError, match="^seed:"):
+        FraudPlan(kind=SCRIPTED, target="a", start_ms=0, count=5, interval_ms=10, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +83,18 @@ def test_fraud_plan_validation():
 
 
 def test_organic_generation_is_deterministic():
-    cfg = organic_cfg(seed=42)
-    assert gen_organic(cfg, alloc("a", "b")) == gen_organic(cfg, alloc("a", "b"))
-    other = gen_organic(organic_cfg(seed=43), alloc("a", "b"))
-    assert other != gen_organic(cfg, alloc("a", "b"))
+    cfg = organic_cfg()
+    log = organic_log(cfg, alloc("a", "b"), HORIZON_MS, 42)
+    assert log == organic_log(cfg, alloc("a", "b"), HORIZON_MS, 42)
+    assert log != organic_log(cfg, alloc("a", "b"), HORIZON_MS, 43)
 
 
 def test_organic_structure():
-    cfg = organic_cfg(seed=1)
-    log = gen_organic(cfg, alloc("a", "b"))
+    log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 1)
     imps = [e for e in log if isinstance(e, ImpressionEvent)]
     clicks = [e for e in log if isinstance(e, ClickEvent)]
     assert len(imps) % 2 == 0  # both advertisers shown on every query
-    assert all(0 <= e.t < cfg.horizon_ms for e in log)
+    assert all(0 <= e.t < HORIZON_MS for e in log)
     assert all(c.source is ClickSource.ORGANIC for c in clicks)
     by_key = {(e.advertiser, e.query_id): e.t for e in imps}
     # a click lands in the same millisecond as its impression
@@ -102,29 +104,22 @@ def test_organic_structure():
 
 
 def test_zero_ctr_never_clicks_and_certain_ctr_always_clicks():
-    cfg = organic_cfg(seed=3, base_ctr={"a": 0.0, "b": 1.0}, position_decay=1.0)
-    log = gen_organic(cfg, alloc("a", "b"))
+    cfg = organic_cfg(base_ctr={"a": 0.0, "b": 1.0}, position_decay=1.0)
+    log = organic_log(cfg, alloc("a", "b"), HORIZON_MS, 3)
     imps = [e for e in log if isinstance(e, ImpressionEvent)]
     assert not clicks_of(log, "a")
     assert len(clicks_of(log, "b")) == len(imps) // 2
 
 
 def test_organic_events_mints_sequential_query_ids():
-    cfg = organic_cfg(seed=5)
-    rng = np.random.default_rng(cfg.seed)
+    cfg = organic_cfg()
+    rng = np.random.default_rng(5)
     events, next_qid = organic_events(cfg, alloc("a", "b"), rng, 0, 10_000, 100)
     imps = [e for e in events if isinstance(e, ImpressionEvent)]
     n_queries = len({e.query_id for e in imps})
     assert next_qid == 100 + n_queries
     assert len(imps) == 2 * n_queries
     assert organic_events(cfg, alloc("a"), rng, 5, 5, 0) == ([], 0)
-
-
-def test_gen_organic_requires_ctrs_for_the_allocation():
-    with pytest.raises(ValueError):
-        gen_organic(organic_cfg(), alloc("a", "zzz"))
-    with pytest.raises(ValueError):
-        gen_organic(organic_cfg(), ())
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +187,7 @@ def test_fraud_events_number_the_plans_in_order_and_sort_canonically():
 
 
 def test_injection_conserves_the_original_traffic():
-    log = gen_organic(organic_cfg(seed=8), alloc("a", "b"))
+    log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 8)
     plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=30, interval_ms=400)
     merged = inject_fraud(log, [plan])
     assert len(merged) == len(log) + 60
@@ -213,14 +208,14 @@ def test_injection_conserves_the_original_traffic():
 
 
 def test_injection_rejects_plans_past_the_horizon():
-    log = gen_organic(organic_cfg(seed=8), alloc("a", "b"))
+    log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 8)
     late = FraudPlan(kind=SCRIPTED, target="a", start_ms=29_000, count=10, interval_ms=200)
     with pytest.raises(HorizonExceededError):
         inject_fraud(log, [late])
 
 
 def test_injecting_twice_collides_on_the_fraud_ids():
-    log = gen_organic(organic_cfg(seed=8), alloc("a", "b"))
+    log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 8)
     plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=3, interval_ms=400)
     once = inject_fraud(log, [plan])
     with pytest.raises(DuplicateImpressionError):
@@ -285,14 +280,14 @@ def test_detector_parameter_validation():
 
 
 def test_detector_never_reads_click_labels():
-    log = gen_organic(organic_cfg(seed=12), alloc("a", "b"))
+    log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 12)
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=1_000, count=12, interval_ms=300)
     merged = inject_fraud(log, [plan])
     assert detect_scripted(merged) == detect_scripted(merged.stripped())
 
 
 def test_detector_catches_injected_scripted_runs_in_organic_noise():
-    log = gen_organic(organic_cfg(seed=12), alloc("a", "b"))
+    log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 12)
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=1_000, count=12, interval_ms=300)
     merged = inject_fraud(log, [plan])
     fraud_refs = {c.impression_ref for c in clicks_of(merged, "z")}
@@ -305,5 +300,5 @@ def test_detector_catches_injected_scripted_runs_in_organic_noise():
 
 def test_detector_stays_quiet_on_organic_traffic():
     for seed in (21, 22, 23):
-        log = gen_organic(organic_cfg(seed=seed), alloc("a", "b"))
+        log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, seed)
         assert detect_scripted(log.stripped()) == []
