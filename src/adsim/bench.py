@@ -438,7 +438,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: no such file")
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for name in parser.sections():
@@ -552,7 +552,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     rng = np.random.default_rng(cfg.seed)
     advertisers = cfg.advertisers
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
-    primary = {a: cfg.estimators[0].build(a) for a in advertisers}
+    primary = cfg.estimators[0].build_cohort(advertisers)
 
     fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
     log = EventLog(cfg.horizon_ms)
@@ -560,10 +560,10 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     next_qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
-        ctrs = {}
-        for adv in advertisers:
-            est = primary[adv].estimate(tick_start)
-            ctrs[adv] = est.value if est.defined else cfg.default_ctr
+        ctrs = {
+            adv: est.value if est.defined else cfg.default_ctr
+            for adv, est in primary.estimates(tick_start).items()
+        }
         allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
         events, next_qid = organic_events(
             cfg.traffic, allocation, rng, tick_start, tick_end, next_qid
@@ -574,8 +574,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
         events.sort(key=event_sort_key)
         for e in events:
             log.append(e)
-            for fold in primary.values():
-                fold.observe(e)
+            primary.observe(e)
     return log
 
 

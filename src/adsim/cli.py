@@ -190,7 +190,12 @@ def _cmd_replay(args) -> int:
     specs = [parse_spec(tok, "spec") for tok in args.spec or ["relative"]]
     if len({s.label for s in specs}) != len(specs):
         raise ConfigError("spec: estimator kinds must be unique")
-    log = read_log(args.log)
+    try:
+        log = read_log(args.log)
+    except OSError as exc:
+        raise ConfigError(f"{args.log}: {exc.strerror}") from exc
+    except MalformedRecordError as exc:
+        raise ConfigError(f"{args.log}: {exc}") from exc
     advertisers = log.advertisers()
     focus = args.advertiser or (advertisers[0] if advertisers else None)
     if focus is None:
@@ -208,23 +213,25 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_demo_gfp(args) -> int:
-    amounts = _parse_cents_list(args.bids, "bids")
-    values = _parse_cents_list(args.values, "values")
+    amounts = _parse_cents_list(args.bids, "--bids")
+    values = _parse_cents_list(args.values, "--values")
     if len(amounts) != len(values):
-        raise ConfigError("values: need exactly one value per bid")
+        raise ConfigError("--values: need exactly one value per bid")
     if len(amounts) < 2:
-        raise ConfigError("bids: need at least two bidders")
+        raise ConfigError("--bids: need at least two bidders")
     if args.epsilon < 1:
-        raise ConfigError("epsilon: must be >= 1")
+        raise ConfigError("--epsilon: must be >= 1")
     if args.steps < 1:
-        raise ConfigError("steps: must be >= 1")
+        raise ConfigError("--steps: must be >= 1")
     names = [_bidder_name(i) for i in range(len(amounts))]
     bids = dict(zip(names, amounts))
     vals = dict(zip(names, values))
     try:
         cfg = AuctionConfig(num_slots=args.slots, reserve_price=args.reserve)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        field, _, reason = str(exc).partition(": ")
+        flag = {"num_slots": "--slots", "reserve_price": "--reserve"}[field]
+        raise ConfigError(f"{flag}: {reason}") from exc
     history = best_response_run(bids, vals, cfg, args.epsilon, args.steps)
     print(f"first-price bid war, epsilon={args.epsilon}, reserve={args.reserve}:")
     print(f"  start: {_fmt_state(names, history[0])}")

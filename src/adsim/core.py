@@ -322,32 +322,47 @@ def _parse_str(rec: dict, key: str, line_no: int) -> str:
 def read_log(path: str | Path) -> EventLog:
     """Parse a JSONL log. Raises ``MalformedRecordError`` with the offending line."""
     log: EventLog | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                raise MalformedRecordError(line_no, "blank line")
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise MalformedRecordError(line_no, "record is not an object")
-            if line_no == 1:
-                if rec.get("kind") != "header" or set(rec) != {"kind", "horizon"}:
-                    raise MalformedRecordError(line_no, "missing header record")
-                log = EventLog(_parse_int(rec, "horizon", line_no))
-                continue
-            assert log is not None
-            try:
-                log.append(_parse_event(rec, line_no))
-            except (AdsimError, ValueError) as exc:
-                if isinstance(exc, MalformedRecordError):
-                    raise
-                raise MalformedRecordError(line_no, str(exc)) from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    raise MalformedRecordError(line_no, "blank line")
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
+                if not isinstance(rec, dict):
+                    raise MalformedRecordError(line_no, "record is not an object")
+                if line_no == 1:
+                    if rec.get("kind") != "header" or set(rec) != {"kind", "horizon"}:
+                        raise MalformedRecordError(line_no, "missing header record")
+                    log = EventLog(_parse_int(rec, "horizon", line_no))
+                    continue
+                assert log is not None
+                try:
+                    log.append(_parse_event(rec, line_no))
+                except (AdsimError, ValueError) as exc:
+                    if isinstance(exc, MalformedRecordError):
+                        raise
+                    raise MalformedRecordError(line_no, str(exc)) from exc
+    except UnicodeDecodeError:
+        line_no, reason = _first_undecodable_line(path)
+        raise MalformedRecordError(line_no, f"not UTF-8: {reason}") from None
     if log is None:
         raise MalformedRecordError(1, "empty file")
     return log
+
+
+def _first_undecodable_line(path: str | Path) -> tuple[int, str]:
+    # Text mode decodes ahead in chunks, so its error cannot name the line.
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return line_no, exc.reason
+    raise AssertionError("decodes line by line but not as a whole")
 
 
 def _parse_event(rec: dict, line_no: int) -> Event:

@@ -4,6 +4,7 @@ Three windowed estimators (trailing time window, last-N impressions, last-N
 clicks) plus a cohort-relative estimator that scores an advertiser by its
 share of all clicks. Each has a streaming fold that consumes events in log
 order and a convenience function that evaluates a whole log at one instant.
+``WindowSpec.build_cohort`` answers one kind for a whole cohort at once.
 
 Feeding contract for the folds: call ``observe`` with events in non-decreasing
 timestamp order, feed everything with ``t <= now`` before calling
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import AdvertiserId, ClickEvent, ClickTally, Event, EventLog, ImpressionEvent
 
@@ -112,6 +114,17 @@ class WindowSpec:
         if self.kind == "clicks":
             return ClickWindowCtr(advertiser, self.param)
         return _RelativeFold(advertiser, RelativeCtr(self.param))
+
+    def build_cohort(self, advertisers: Sequence[AdvertiserId]):
+        """One estimator for the whole cohort, with ``observe(e)`` and
+        ``estimates(now) -> {advertiser: CtrEstimate}``.
+
+        The relative kind keeps one tally for everyone; the windowed kinds
+        keep one fold per advertiser and hand each event only to its own.
+        """
+        if self.kind == "relative":
+            return _RelativeCohort(advertisers, RelativeCtr(self.param))
+        return _FoldCohort({adv: self.build(adv) for adv in advertisers})
 
 
 class TimeWindowCtr:
@@ -220,29 +233,48 @@ class RelativeCtr:
     """Shares each advertiser's clicks against the whole cohort's clicks.
 
     Cumulative from scenario start by default; pass ``interval_ms`` for a
-    sliding half-open window ``[now - interval, now)``.
+    sliding half-open window ``[now - interval, now)``. The sliding form keeps
+    the click times inside its window; the cumulative one keeps, per
+    advertiser, its click count, its last click time and the clicks at that
+    time, which are the only ones ``now`` can still exclude.
     """
 
     def __init__(self, interval_ms: int | None = None):
         if interval_ms is not None and interval_ms < 1:
             raise ValueError("interval_ms must be >= 1")
         self.interval_ms = interval_ms
-        self._clicks: dict[str, deque[int]] = {}
+        self._clicks: dict[str, deque[int]] = {}  # sliding
+        self._counts: dict[str, list[int]] = {}  # cumulative: [count, last t, at last t]
 
     def observe(self, e: Event) -> None:
-        if isinstance(e, ClickEvent):
+        if not isinstance(e, ClickEvent):
+            return
+        if self.interval_ms is not None:
             self._clicks.setdefault(e.advertiser, deque()).append(e.t)
+            return
+        c = self._counts.setdefault(e.advertiser, [0, e.t, 0])
+        c[0] += 1
+        if c[1] == e.t:
+            c[2] += 1
+        else:
+            c[1], c[2] = e.t, 1
 
     def tally(self, now: int) -> ClickTally:
-        lo = 0 if self.interval_ms is None else now - self.interval_ms
         counts: dict[str, int] = {}
-        for adv, dq in sorted(self._clicks.items()):
-            if self.interval_ms is not None:
+        if self.interval_ms is None:
+            lo = 0
+            for adv, (n, last, at_last) in sorted(self._counts.items()):
+                n -= at_last if last >= now else 0
+                if n > 0:
+                    counts[adv] = n
+        else:
+            lo = now - self.interval_ms
+            for adv, dq in sorted(self._clicks.items()):
                 while dq and dq[0] < lo:
                     dq.popleft()
-            n = len(dq) - _count_at_or_after(dq, now)
-            if n > 0:
-                counts[adv] = n
+                n = len(dq) - _count_at_or_after(dq, now)
+                if n > 0:
+                    counts[adv] = n
         return ClickTally(counts, sum(counts.values()), (max(lo, 0), now))
 
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
@@ -261,6 +293,36 @@ class _RelativeFold:
 
     def estimate(self, now: int) -> CtrEstimate:
         return self.shared.estimate(self.advertiser, now)
+
+
+class _RelativeCohort:
+    """Every advertiser's share, from one tally per ``estimates`` call."""
+
+    def __init__(self, advertisers: Sequence[AdvertiserId], shared: RelativeCtr):
+        self.advertisers = list(advertisers)
+        self.shared = shared
+
+    def observe(self, e: Event) -> None:
+        self.shared.observe(e)
+
+    def estimates(self, now: int) -> dict[AdvertiserId, CtrEstimate]:
+        tally = self.shared.tally(now)
+        return {adv: ctr_relative(tally, adv) for adv in self.advertisers}
+
+
+class _FoldCohort:
+    """One windowed fold per advertiser; an event reaches only its own."""
+
+    def __init__(self, folds: dict[AdvertiserId, object]):
+        self.folds = folds
+
+    def observe(self, e: Event) -> None:
+        fold = self.folds.get(e.advertiser)
+        if fold is not None:
+            fold.observe(e)
+
+    def estimates(self, now: int) -> dict[AdvertiserId, CtrEstimate]:
+        return {adv: fold.estimate(now) for adv, fold in self.folds.items()}
 
 
 # ---------------------------------------------------------------------------

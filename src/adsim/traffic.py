@@ -7,8 +7,8 @@ impression. With a fixed seed every function here is fully deterministic.
 
 from __future__ import annotations
 
+import heapq
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -215,11 +215,17 @@ def detect_scripted(
     every inter-click gap stays within ``interval_tolerance_ms`` of the run's
     median gap. A run that ends with at least ``min_run`` clicks is flagged.
     Never reads click labels, so it behaves identically on stripped views.
+
+    The run's gaps sit in two heaps (lower half negated, upper half) beside
+    their running min and max, so each click costs O(log L). The test is done
+    in doubled integers: ``m2`` is twice the median, exactly as
+    ``statistics.median`` would give it.
     """
     if min_run < 3:
         raise ValueError(f"min_run must be >= 3, got {min_run}")
     if interval_tolerance_ms < 0:
         raise ValueError(f"negative tolerance: {interval_tolerance_ms}")
+    tol2 = 2 * interval_tolerance_ms
     clicks_by: dict[str, list[ClickEvent]] = {}
     for e in log:
         if isinstance(e, ClickEvent):
@@ -228,17 +234,28 @@ def detect_scripted(
     for adv in sorted(clicks_by):
         clicks = clicks_by[adv]
         start = 0
-        gaps: list[int] = []
+        lower: list[int] = []  # negated, so -lower[0] is the lower middle
+        upper: list[int] = []
+        lo = hi = 0
         for j in range(1, len(clicks)):
-            candidate = gaps + [clicks[j].t - clicks[j - 1].t]
-            median = statistics.median(candidate)
-            if all(abs(g - median) <= interval_tolerance_ms for g in candidate):
-                gaps = candidate
-                continue
-            if j - start >= min_run:
-                flags.append(_flag(adv, clicks[start:j]))
-            start = j - 1  # the breaking gap seeds the next run
-            gaps = [clicks[j].t - clicks[j - 1].t]
+            gap = clicks[j].t - clicks[j - 1].t
+            if j - start > 1:
+                if gap <= -lower[0]:
+                    heapq.heappush(lower, -gap)
+                    if len(lower) > len(upper) + 1:
+                        heapq.heappush(upper, -heapq.heappop(lower))
+                else:
+                    heapq.heappush(upper, gap)
+                    if len(upper) > len(lower):
+                        heapq.heappush(lower, -heapq.heappop(upper))
+                lo, hi = min(lo, gap), max(hi, gap)
+                m2 = -2 * lower[0] if len(lower) > len(upper) else upper[0] - lower[0]
+                if 2 * hi - m2 <= tol2 and m2 - 2 * lo <= tol2:
+                    continue
+                if j - start >= min_run:
+                    flags.append(_flag(adv, clicks[start:j]))
+                start = j - 1  # the breaking gap seeds the next run
+            lower, upper, lo, hi = [-gap], [], gap, gap
         if len(clicks) - start >= min_run:
             flags.append(_flag(adv, clicks[start:]))
     return flags

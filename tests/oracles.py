@@ -1,4 +1,4 @@
-"""Brute-force oracles for the streaming estimators.
+"""Brute-force oracles for the streaming estimators and the fraud detector.
 
 Everything here recomputes results from first principles with plain list
 scans and ``random.Random`` (not numpy), so a bug in the package's
@@ -7,9 +7,11 @@ incremental bookkeeping cannot hide in the oracle too.
 from __future__ import annotations
 
 import random
+import statistics
 
 from adsim.core import ClickEvent, EventLog, ImpressionEvent
 from adsim.estimators import CtrEstimate
+from adsim.traffic import FraudFlag
 
 
 def random_log(
@@ -122,3 +124,44 @@ def relative_brute(
         for adv, n in tally_brute(log, lo, now).items()
         if n > 0
     }
+
+
+def detect_scripted_brute(
+    log: EventLog, min_run: int = 5, interval_tolerance_ms: int = 10
+) -> list[FraudFlag]:
+    """The O(L^2)-per-run detector: re-takes the median of the whole candidate
+    run and re-checks every gap against it at each click."""
+    if min_run < 3:
+        raise ValueError(f"min_run must be >= 3, got {min_run}")
+    if interval_tolerance_ms < 0:
+        raise ValueError(f"negative tolerance: {interval_tolerance_ms}")
+    clicks_by: dict[str, list[ClickEvent]] = {}
+    for e in log:
+        if isinstance(e, ClickEvent):
+            clicks_by.setdefault(e.advertiser, []).append(e)
+    flags: list[FraudFlag] = []
+    for adv in sorted(clicks_by):
+        clicks = clicks_by[adv]
+        start = 0
+        gaps: list[int] = []
+        for j in range(1, len(clicks)):
+            candidate = gaps + [clicks[j].t - clicks[j - 1].t]
+            median = statistics.median(candidate)
+            if all(abs(g - median) <= interval_tolerance_ms for g in candidate):
+                gaps = candidate
+                continue
+            if j - start >= min_run:
+                flags.append(_flag(adv, clicks[start:j]))
+            start = j - 1  # the breaking gap seeds the next run
+            gaps = [clicks[j].t - clicks[j - 1].t]
+        if len(clicks) - start >= min_run:
+            flags.append(_flag(adv, clicks[start:]))
+    return flags
+
+
+def _flag(adv: str, run: list[ClickEvent]) -> FraudFlag:
+    return FraudFlag(
+        span=(run[0].t, run[-1].t),
+        advertiser=adv,
+        flagged_click_ids=tuple(c.impression_ref for c in run),
+    )

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -34,6 +35,7 @@ from adsim.bench import (
     load_config,
     replay_reference_tables,
     run_scenario,
+    simulate,
 )
 from adsim.cli import main
 from adsim.core import ClickEvent, ClickTally, write_log
@@ -519,3 +521,28 @@ def test_criterion_8_determinism(tmp_path, example_ini):
         else "JSONL logs, CSVs and SVGs byte-identical across reruns and equal to the "
         "pinned digests, with and without drop-flagged",
     )
+
+
+# SHA-256 of the example's events.jsonl with each estimator kind moved to the
+# front of the specs (the rest keep their order). The first spec re-ranks the
+# bids every tick, so this pins the cohort path of every kind, not only the
+# relative one the example lists first. On this config the impressions-first
+# run allocates the slots exactly as the relative-first one does.
+PINNED_EVENTS_BY_PRIMARY_KIND = {
+    "relative": PINNED_EVENTS_JSONL,
+    "time": "08a84537900ea05e8b168414f5ddcae6ee533244809fd96eafacd628ff889586",
+    "impressions": PINNED_EVENTS_JSONL,
+    "clicks": "028004b9b6883bb3631c2d6cad888d16e1d521d57e8a777983101c9764000841",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_EVENTS_BY_PRIMARY_KIND))
+def test_events_digest_with_each_kind_as_the_primary_estimator(tmp_path, example_ini, kind):
+    cfg = load_config(example_ini)
+    primary = [s for s in cfg.estimators if s.kind == kind]
+    specs = (*primary, *(s for s in cfg.estimators if s.kind != kind))
+    write_log(simulate(dataclasses.replace(cfg, estimators=specs)), tmp_path / "events.jsonl")
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"digests pinned with numpy {PINNED_NUMPY}, running {np.__version__}")
+    digest = hashlib.sha256((tmp_path / "events.jsonl").read_bytes()).hexdigest()
+    assert digest == PINNED_EVENTS_BY_PRIMARY_KIND[kind]

@@ -34,7 +34,7 @@ from adsim.bench import (
     simulate,
 )
 from adsim.core import ClickEvent, ClickSource, ImpressionEvent
-from adsim.estimators import WindowSpec
+from adsim.estimators import RelativeCtr, WindowSpec
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
     HUMAN,
@@ -373,6 +373,23 @@ def test_simulate_writes_exactly_the_fraud_events():
 
     fraud = [e for e in simulate(cfg) if query_id(e) >= FRAUD_QUERY_ID_BASE]
     assert fraud == fraud_events(cfg.fraud_plans, cfg.horizon_ms)
+
+
+def test_simulate_tallies_the_cohort_once_per_tick(monkeypatch):
+    calls = []
+    tally = RelativeCtr.tally
+
+    def counted(self, now):
+        calls.append(now)
+        return tally(self, now)
+
+    monkeypatch.setattr(RelativeCtr, "tally", counted)
+    cfg = tiny_config(
+        bids={"a": 1000, "b": 300, "c": 500},
+        traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.2, "c": 0.1}),
+    )
+    simulate(cfg)
+    assert calls == list(range(0, cfg.horizon_ms, cfg.tick_ms))
 
 
 def test_series_rows_are_cumulative_and_cover_every_tick():

@@ -95,6 +95,13 @@ def test_run_reports_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_reports_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"\xff" + MINIMAL_INI.encode())
+    assert main(["run", str(path)]) == 2
+    assert f"error: {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
 def test_run_reports_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(MINIMAL_INI.replace("seed = 3", "seed = tomorrow"))
@@ -191,7 +198,21 @@ def test_replay_rejects_malformed_logs(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
     assert main(["replay", str(bad)]) == 2
-    assert "line 1" in capsys.readouterr().err
+    assert f"error: {bad}: line 1: invalid JSON" in capsys.readouterr().err
+
+
+def test_replay_reports_a_missing_log(tmp_path, capsys):
+    path = tmp_path / "nope.jsonl"
+    assert main(["replay", str(path)]) == 2
+    assert f"error: {path}: No such file or directory" in capsys.readouterr().err
+
+
+def test_replay_reports_a_log_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    write_log(EventLog(1_000), path)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert main(["replay", str(path), "--advertiser", "a"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8: invalid start byte\n"
 
 
 def test_replay_of_an_empty_log_needs_an_explicit_advertiser(tmp_path, capsys):
@@ -219,6 +240,21 @@ def test_demo_gfp_argument_validation(capsys):
     assert main(["demo-gfp", "--bids", "ten,3"]) == 2
     assert main(["demo-gfp", "--epsilon", "0"]) == 2
     assert main(["demo-gfp", "--slots", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--slots", "0"], "error: --slots: must be >= 1, got 0"),
+        (["--reserve", "-5"], "error: --reserve: must be >= 0, got -5"),
+        (["--epsilon", "0"], "error: --epsilon: must be >= 1"),
+        (["--bids", "1,2", "--values", "1"], "error: --values: need exactly one value per bid"),
+    ],
+    ids=["slots", "reserve", "epsilon", "values"],
+)
+def test_demo_gfp_errors_name_the_flag(capsys, argv, message):
+    assert main(["demo-gfp", *argv]) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_help_and_unknown_commands_use_argparse_conventions(capsys):

@@ -287,6 +287,20 @@ def test_malformed_files_report_the_offending_line(tmp_path, lines, bad_line, fr
     assert fragment in str(err.value)
 
 
+def test_a_byte_that_is_not_utf8_is_reported_on_its_line(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    log = EventLog.from_events([ImpressionEvent(t, "a", 1, t) for t in range(400)], 1_000)
+    write_log(log, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert sum(map(len, lines[:300])) > 8192  # past the text decoder's first chunk
+    lines[300] = lines[300].replace(b'"a"', b'"\xe9"')
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRecordError) as err:
+        read_log(path)
+    assert err.value.line_no == 301
+    assert str(err.value) == "line 301: not UTF-8: invalid continuation byte"
+
+
 def test_out_of_order_lines_are_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,14 +287,51 @@ def test_relative_matches_oracle(interval):
     for seed in range(25):
         log = random_log(seed + 900)
         fold = RelativeCtr(interval_ms=interval)
-        checkpoints = sorted({(seed * 53 + k * 887) % 11_000 for k in range(8)})
+        checkpoints = {(seed * 53 + k * 887) % 11_000 for k in range(8)}
+        # clicks at exactly now are fed but belong to the next window
+        checkpoints |= {e.t for e in log if isinstance(e, ClickEvent)}
         idx = 0
         events = log.events
-        for now in checkpoints:
+        for now in sorted(checkpoints):
             while idx < len(events) and events[idx].t <= now:
                 fold.observe(events[idx])
                 idx += 1
             assert fold.tally(now).per_advertiser == relative_brute(log, interval, now)
+
+
+def test_cumulative_relative_state_does_not_grow_with_the_clicks():
+    def retained_bytes(n_clicks):
+        fold = RelativeCtr()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(n_clicks):
+            fold.observe(clk(k // 3, "abc"[k % 3], k))
+        fold.tally(n_clicks)
+        after = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        return after - before
+
+    assert retained_bytes(30_000) - retained_bytes(300) < 10_000
+
+
+@pytest.mark.parametrize("kind", ["time", "impressions", "clicks", "relative"])
+def test_cohort_estimates_match_one_fold_per_advertiser(kind):
+    spec = WindowSpec(kind, None if kind == "relative" else 25)
+    for seed in range(10):
+        log = random_log(seed + 2_000)
+        advertisers = ["a", "b", "c", "d", "e"]  # "e" never appears in the log
+        cohort = spec.build_cohort(advertisers)
+        folds = {adv: spec.build(adv) for adv in advertisers}
+        idx = 0
+        events = log.events
+        for now in range(0, 11_000, 500):
+            while idx < len(events) and events[idx].t < now:
+                cohort.observe(events[idx])
+                for fold in folds.values():
+                    fold.observe(events[idx])
+                idx += 1
+            expected = {adv: fold.estimate(now) for adv, fold in folds.items()}
+            assert cohort.estimates(now) == expected
 
 
 @given(seed=st.integers(0, 10**9), param=st.integers(1, 30), now=st.integers(0, 12_000))

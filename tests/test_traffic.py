@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from adsim.traffic import (
 )
 
 from helpers import organic_log
+from oracles import detect_scripted_brute
 
 
 def alloc(*advertisers):
@@ -302,3 +305,64 @@ def test_detector_stays_quiet_on_organic_traffic():
     for seed in (21, 22, 23):
         log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, seed)
         assert detect_scripted(log.stripped()) == []
+
+
+def jittered_click_times(rng: random.Random) -> dict[str, list[int]]:
+    """Click times per advertiser: segments of near-constant gaps, some of
+    them zero, with organic clicks landing inside some of the gaps."""
+    times_by = {}
+    for adv in rng.sample(("a", "b", "c"), rng.randint(1, 3)):
+        t = rng.randrange(100)
+        times = [t]
+        for _ in range(rng.randint(1, 5)):
+            base = rng.choice((0, rng.randint(0, 8), rng.randint(10, 60)))
+            jitter = rng.randint(0, 12)
+            for _ in range(rng.randint(1, 14)):
+                gap = max(0, base + rng.randint(-jitter, jitter))
+                if rng.random() < 0.15:
+                    times.append(t + rng.randint(0, gap))
+                t += gap
+                times.append(t)
+        times_by[adv] = times
+    return times_by
+
+
+def test_detector_matches_the_brute_force_oracle_on_random_logs():
+    even_runs = zero_gap_runs = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        log = bare_log(jittered_click_times(rng))
+        min_run, tol = rng.randint(3, 8), rng.randint(0, 15)
+        flags = detect_scripted(log, min_run, tol)
+        assert flags == detect_scripted_brute(log, min_run, tol), (seed, min_run, tol)
+        t_of = {(e.advertiser, e.impression_ref): e.t for e in log if isinstance(e, ClickEvent)}
+        for f in flags:
+            times = [t_of[f.advertiser, ref] for ref in f.flagged_click_ids]
+            gaps = sorted(b - a for a, b in zip(times, times[1:]))
+            middle = len(gaps) // 2
+            even_runs += len(gaps) % 2 == 0 and gaps[middle - 1] != gaps[middle]
+            zero_gap_runs += gaps[0] == 0
+    # the sample reaches the two-middles median and zero gaps in flagged runs
+    assert even_runs > 50 and zero_gap_runs > 50, (even_runs, zero_gap_runs)
+
+
+@pytest.mark.parametrize(
+    "times, min_run, tol, runs",
+    [
+        # gaps 0, 10: median 5, both within 5; a third gap of 10 moves it away
+        ([0, 0, 10, 20], 3, 5, [[0, 0, 10]]),
+        # gaps 0, 11: median 5.5 is 5.5 from each, so the run breaks at once
+        ([0, 0, 11, 22, 33], 3, 5, [[0, 11, 22, 33]]),
+        # zero gaps only
+        ([7, 7, 7, 7, 7], 5, 0, [[7, 7, 7, 7, 7]]),
+        # an organic click at 450 splits a 100 ms run into two
+        ([0, 100, 200, 300, 400, 450, 500, 600, 700, 800], 4, 10,
+         [[0, 100, 200, 300, 400], [500, 600, 700, 800]]),
+    ],
+)
+def test_detector_hand_checked_medians(times, min_run, tol, runs):
+    log = bare_log({"z": times})
+    flags = detect_scripted(log, min_run, tol)
+    assert flags == detect_scripted_brute(log, min_run, tol)
+    t_of = {e.impression_ref: e.t for e in log if isinstance(e, ClickEvent)}
+    assert [[t_of[ref] for ref in f.flagged_click_ids] for f in flags] == runs
