@@ -44,6 +44,7 @@ from .core import (
     DuplicateClickError,
     DuplicateImpressionError,
     EventLog,
+    HorizonExceededError,
     ImpressionEvent,
     MalformedRecordError,
     OutOfOrderError,
@@ -64,7 +65,6 @@ from .traffic import (
     FRAUD_QUERY_ID_BASE,
     FraudFlag,
     FraudPlan,
-    HorizonExceededError,
     TrafficConfig,
     detect_scripted,
     fraud_events,

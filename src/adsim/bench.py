@@ -32,18 +32,18 @@ from .core import (
     ClickEvent,
     ClickTally,
     EventLog,
+    HorizonExceededError,
     check_min,
     check_range,
     event_sort_key,
     write_atomic,
 )
-from .estimators import WindowSpec, ctr_legacy, ctr_relative
+from .estimators import ESTIMATOR_KINDS, WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
     HUMAN,
     SCRIPTED,
     FraudFlag,
     FraudPlan,
-    HorizonExceededError,
     TrafficConfig,
     checked_click_times,
     detect_scripted,
@@ -352,7 +352,7 @@ class ScenarioConfig:
         return sorted(self.bids)
 
 
-_SPEC_SYNTAX = "time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>]"
+SPEC_SYNTAX = "time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>]"
 
 
 def parse_spec(token: str, where: str) -> WindowSpec:
@@ -365,7 +365,7 @@ def parse_spec(token: str, where: str) -> WindowSpec:
     try:
         return WindowSpec(kind, param)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc} in {token!r} (expected {_SPEC_SYNTAX})") from None
+        raise ConfigError(f"{where}: {exc} in {token!r} (expected {SPEC_SYNTAX})") from None
 
 
 class _Section:
@@ -561,8 +561,8 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
         ctrs = {
-            adv: est.value if est.defined else cfg.default_ctr
-            for adv, est in primary.estimates(tick_start).items()
+            adv: cfg.default_ctr if rate is None else rate
+            for adv, rate in primary.rates(tick_start).items()
         }
         allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
         events, next_qid = organic_events(
@@ -593,10 +593,10 @@ def build_series(
     """
     if tick_ms < 1:
         raise ValueError("tick_ms must be >= 1")
-    # fixed column order regardless of configuration order
-    kind_rank = {"time": 0, "impressions": 1, "clicks": 2, "relative": 3}
-    ordered = sorted(specs, key=lambda s: kind_rank[s.kind])
-    folds = [(spec.label, spec.build(focus)) for spec in ordered]
+    # columns in ESTIMATOR_KINDS order, whatever the configured order
+    ordered = [spec for kind in ESTIMATOR_KINDS for spec in specs if spec.kind == kind]
+    cohorts = [(spec.label, spec.build_cohort([focus])) for spec in ordered]
+    observers = [cohort.observe for _, cohort in cohorts]
     rows: list[SeriesRow] = []
     events = log.events
     idx = 0
@@ -614,13 +614,10 @@ def build_series(
                     clicks += 1
             elif e.advertiser == focus:
                 impressions += 1
-            for _, fold in folds:
-                fold.observe(e)
-        estimates = {
-            label: (est.value if (est := fold.estimate(tick_end)).defined else None)
-            for label, fold in folds
-        }
-        rows.append(SeriesRow(time_index, impressions, clicks, total_clicks, estimates))
+            for observe in observers:
+                observe(e)
+        rates = {label: cohort.rates(tick_end)[focus] for label, cohort in cohorts}
+        rows.append(SeriesRow(time_index, impressions, clicks, total_clicks, rates))
     return rows
 
 

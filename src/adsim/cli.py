@@ -15,6 +15,7 @@ from .auction import AuctionConfig, best_response_run, detect_cycle
 from .bench import (
     SHAPE_INCREASING,
     SHAPE_RISE_THEN_FALL,
+    SPEC_SYNTAX,
     ConfigError,
     SeriesRow,
     ShapeViolation,
@@ -27,10 +28,10 @@ from .bench import (
     parse_spec,
     replay_reference_tables,
     run_scenario,
+    series_columns,
 )
-from .core import ClickEvent, MalformedRecordError, read_log, write_log
+from .core import ClickEvent, HorizonExceededError, MalformedRecordError, read_log, write_log
 from .estimators import WindowSpec
-from .traffic import HorizonExceededError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,8 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spec",
         action="append",
         metavar="KIND[:PARAM]",
-        help="estimator spec (time:<ms> | impressions:<n> | clicks:<n> | "
-        "relative[:<ms>]); repeatable, default: relative",
+        help=f"estimator spec ({SPEC_SYNTAX}); repeatable, default: relative",
     )
     p.add_argument("--csv", metavar="FILE", help="write rows to FILE instead of stdout")
     p.set_defaults(func=_cmd_replay)
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_series(rows: list[SeriesRow]) -> str:
-    cols = list(rows[0].ctr) if rows else []
+    cols = series_columns(rows)
     header = ["time", "impressions", "clicks", "total_clicks", *cols]
     lines = ["  ".join(f"{h:>12}" for h in header)]
     for r in rows:
@@ -157,10 +157,10 @@ def _cmd_tables(args) -> int:
 
 
 _COMPARE_DEFAULTS = {
-    "time": lambda cfg: WindowSpec.time_window(10 * cfg.tick_ms),
-    "impressions": lambda cfg: WindowSpec.impression_window(100),
-    "clicks": lambda cfg: WindowSpec.click_window(10),
-    "relative": lambda cfg: WindowSpec.relative(),
+    "time": lambda cfg: WindowSpec("time", 10 * cfg.tick_ms),
+    "impressions": lambda cfg: WindowSpec("impressions", 100),
+    "clicks": lambda cfg: WindowSpec("clicks", 10),
+    "relative": lambda cfg: WindowSpec("relative"),
 }
 
 

@@ -54,6 +54,10 @@ class DuplicateImpressionError(AdsimError):
     """Second impression with the same advertiser and query id."""
 
 
+class HorizonExceededError(AdsimError):
+    """An event, or a fraud plan's click, falls at or past the log horizon."""
+
+
 class MalformedRecordError(AdsimError):
     """A persisted record could not be parsed; carries the 1-based line number."""
 
@@ -148,13 +152,13 @@ class ClickTally:
 class EventLog:
     """Append-only, time-ordered stream of impressions and clicks.
 
-    Single writer; iteration and tallies are read-only and may be shared.
-    Each (advertiser, query id) names at most one impression. Clicks must
-    reference an impression already in the log for the same advertiser, and
-    each impression can be clicked at most once.
+    Single writer; iteration is read-only and may be shared. Every event
+    lies in ``[0, horizon)``. Each (advertiser, query id) names at most one
+    impression. Clicks must reference an impression already in the log for
+    the same advertiser, and each impression can be clicked at most once.
     """
 
-    def __init__(self, horizon: int = 0):
+    def __init__(self, horizon: int):
         if horizon < 0:
             raise ValueError(f"negative horizon: {horizon}")
         self.horizon = horizon
@@ -175,6 +179,8 @@ class EventLog:
             raise OutOfOrderError(
                 f"event at t={e.t} behind log tail t={self._events[-1].t}"
             )
+        if e.t >= self.horizon:
+            raise HorizonExceededError(f"event at t={e.t} at or past horizon {self.horizon}")
         if isinstance(e, ClickEvent):
             key = (e.advertiser, e.impression_ref)
             if key not in self._impressions:
@@ -195,16 +201,6 @@ class EventLog:
                 )
             self._impressions.add(key)
         self._events.append(e)
-
-    def tally(self, from_ms: int, to_ms: int) -> ClickTally:
-        """Count clicks per advertiser with ``from_ms <= t < to_ms``."""
-        counts: dict[str, int] = {}
-        for e in self._events:
-            if e.t >= to_ms:
-                break
-            if isinstance(e, ClickEvent) and e.t >= from_ms:
-                counts[e.advertiser] = counts.get(e.advertiser, 0) + 1
-        return ClickTally(counts, sum(counts.values()), (from_ms, to_ms))
 
     def stripped(self) -> "EventLog":
         """Label-free view for estimators and detectors: click sources erased."""
@@ -334,17 +330,16 @@ def read_log(path: str | Path) -> EventLog:
                     raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
                 if not isinstance(rec, dict):
                     raise MalformedRecordError(line_no, "record is not an object")
-                if line_no == 1:
+                try:
+                    if line_no > 1:
+                        log.append(_parse_event(rec, line_no))
+                        continue
                     if rec.get("kind") != "header" or set(rec) != {"kind", "horizon"}:
                         raise MalformedRecordError(line_no, "missing header record")
                     log = EventLog(_parse_int(rec, "horizon", line_no))
-                    continue
-                assert log is not None
-                try:
-                    log.append(_parse_event(rec, line_no))
+                except MalformedRecordError:
+                    raise
                 except (AdsimError, ValueError) as exc:
-                    if isinstance(exc, MalformedRecordError):
-                        raise
                     raise MalformedRecordError(line_no, str(exc)) from exc
     except UnicodeDecodeError:
         line_no, reason = _first_undecodable_line(path)

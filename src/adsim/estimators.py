@@ -4,7 +4,9 @@ Three windowed estimators (trailing time window, last-N impressions, last-N
 clicks) plus a cohort-relative estimator that scores an advertiser by its
 share of all clicks. Each has a streaming fold that consumes events in log
 order and a convenience function that evaluates a whole log at one instant.
-``WindowSpec.build_cohort`` answers one kind for a whole cohort at once.
+``WindowSpec(kind, param).build_cohort(advertisers)`` runs one kind for a
+whole cohort: ``observe`` each event once, and ``rates(now)`` maps every
+advertiser to its rate, or to None while the estimate is undefined.
 
 Feeding contract for the folds: call ``observe`` with events in non-decreasing
 timestamp order, feed everything with ``t <= now`` before calling
@@ -51,80 +53,6 @@ class CtrEstimate:
     @classmethod
     def undefined(cls) -> "CtrEstimate":
         return cls(0.0, 0, 0, False)
-
-
-_SPEC_KINDS = ("time", "impressions", "clicks", "relative")
-
-
-@dataclass(frozen=True, slots=True)
-class WindowSpec:
-    """Selects one estimator family and its window parameter.
-
-    kind="time"        param = trailing window length in ms
-    kind="impressions" param = number of most recent impressions
-    kind="clicks"      param = number of most recent clicks
-    kind="relative"    param = sliding interval in ms, or None for
-                       cumulative-from-start counting (the default)
-    """
-
-    kind: str
-    param: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _SPEC_KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "relative":
-            if self.param is not None and self.param < 1:
-                raise ValueError("relative interval must be >= 1 ms")
-        elif self.param is None or self.param < 1:
-            raise ValueError(f"{self.kind} window parameter must be >= 1")
-
-    @classmethod
-    def time_window(cls, window_ms: int) -> "WindowSpec":
-        return cls("time", window_ms)
-
-    @classmethod
-    def impression_window(cls, size: int) -> "WindowSpec":
-        return cls("impressions", size)
-
-    @classmethod
-    def click_window(cls, size: int) -> "WindowSpec":
-        return cls("clicks", size)
-
-    @classmethod
-    def relative(cls, interval_ms: int | None = None) -> "WindowSpec":
-        return cls("relative", interval_ms)
-
-    @property
-    def label(self) -> str:
-        """Column name used in CSV output and reports."""
-        return {
-            "time": "ctr_time",
-            "impressions": "ctr_impr",
-            "clicks": "ctr_click",
-            "relative": "ctr_relative",
-        }[self.kind]
-
-    def build(self, advertiser: AdvertiserId):
-        """Instantiate the matching streaming fold."""
-        if self.kind == "time":
-            return TimeWindowCtr(advertiser, self.param)
-        if self.kind == "impressions":
-            return ImpressionWindowCtr(advertiser, self.param)
-        if self.kind == "clicks":
-            return ClickWindowCtr(advertiser, self.param)
-        return _RelativeFold(advertiser, RelativeCtr(self.param))
-
-    def build_cohort(self, advertisers: Sequence[AdvertiserId]):
-        """One estimator for the whole cohort, with ``observe(e)`` and
-        ``estimates(now) -> {advertiser: CtrEstimate}``.
-
-        The relative kind keeps one tally for everyone; the windowed kinds
-        keep one fold per advertiser and hand each event only to its own.
-        """
-        if self.kind == "relative":
-            return _RelativeCohort(advertisers, RelativeCtr(self.param))
-        return _FoldCohort({adv: self.build(adv) for adv in advertisers})
 
 
 class TimeWindowCtr:
@@ -281,33 +209,69 @@ class RelativeCtr:
         return ctr_relative(self.tally(now), advertiser)
 
 
-class _RelativeFold:
-    """Adapter giving RelativeCtr the per-advertiser fold interface."""
+# The estimator kinds in CSV column order: kind -> (column label, streaming fold).
+ESTIMATOR_KINDS = {
+    "time": ("ctr_time", TimeWindowCtr),
+    "impressions": ("ctr_impr", ImpressionWindowCtr),
+    "clicks": ("ctr_click", ClickWindowCtr),
+    "relative": ("ctr_relative", RelativeCtr),
+}
 
-    def __init__(self, advertiser: AdvertiserId, shared: RelativeCtr):
-        self.advertiser = advertiser
-        self.shared = shared
 
-    def observe(self, e: Event) -> None:
-        self.shared.observe(e)
+@dataclass(frozen=True, slots=True)
+class WindowSpec:
+    """Selects one estimator family and its window parameter.
 
-    def estimate(self, now: int) -> CtrEstimate:
-        return self.shared.estimate(self.advertiser, now)
+    kind="time"        param = trailing window length in ms
+    kind="impressions" param = number of most recent impressions
+    kind="clicks"      param = number of most recent clicks
+    kind="relative"    param = sliding interval in ms, or None for
+                       cumulative-from-start counting (the default)
+    """
+
+    kind: str
+    param: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ESTIMATOR_KINDS:
+            raise ValueError(f"unknown estimator kind {self.kind!r}")
+        if self.kind == "relative":
+            if self.param is not None and self.param < 1:
+                raise ValueError("relative interval must be >= 1 ms")
+        elif self.param is None or self.param < 1:
+            raise ValueError(f"{self.kind} window parameter must be >= 1")
+
+    @property
+    def label(self) -> str:
+        """Column name used in CSV output and reports."""
+        return ESTIMATOR_KINDS[self.kind][0]
+
+    def build_cohort(self, advertisers: Sequence[AdvertiserId]):
+        """One estimator for the whole cohort, with ``observe(e)`` and
+        ``rates(now) -> {advertiser: rate, or None while undefined}``.
+
+        The relative kind keeps one tally for everyone; the windowed kinds
+        keep one fold per advertiser and hand each event only to its own.
+        """
+        fold = ESTIMATOR_KINDS[self.kind][1]
+        if fold is RelativeCtr:
+            return _RelativeCohort(advertisers, RelativeCtr(self.param))
+        return _FoldCohort({adv: fold(adv, self.param) for adv in advertisers})
 
 
 class _RelativeCohort:
-    """Every advertiser's share, from one tally per ``estimates`` call."""
+    """Every advertiser's share, from one tally per ``rates`` call."""
 
     def __init__(self, advertisers: Sequence[AdvertiserId], shared: RelativeCtr):
         self.advertisers = list(advertisers)
         self.shared = shared
+        self.observe = shared.observe  # the one tally sees every event itself
 
-    def observe(self, e: Event) -> None:
-        self.shared.observe(e)
-
-    def estimates(self, now: int) -> dict[AdvertiserId, CtrEstimate]:
+    def rates(self, now: int) -> dict[AdvertiserId, float | None]:
         tally = self.shared.tally(now)
-        return {adv: ctr_relative(tally, adv) for adv in self.advertisers}
+        if tally.total == 0:
+            return dict.fromkeys(self.advertisers)
+        return {adv: tally.count(adv) / tally.total for adv in self.advertisers}
 
 
 class _FoldCohort:
@@ -321,8 +285,11 @@ class _FoldCohort:
         if fold is not None:
             fold.observe(e)
 
-    def estimates(self, now: int) -> dict[AdvertiserId, CtrEstimate]:
-        return {adv: fold.estimate(now) for adv, fold in self.folds.items()}
+    def rates(self, now: int) -> dict[AdvertiserId, float | None]:
+        return {
+            adv: est.value if (est := fold.estimate(now)).defined else None
+            for adv, fold in self.folds.items()
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ import numpy as np
 
 from .core import (
     MAX_SEED,
-    AdsimError,
     AdvertiserId,
     ClickEvent,
     ClickSource,
     Event,
     EventLog,
+    HorizonExceededError,
     ImpressionEvent,
     Seed,
     check_min,
@@ -36,10 +36,6 @@ HUMAN = "human"
 # Synthetic fraud impressions get query ids from here up, far above anything
 # the organic generator can mint in a sane scenario.
 FRAUD_QUERY_ID_BASE = 1_000_000_000
-
-
-class HorizonExceededError(AdsimError):
-    """A fraud plan schedules clicks at or past the log horizon."""
 
 
 @dataclass(frozen=True)

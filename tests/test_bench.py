@@ -54,7 +54,7 @@ def tiny_config(**overrides) -> ScenarioConfig:
         bids={"a": 1000, "b": 300},
         auction=AuctionConfig(2),
         traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.2}),
-        estimators=(WindowSpec.relative(), WindowSpec.time_window(5_000)),
+        estimators=(WindowSpec("relative"), WindowSpec("time", 5_000)),
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -197,7 +197,7 @@ def test_scenario_config_cross_checks():
     with pytest.raises(ValueError):
         tiny_config(estimators=())
     with pytest.raises(ValueError):
-        tiny_config(estimators=(WindowSpec.relative(), WindowSpec.relative(99)))
+        tiny_config(estimators=(WindowSpec("relative"), WindowSpec("relative", 99)))
     with pytest.raises(ValueError, match="^detector.min_run:"):
         tiny_config(detector_min_run=2)
     with pytest.raises(ValueError):
@@ -429,7 +429,7 @@ def test_build_series_hand_checked():
     from adsim.core import EventLog
 
     log = EventLog.from_events(events, 3_000)
-    rows = build_series(log, "a", (WindowSpec.relative(),), 1_000)
+    rows = build_series(log, "a", (WindowSpec("relative"),), 1_000)
     assert [(r.impressions, r.clicks, r.total_clicks) for r in rows] == [
         (1, 1, 1),
         (2, 1, 1),
@@ -446,7 +446,7 @@ def test_build_series_orders_columns_canonically():
     rows = build_series(
         log,
         "a",
-        (WindowSpec.relative(), WindowSpec.click_window(3), WindowSpec.time_window(100)),
+        (WindowSpec("relative"), WindowSpec("clicks", 3), WindowSpec("time", 100)),
         1_000,
     )
     assert list(rows[0].ctr) == ["ctr_time", "ctr_click", "ctr_relative"]
@@ -463,7 +463,7 @@ def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
 
     log = EventLog.from_events(events, 1_000)
     rows = build_series(
-        log, "a", (WindowSpec.relative(),), 1_000, exclude={("a", 1)}
+        log, "a", (WindowSpec("relative"),), 1_000, exclude={("a", 1)}
     )
     assert rows[0].clicks == 1
     assert rows[0].total_clicks == 1

@@ -12,6 +12,7 @@ from adsim.core import (
     DuplicateClickError,
     DuplicateImpressionError,
     EventLog,
+    HorizonExceededError,
     ImpressionEvent,
     MalformedRecordError,
     OutOfOrderError,
@@ -19,7 +20,7 @@ from adsim.core import (
     read_log,
     write_log,
 )
-from oracles import random_log, tally_brute
+from oracles import random_log
 
 
 def imp(t, adv="a", slot=1, qid=0):
@@ -109,32 +110,21 @@ def test_clicks_must_reference_a_prior_impression_of_the_same_advertiser():
         log.append(clk(12, "a", ref=5))
 
 
+def test_append_rejects_events_at_or_past_the_horizon():
+    log = EventLog(100)
+    log.append(imp(99, qid=0))
+    with pytest.raises(HorizonExceededError):
+        log.append(clk(100, ref=0))
+    with pytest.raises(HorizonExceededError):
+        EventLog(0).append(imp(0))
+
+
 def test_impressions_are_unique_per_advertiser_and_query_id():
     log = EventLog(100)
     log.append(imp(10, "a", qid=5))
     log.append(imp(10, "b", qid=5))  # same query, another advertiser
     with pytest.raises(DuplicateImpressionError):
         log.append(imp(11, "a", qid=5))
-
-
-def test_tally_window_is_half_open():
-    log = EventLog(100)
-    log.append(imp(10, qid=0))
-    log.append(imp(10, "b", qid=1))
-    log.append(clk(10, "a", ref=0))
-    log.append(clk(20, "b", ref=1))
-    t = log.tally(10, 20)
-    assert t.per_advertiser == {"a": 1}
-    assert t.total == 1
-    assert t.window == (10, 20)
-    assert log.tally(10, 21).per_advertiser == {"a": 1, "b": 1}
-
-
-def test_tally_matches_brute_force_on_random_logs():
-    for seed in range(10):
-        log = random_log(seed)
-        for lo, hi in [(0, 10_000), (2_000, 7_000), (5_000, 5_000), (9_999, 10_000)]:
-            assert log.tally(lo, hi).per_advertiser == tally_brute(log, lo, hi)
 
 
 def test_stripped_erases_click_labels_only():
@@ -275,6 +265,16 @@ def test_stripped_click_round_trips_as_null_source(tmp_path):
             ],
             4,
             "already in the log",
+        ),
+        (['{"horizon":-5,"kind":"header"}'], 1, "negative horizon"),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":1,"t":9}',
+                '{"advertiser":"a","kind":"impression","query_id":1,"slot":1,"t":50}',
+            ],
+            3,
+            "past horizon",
         ),
     ],
 )

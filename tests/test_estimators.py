@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adsim.core import ClickEvent, ClickTally, EventLog, ImpressionEvent
 from adsim.estimators import (
+    ESTIMATOR_KINDS,
     ClickWindowCtr,
     CtrEstimate,
     ImpressionWindowCtr,
@@ -73,28 +74,29 @@ def test_estimate_value_must_match_counts():
 
 def test_spec_labels_and_dispatch():
     cases = [
-        (WindowSpec.time_window(500), "ctr_time", TimeWindowCtr),
-        (WindowSpec.impression_window(10), "ctr_impr", ImpressionWindowCtr),
-        (WindowSpec.click_window(3), "ctr_click", ClickWindowCtr),
+        (WindowSpec("time", 500), "ctr_time", TimeWindowCtr),
+        (WindowSpec("impressions", 10), "ctr_impr", ImpressionWindowCtr),
+        (WindowSpec("clicks", 3), "ctr_click", ClickWindowCtr),
+        (WindowSpec("relative"), "ctr_relative", RelativeCtr),
     ]
     for spec, label, cls in cases:
         assert spec.label == label
-        assert isinstance(spec.build("a"), cls)
-    assert WindowSpec.relative().label == "ctr_relative"
-    assert WindowSpec.relative(2_000).param == 2_000
+        assert ESTIMATOR_KINDS[spec.kind] == (label, cls)
+    assert list(ESTIMATOR_KINDS) == [spec.kind for spec, _, _ in cases]  # column order
+    assert WindowSpec("relative", 2_000).param == 2_000
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         WindowSpec("bogus", 1)
     with pytest.raises(ValueError):
-        WindowSpec.time_window(0)
+        WindowSpec("time", 0)
     with pytest.raises(ValueError):
-        WindowSpec.impression_window(0)
+        WindowSpec("impressions", 0)
     with pytest.raises(ValueError):
-        WindowSpec.click_window(0)
+        WindowSpec("clicks", 0)
     with pytest.raises(ValueError):
-        WindowSpec.relative(0)
+        WindowSpec("relative", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,7 @@ def test_incremental_estimates_match_oracle(kind):
     for seed in range(25):
         log = random_log(seed + 500)
         param = (seed % 13) + 1
-        fold = WindowSpec(kind, param).build("b")
+        fold = ESTIMATOR_KINDS[kind][1]("b", param)
         checkpoints = sorted({(seed * 37 + k * 997) % 11_000 for k in range(8)})
         idx = 0
         events = log.events
@@ -314,24 +316,39 @@ def test_cumulative_relative_state_does_not_grow_with_the_clicks():
     assert retained_bytes(30_000) - retained_bytes(300) < 10_000
 
 
-@pytest.mark.parametrize("kind", ["time", "impressions", "clicks", "relative"])
+@pytest.mark.parametrize(
+    "kind", ["time", "impressions", "clicks", "relative", "relative:40", "relative:1500"]
+)
 def test_cohort_estimates_match_one_fold_per_advertiser(kind):
-    spec = WindowSpec(kind, None if kind == "relative" else 25)
+    kind, _, interval = kind.partition(":")
+    relative = kind == "relative"
+    spec = WindowSpec(kind, int(interval) if interval else None if relative else 25)
+
+    def one_fold(adv):
+        if relative:  # a tally of its own per advertiser, read for that one
+            fold = RelativeCtr(spec.param)
+            return fold, lambda now: fold.estimate(adv, now)
+        fold = ESTIMATOR_KINDS[kind][1](adv, spec.param)
+        return fold, fold.estimate
+
     for seed in range(10):
         log = random_log(seed + 2_000)
         advertisers = ["a", "b", "c", "d", "e"]  # "e" never appears in the log
         cohort = spec.build_cohort(advertisers)
-        folds = {adv: spec.build(adv) for adv in advertisers}
+        folds = {adv: one_fold(adv) for adv in advertisers}
         idx = 0
         events = log.events
         for now in range(0, 11_000, 500):
             while idx < len(events) and events[idx].t < now:
                 cohort.observe(events[idx])
-                for fold in folds.values():
+                for fold, _ in folds.values():
                     fold.observe(events[idx])
                 idx += 1
-            expected = {adv: fold.estimate(now) for adv, fold in folds.items()}
-            assert cohort.estimates(now) == expected
+            expected = {}
+            for adv, (_, estimate) in folds.items():
+                est = estimate(now)
+                expected[adv] = est.value if est.defined else None
+            assert cohort.rates(now) == expected
 
 
 @given(seed=st.integers(0, 10**9), param=st.integers(1, 30), now=st.integers(0, 12_000))

@@ -29,7 +29,7 @@ from adsim.traffic import (
 )
 
 from helpers import organic_log
-from oracles import detect_scripted_brute
+from oracles import detect_scripted_brute, tally_brute
 
 
 def alloc(*advertisers):
@@ -194,8 +194,8 @@ def test_injection_conserves_the_original_traffic():
     plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=30, interval_ms=400)
     merged = inject_fraud(log, [plan])
     assert len(merged) == len(log) + 60
-    before = log.tally(0, log.horizon).per_advertiser
-    after = merged.tally(0, log.horizon).per_advertiser
+    before = tally_brute(log, 0, log.horizon)
+    after = tally_brute(merged, 0, log.horizon)
     assert after["a"] == before.get("a", 0) + 30
     assert after.get("b", 0) == before.get("b", 0)
     # fresh query ids: no collision with organic ones
