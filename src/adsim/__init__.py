@@ -55,11 +55,8 @@ from .estimators import (
     CtrEstimate,
     RelativeCtr,
     WindowSpec,
-    ctr_click_window,
-    ctr_impression_window,
     ctr_legacy,
     ctr_relative,
-    ctr_time_window,
 )
 from .traffic import (
     FRAUD_QUERY_ID_BASE,
@@ -68,7 +65,6 @@ from .traffic import (
     TrafficConfig,
     detect_scripted,
     fraud_events,
-    inject_fraud,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -368,36 +368,23 @@ def parse_spec(token: str, where: str) -> WindowSpec:
         raise ConfigError(f"{where}: {exc} in {token!r} (expected {SPEC_SYNTAX})") from None
 
 
+_REQUIRED = object()
+
+
 class _Section:
-    """One config section with typed getters that raise ConfigError on bad input."""
+    """One config section; ``get`` raises ConfigError on a missing or bad value."""
 
     def __init__(self, name: str, items: Mapping[str, str]):
         self.name = name
         self._items = dict(items)
 
-    def take(self, key: str, default: str | None = None) -> str | None:
-        return self._items.pop(key, default)
-
-    def take_int(self, key, default=None) -> int | None:
-        raw = self._items.pop(key, None)
-        return default if raw is None else self._number(key, raw, int)
-
-    def take_float(self, key, default=None) -> float | None:
-        raw = self._items.pop(key, None)
-        return default if raw is None else self._number(key, raw, float)
-
-    def require(self, key: str) -> str:
+    def get(self, key: str, convert=str, default=_REQUIRED):
+        """Pop ``key`` through ``convert``; without a ``default`` it is required."""
         if key not in self._items:
-            raise ConfigError(f"{self.name}.{key}: missing")
-        return self._items.pop(key)
-
-    def require_int(self, key) -> int:
-        return self._number(key, self.require(key), int)
-
-    def require_float(self, key) -> float:
-        return self._number(key, self.require(key), float)
-
-    def _number(self, key, raw, convert):
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.name}.{key}: missing")
+            return default
+        raw = self._items.pop(key)
         try:
             return convert(raw)
         except ValueError:
@@ -449,43 +436,43 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{name}: missing section")
 
     bids_sec = _Section("bids", parser["bids"])
-    bids = {adv: bids_sec.require_int(adv) for adv in parser["bids"]}
+    bids = {adv: bids_sec.get(adv, int) for adv in parser["bids"]}
     base_sec = _Section("base_ctr", parser["base_ctr"])
-    base_ctr = {adv: base_sec.require_float(adv) for adv in parser["base_ctr"]}
+    base_ctr = {adv: base_sec.get(adv, float) for adv in parser["base_ctr"]}
 
     sc = _Section("scenario", parser["scenario"])
-    seed = sc.require_int("seed")
-    horizon_ms = sc.require_int("horizon_ms")
-    tick_ms = sc.require_int("tick_ms")
-    focus = sc.take("focus", min(bids, default=""))
-    default_ctr = sc.take_float("default_ctr", default=0.1)
+    seed = sc.get("seed", int)
+    horizon_ms = sc.get("horizon_ms", int)
+    tick_ms = sc.get("tick_ms", int)
+    focus = sc.get("focus", default=min(bids, default=""))
+    default_ctr = sc.get("default_ctr", float, 0.1)
     sc.finish()
 
     au = _Section("auction", parser["auction"])
     auction_cfg = _located(
         "auction.", AuctionConfig,
-        au.require_int("num_slots"),
-        au.take_int("reserve_price", default=0),
-        au.take("ranking", "by_bid"),
+        au.get("num_slots", int),
+        au.get("reserve_price", int, 0),
+        au.get("ranking", default="by_bid"),
     )
     au.finish()
 
     tr = _Section("traffic", parser["traffic"])
     traffic_cfg = _located(
         "", TrafficConfig,
-        tr.require_float("queries_per_second"),
+        tr.get("queries_per_second", float),
         base_ctr,
-        tr.take_float("position_decay", default=0.6),
+        tr.get("position_decay", float, 0.6),
     )
     tr.finish()
 
     est = _Section("estimators", parser["estimators"])
-    specs = tuple(parse_spec(tok, "estimators.specs") for tok in est.require("specs").split())
+    specs = tuple(parse_spec(tok, "estimators.specs") for tok in est.get("specs").split())
     est.finish()
 
     det = _Section("detector", parser["detector"] if "detector" in parser else {})
-    det_min_run = det.take_int("min_run", default=5)
-    det_tol = det.take_int("tolerance_ms", default=10)
+    det_min_run = det.get("min_run", int, 5)
+    det_tol = det.get("tolerance_ms", int, 10)
     det.finish()
 
     plans = {}
@@ -493,19 +480,19 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if not name.startswith("fraud:"):
             continue
         fr = _Section(name, parser[name])
-        kind = fr.require("kind")
-        target = fr.require("target")
+        kind = fr.get("kind")
+        target = fr.get("target")
         if target not in bids:
             raise ConfigError(f"{name}.target: {target!r} has no bid")
-        start_ms = fr.require_int("start_ms")
-        count = fr.require_int("count")
+        start_ms = fr.get("start_ms", int)
+        count = fr.get("count", int)
         if kind == SCRIPTED:
-            extra = {"interval_ms": fr.require_int("interval_ms")}
+            extra = {"interval_ms": fr.get("interval_ms", int)}
         elif kind == HUMAN:
             extra = {
-                "mean_gap_ms": fr.require_float("mean_gap_ms"),
-                "gap_sigma": fr.require_float("gap_sigma"),
-                "seed": fr.take_int("seed", default=(seed + len(plans) + 1) % (MAX_SEED + 1)),
+                "mean_gap_ms": fr.get("mean_gap_ms", float),
+                "gap_sigma": fr.get("gap_sigma", float),
+                "seed": fr.get("seed", int, (seed + len(plans) + 1) % (MAX_SEED + 1)),
             }
         else:
             extra = {}
@@ -652,18 +639,19 @@ def series_columns(series: Sequence[SeriesRow]) -> list[str]:
     return list(series[0].ctr) if series else []
 
 
+def series_cells(series: Sequence[SeriesRow]) -> Iterator[list[str]]:
+    """The header, then one row of string cells per tick; undefined rates are empty."""
+    cols = series_columns(series)
+    yield ["time", "impressions", "clicks", "total_clicks", *cols]
+    for row in series:
+        cells = [str(row.time_index), str(row.impressions), str(row.clicks), str(row.total_clicks)]
+        yield cells + ["" if (v := row.ctr.get(c)) is None else format_rate(v) for c in cols]
+
+
 def emit_csv(series: Sequence[SeriesRow], path: str | Path) -> None:
     """RFC-4180 CSV, written atomically. Undefined estimates are empty cells."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    ctr_cols = series_columns(series)
-    writer.writerow(["time", "impressions", "clicks", "total_clicks", *ctr_cols])
-    for row in series:
-        cells = [row.time_index, row.impressions, row.clicks, row.total_clicks]
-        for col in ctr_cols:
-            v = row.ctr.get(col)
-            cells.append("" if v is None else format_rate(v))
-        writer.writerow(cells)
+    csv.writer(buf, lineterminator="\n").writerows(series_cells(series))
     write_atomic(path, [buf.getvalue()])
 
 

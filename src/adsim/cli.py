@@ -23,12 +23,11 @@ from .bench import (
     curve_shape_check,
     emit_csv,
     emit_plot,
-    format_rate,
     load_config,
     parse_spec,
     replay_reference_tables,
     run_scenario,
-    series_columns,
+    series_cells,
 )
 from .core import ClickEvent, HorizonExceededError, MalformedRecordError, read_log, write_log
 from .estimators import WindowSpec
@@ -98,14 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render_series(rows: list[SeriesRow]) -> str:
-    cols = series_columns(rows)
-    header = ["time", "impressions", "clicks", "total_clicks", *cols]
-    lines = ["  ".join(f"{h:>12}" for h in header)]
-    for r in rows:
-        cells = [str(r.time_index), str(r.impressions), str(r.clicks), str(r.total_clicks)]
-        cells += ["" if r.ctr[c] is None else format_rate(r.ctr[c]) for c in cols]
-        lines.append("  ".join(f"{c:>12}" for c in cells))
-    return "\n".join(lines)
+    return "\n".join("  ".join(f"{c:>12}" for c in cells) for cells in series_cells(rows))
 
 
 def _cmd_run(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -203,10 +203,19 @@ class EventLog:
         self._events.append(e)
 
     def stripped(self) -> "EventLog":
-        """Label-free view for estimators and detectors: click sources erased."""
+        """Label-free copy for estimators and detectors: click sources erased.
+
+        This log's events are already validated, so the copy takes them and
+        the index sets over as they are instead of appending each again.
+        """
         out = EventLog(self.horizon)
-        for e in self._events:
-            out.append(replace(e, source=None) if isinstance(e, ClickEvent) else e)
+        out._events = [
+            ClickEvent(e.t, e.advertiser, e.slot, e.impression_ref, None)
+            if isinstance(e, ClickEvent) else e
+            for e in self._events
+        ]
+        out._impressions = set(self._impressions)
+        out._clicked = set(self._clicked)
         return out
 
     def advertisers(self) -> list[AdvertiserId]:
@@ -222,9 +231,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def __getitem__(self, i):
-        return self._events[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventLog):

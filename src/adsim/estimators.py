@@ -2,11 +2,12 @@
 
 Three windowed estimators (trailing time window, last-N impressions, last-N
 clicks) plus a cohort-relative estimator that scores an advertiser by its
-share of all clicks. Each has a streaming fold that consumes events in log
-order and a convenience function that evaluates a whole log at one instant.
-``WindowSpec(kind, param).build_cohort(advertisers)`` runs one kind for a
-whole cohort: ``observe`` each event once, and ``rates(now)`` maps every
-advertiser to its rate, or to None while the estimate is undefined.
+share of all clicks. Each is a streaming fold that consumes events in log
+order. ``WindowSpec(kind, param).build_cohort(advertisers)`` is how the
+simulator runs one kind for a whole cohort: ``observe`` each event once, and
+``rates(now)`` maps every advertiser to its rate, or to None while the
+estimate is undefined. ``ctr_relative`` and ``ctr_legacy`` score the
+reference tables from their counts.
 
 Feeding contract for the folds: call ``observe`` with events in non-decreasing
 timestamp order, feed everything with ``t <= now`` before calling
@@ -21,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AdvertiserId, ClickEvent, ClickTally, Event, EventLog, ImpressionEvent
+from .core import AdvertiserId, ClickEvent, ClickTally, Event, ImpressionEvent
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,39 +291,6 @@ class _FoldCohort:
             adv: est.value if (est := fold.estimate(now)).defined else None
             for adv, fold in self.folds.items()
         }
-
-
-# ---------------------------------------------------------------------------
-# Whole-log evaluation at a single instant.
-
-
-def _fold_log(fold, log: EventLog, now: int) -> CtrEstimate:
-    for e in log:
-        if e.t > now:
-            break
-        fold.observe(e)
-    return fold.estimate(now)
-
-
-def ctr_time_window(
-    log: EventLog, advertiser: AdvertiserId, window_ms: int, now: int
-) -> CtrEstimate:
-    """Clicks/impressions for ``advertiser`` within ``[now - window_ms, now)``."""
-    return _fold_log(TimeWindowCtr(advertiser, window_ms), log, now)
-
-
-def ctr_impression_window(
-    log: EventLog, advertiser: AdvertiserId, size: int, now: int
-) -> CtrEstimate:
-    """Clicked fraction of the advertiser's last ``size`` impressions."""
-    return _fold_log(ImpressionWindowCtr(advertiser, size), log, now)
-
-
-def ctr_click_window(
-    log: EventLog, advertiser: AdvertiserId, size: int, now: int
-) -> CtrEstimate:
-    """Last ``size`` clicks over impressions since the one that took click N-back."""
-    return _fold_log(ClickWindowCtr(advertiser, size), log, now)
 
 
 def ctr_relative(tally: ClickTally, advertiser: AdvertiserId) -> CtrEstimate:

@@ -1,8 +1,10 @@
-"""Seeded traffic generation, click-fraud injection, and fraud detection.
+"""Seeded organic traffic, click-fraud schedules, and fraud detection.
 
 Query arrivals are Poisson; organic click probability is the advertiser's base
 CTR damped by slot position. Clicks land at the same millisecond as their
-impression. With a fixed seed every function here is fully deterministic.
+impression. ``fraud_events`` is the one source of fraud clicks: ``simulate``
+merges them tick by tick, and ``EventLog.from_events`` merges them into any
+other log. With a fixed seed every function here is fully deterministic.
 """
 
 from __future__ import annotations
@@ -142,27 +144,25 @@ def organic_events(
 
 
 # ---------------------------------------------------------------------------
-# Fraud injection.
-
-
-def plan_click_times(plan: FraudPlan) -> list[int]:
-    """Millisecond timestamps of the plan's clicks, in increasing order."""
-    if plan.kind == SCRIPTED:
-        return [plan.start_ms + k * plan.interval_ms for k in range(plan.count)]
-    rng = np.random.default_rng(plan.seed)
-    sigma = plan.gap_sigma
-    # Parameterized so the distribution mean equals mean_gap_ms.
-    mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0
-    times = [plan.start_ms]
-    for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
-        times.append(times[-1] + max(1, round(gap)))
-    return times
+# Fraud schedules.
 
 
 def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
-    """:func:`plan_click_times`, raising HorizonExceededError if the last click
-    falls at or past ``horizon_ms``."""
-    times = plan_click_times(plan)
+    """Millisecond timestamps of the plan's clicks, in increasing order.
+
+    Raises HorizonExceededError if the last click falls at or past
+    ``horizon_ms``.
+    """
+    if plan.kind == SCRIPTED:
+        times = [plan.start_ms + k * plan.interval_ms for k in range(plan.count)]
+    else:
+        rng = np.random.default_rng(plan.seed)
+        sigma = plan.gap_sigma
+        # Parameterized so the distribution mean equals mean_gap_ms.
+        mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0
+        times = [plan.start_ms]
+        for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
+            times.append(times[-1] + max(1, round(gap)))
     if times[-1] >= horizon_ms:
         raise HorizonExceededError(
             f"clicks reach t={times[-1]}, beyond horizon_ms={horizon_ms}"
@@ -186,16 +186,6 @@ def fraud_events(plans: Sequence[FraudPlan], horizon_ms: int) -> list[Event]:
             qid += 1
     events.sort(key=event_sort_key)
     return events
-
-
-def inject_fraud(log: EventLog, plans: Sequence[FraudPlan]) -> EventLog:
-    """New log with the plans' clicks merged in; the input is untouched.
-
-    Fraud ids are those :func:`fraud_events` mints. On a log that already
-    holds one of them for the same advertiser, such as a simulated run with
-    fraud, this raises DuplicateImpressionError.
-    """
-    return EventLog.from_events([*log, *fraud_events(plans, log.horizon)], log.horizon)
 
 
 # ---------------------------------------------------------------------------

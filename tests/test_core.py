@@ -134,18 +134,36 @@ def test_stripped_erases_click_labels_only():
     bare = log.stripped()
     assert bare.horizon == log.horizon
     assert len(bare) == 2
-    assert bare[0] == log[0]
-    assert bare[1].source is None
-    assert bare[1].t == log[1].t and bare[1].impression_ref == 0
+    assert bare.events[0] == log.events[0]
+    assert bare.events[1].source is None
+    assert bare.events[1].t == log.events[1].t and bare.events[1].impression_ref == 0
     # the original is untouched
-    assert log[1].source is ClickSource.SCRIPTED_FRAUD
+    assert log.events[1].source is ClickSource.SCRIPTED_FRAUD
+
+
+def test_appending_to_the_stripped_copy_leaves_the_original_unchanged():
+    log = EventLog(50)
+    log.append(imp(1, qid=0))
+    log.append(clk(1, ref=0))
+    bare = log.stripped()
+    bare.append(imp(2, qid=1))
+    bare.append(clk(2, ref=1))
+    # the copy still knows what the original had shown and clicked
+    with pytest.raises(DuplicateImpressionError):
+        bare.append(imp(3, qid=0))
+    with pytest.raises(DuplicateClickError):
+        bare.append(clk(3, ref=0))
+    assert len(bare) == 4
+    assert log.events == [imp(1, qid=0), clk(1, ref=0)]
+    log.append(imp(2, qid=1))  # qid 1 is still new to the original
+    log.append(clk(2, ref=1))
 
 
 def test_from_events_sorts_canonically():
     events = [clk(5, ref=1), imp(5, qid=1), imp(2, "b", qid=0)]
     log = EventLog.from_events(events, 10)
     assert [e.t for e in log] == [2, 5, 5]
-    assert isinstance(log[1], ImpressionEvent)
+    assert isinstance(log.events[1], ImpressionEvent)
 
 
 def test_log_introspection():
@@ -155,7 +173,7 @@ def test_log_introspection():
     log.append(imp(2, "a", qid=3))
     assert log.advertisers() == ["a", "b"]
     assert len(log) == 2
-    assert list(log) == [log[0], log[1]]
+    assert list(log) == [log.events[0], log.events[1]]
 
 
 def test_log_equality():
@@ -205,7 +223,7 @@ def test_stripped_click_round_trips_as_null_source(tmp_path):
     path = tmp_path / "events.jsonl"
     write_log(log.stripped(), path)
     back = read_log(path)
-    assert back[1].source is None
+    assert back.events[1].source is None
 
 
 @pytest.mark.parametrize(

@@ -15,12 +15,10 @@ from adsim.estimators import (
     RelativeCtr,
     TimeWindowCtr,
     WindowSpec,
-    ctr_click_window,
-    ctr_impression_window,
     ctr_legacy,
     ctr_relative,
-    ctr_time_window,
 )
+from helpers import estimate_at
 from oracles import (
     click_window_brute,
     est_counts,
@@ -106,18 +104,18 @@ def test_spec_validation():
 def test_time_window_half_open_bounds():
     log = small_log()
     # now=20: the click at t=20 is outside, the one at t=0 sits on the closed edge
-    assert est_counts(ctr_time_window(log, "a", 20, 20)) == (True, 1, 2)
-    assert est_counts(ctr_time_window(log, "a", 21, 21)) == (True, 2, 3)
-    assert est_counts(ctr_time_window(log, "a", 5, 100)) == (False, 0, 0)
-    assert est_counts(ctr_time_window(log, "a", 1_000, 31)) == (True, 2, 4)
+    assert est_counts(estimate_at("time", log, "a", 20, 20)) == (True, 1, 2)
+    assert est_counts(estimate_at("time", log, "a", 21, 21)) == (True, 2, 3)
+    assert est_counts(estimate_at("time", log, "a", 5, 100)) == (False, 0, 0)
+    assert est_counts(estimate_at("time", log, "a", 1_000, 31)) == (True, 2, 4)
 
 
 def test_time_window_cold_start():
-    assert not ctr_time_window(EventLog(10), "a", 5, 1).defined
+    assert not estimate_at("time", EventLog(10), "a", 5, 1).defined
 
 
 def test_time_window_ignores_other_advertisers():
-    est = ctr_time_window(small_log(), "b", 1_000, 31)
+    est = estimate_at("time", small_log(), "b", 1_000, 31)
     assert est_counts(est) == (True, 0, 1)
 
 
@@ -128,17 +126,17 @@ def test_time_window_ignores_other_advertisers():
 def test_impression_window_counts_only_window_members():
     log = small_log()
     # last 2 impressions of a at now=30: qids 2 and 3; only qid 2 was clicked
-    assert est_counts(ctr_impression_window(log, "a", 2, 30)) == (True, 1, 2)
+    assert est_counts(estimate_at("impressions", log, "a", 2, 30)) == (True, 1, 2)
     # a window of 1 holds qid 3, which was never clicked
-    assert est_counts(ctr_impression_window(log, "a", 1, 30)) == (True, 0, 1)
+    assert est_counts(estimate_at("impressions", log, "a", 1, 30)) == (True, 0, 1)
     # wide window sees both clicks
-    assert est_counts(ctr_impression_window(log, "a", 50, 30)) == (True, 2, 4)
-    assert not ctr_impression_window(log, "a", 3, -1).defined
+    assert est_counts(estimate_at("impressions", log, "a", 50, 30)) == (True, 2, 4)
+    assert not estimate_at("impressions", log, "a", 3, -1).defined
 
 
 def test_impression_window_is_inclusive_at_now():
     log = small_log()
-    assert est_counts(ctr_impression_window(log, "a", 4, 20)) == (True, 2, 3)
+    assert est_counts(estimate_at("impressions", log, "a", 4, 20)) == (True, 2, 3)
 
 
 def test_click_on_evicted_impression_does_not_count():
@@ -159,18 +157,18 @@ def test_click_window_frozen_case():
     events += [clk(10, ref=1), clk(30, ref=3), clk(50, ref=5)]
     log = EventLog.from_events(events, 100)
     # last 2 clicks hit qids 3 and 5; impressions since qid 3: qids 3, 4, 5
-    assert est_counts(ctr_click_window(log, "a", 2, 50)) == (True, 2, 3)
+    assert est_counts(estimate_at("clicks", log, "a", 2, 50)) == (True, 2, 3)
     # all 3 clicks; impressions since qid 1: five of them
-    assert est_counts(ctr_click_window(log, "a", 3, 50)) == (True, 3, 5)
+    assert est_counts(estimate_at("clicks", log, "a", 3, 50)) == (True, 3, 5)
     # needs the full complement of clicks
-    assert not ctr_click_window(log, "a", 4, 50).defined
+    assert not estimate_at("clicks", log, "a", 4, 50).defined
 
 
 def test_click_window_shrinks_as_clicks_bunch_up():
     events = [imp(i, qid=i) for i in range(10)]
     events += [clk(8, ref=8), clk(9, ref=9)]
     log = EventLog.from_events(events, 100)
-    assert ctr_click_window(log, "a", 2, 9).value == 1.0
+    assert estimate_at("clicks", log, "a", 2, 9).value == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +249,6 @@ BRUTES = {
     "impressions": impression_window_brute,
     "clicks": click_window_brute,
 }
-OPS = {
-    "time": ctr_time_window,
-    "impressions": ctr_impression_window,
-    "clicks": ctr_click_window,
-}
 
 
 @pytest.mark.parametrize("kind", sorted(BRUTES))
@@ -264,7 +257,7 @@ OPS = {
 def test_single_shot_matches_oracle(kind, seed, param, now):
     log = random_log(seed)
     for adv in ("a", "c"):
-        est = OPS[kind](log, adv, param, now)
+        est = estimate_at(kind, log, adv, param, now)
         assert est_counts(est) == BRUTES[kind](log, adv, param, now)
 
 
@@ -356,7 +349,7 @@ def test_cohort_estimates_match_one_fold_per_advertiser(kind):
 def test_estimates_are_valid_rates(seed, param, now):
     log = random_log(seed)
     for kind in ("time", "impressions", "clicks"):
-        est = OPS[kind](log, "a", param, now)
+        est = estimate_at(kind, log, "a", param, now)
         if est.defined:
             assert 0.0 <= est.value <= 1.0
             assert est.value == est.clicks_in_window / est.denominator

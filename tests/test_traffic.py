@@ -22,13 +22,12 @@ from adsim.traffic import (
     HorizonExceededError,
     TrafficConfig,
     detect_scripted,
+    checked_click_times,
     fraud_events,
-    inject_fraud,
     organic_events,
-    plan_click_times,
 )
 
-from helpers import organic_log
+from helpers import organic_log, with_fraud
 from oracles import detect_scripted_brute, tally_brute
 
 
@@ -131,7 +130,9 @@ def test_organic_events_mints_sequential_query_ids():
 
 def test_scripted_times_are_an_exact_arithmetic_progression():
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=500, count=4, interval_ms=250)
-    assert plan_click_times(plan) == [500, 750, 1000, 1250]
+    assert checked_click_times(plan, 1251) == [500, 750, 1000, 1250]
+    with pytest.raises(HorizonExceededError, match="beyond horizon_ms=1250"):
+        checked_click_times(plan, 1250)
 
 
 def test_human_times_are_seeded_and_increasing():
@@ -139,8 +140,8 @@ def test_human_times_are_seeded_and_increasing():
         kind=HUMAN, target="z", start_ms=100, count=400,
         mean_gap_ms=1_000.0, gap_sigma=0.5, seed=9,
     )
-    times = plan_click_times(plan)
-    assert times == plan_click_times(plan)
+    times = checked_click_times(plan, 10**9)
+    assert times == checked_click_times(plan, 10**9)
     assert times[0] == 100
     assert all(b > a for a, b in zip(times, times[1:]))
     gaps = [b - a for a, b in zip(times, times[1:])]
@@ -192,7 +193,7 @@ def test_fraud_events_number_the_plans_in_order_and_sort_canonically():
 def test_injection_conserves_the_original_traffic():
     log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 8)
     plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=30, interval_ms=400)
-    merged = inject_fraud(log, [plan])
+    merged = with_fraud(log, [plan])
     assert len(merged) == len(log) + 60
     before = tally_brute(log, 0, log.horizon)
     after = tally_brute(merged, 0, log.horizon)
@@ -214,15 +215,15 @@ def test_injection_rejects_plans_past_the_horizon():
     log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 8)
     late = FraudPlan(kind=SCRIPTED, target="a", start_ms=29_000, count=10, interval_ms=200)
     with pytest.raises(HorizonExceededError):
-        inject_fraud(log, [late])
+        with_fraud(log, [late])
 
 
 def test_injecting_twice_collides_on_the_fraud_ids():
     log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 8)
     plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=3, interval_ms=400)
-    once = inject_fraud(log, [plan])
+    once = with_fraud(log, [plan])
     with pytest.raises(DuplicateImpressionError):
-        inject_fraud(once, [plan])
+        with_fraud(once, [plan])
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +286,14 @@ def test_detector_parameter_validation():
 def test_detector_never_reads_click_labels():
     log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 12)
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=1_000, count=12, interval_ms=300)
-    merged = inject_fraud(log, [plan])
+    merged = with_fraud(log, [plan])
     assert detect_scripted(merged) == detect_scripted(merged.stripped())
 
 
 def test_detector_catches_injected_scripted_runs_in_organic_noise():
     log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 12)
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=1_000, count=12, interval_ms=300)
-    merged = inject_fraud(log, [plan])
+    merged = with_fraud(log, [plan])
     fraud_refs = {c.impression_ref for c in clicks_of(merged, "z")}
     flagged = set()
     for f in detect_scripted(merged.stripped()):
