@@ -39,7 +39,6 @@ from .core import (
     AdvertiserId,
     ClickEvent,
     ClickSource,
-    ClickTally,
     DanglingClickError,
     DuplicateClickError,
     DuplicateImpressionError,

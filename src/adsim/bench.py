@@ -30,7 +30,6 @@ from .core import (
     AdsimError,
     AdvertiserId,
     ClickEvent,
-    ClickTally,
     EventLog,
     HorizonExceededError,
     check_min,
@@ -170,14 +169,11 @@ def replay_reference_tables() -> ReferenceReplay:
         imp = reconstructed_impressions(t)
         clk = reconstructed_clicks(t)
         total = RECONSTRUCTED_TOTAL_CLICKS[t - 1]
-        tally = ClickTally(
-            {"cohort": total - clk, "target": clk}, total, (0, t)
-        )
         legacy_rows.append(
             SeriesRow(t, imp, clk, total, {"ctr_old": ctr_legacy(clk, imp)})
         )
         relative_rows.append(
-            SeriesRow(t, imp, clk, total, {"ctr_new": ctr_relative(tally, "target").value})
+            SeriesRow(t, imp, clk, total, {"ctr_new": ctr_relative(clk, total).value})
         )
     return ReferenceReplay(legacy_rows, relative_rows, _build_errata(legacy_rows, relative_rows))
 
@@ -391,6 +387,10 @@ class _Section:
             what = "an integer" if convert is int else "a number"
             raise ConfigError(f"{self.name}.{key}: expected {what}, got {raw!r}") from None
 
+    def optional(self, convert, *keys: str) -> dict:
+        """``{key: value}`` for each given key, so absent ones keep the dataclass default."""
+        return {key: self.get(key, convert) for key in keys if key in self._items}
+
     def finish(self) -> None:
         if self._items:
             key = sorted(self._items)[0]
@@ -445,15 +445,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
     horizon_ms = sc.get("horizon_ms", int)
     tick_ms = sc.get("tick_ms", int)
     focus = sc.get("focus", default=min(bids, default=""))
-    default_ctr = sc.get("default_ctr", float, 0.1)
+    defaulted = sc.optional(float, "default_ctr")
     sc.finish()
 
     au = _Section("auction", parser["auction"])
     auction_cfg = _located(
         "auction.", AuctionConfig,
         au.get("num_slots", int),
-        au.get("reserve_price", int, 0),
-        au.get("ranking", default="by_bid"),
+        **au.optional(int, "reserve_price"),
+        **au.optional(str, "ranking"),
     )
     au.finish()
 
@@ -462,7 +462,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         "", TrafficConfig,
         tr.get("queries_per_second", float),
         base_ctr,
-        tr.get("position_decay", float, 0.6),
+        **tr.optional(float, "position_decay"),
     )
     tr.finish()
 
@@ -471,8 +471,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     est.finish()
 
     det = _Section("detector", parser["detector"] if "detector" in parser else {})
-    det_min_run = det.get("min_run", int, 5)
-    det_tol = det.get("tolerance_ms", int, 10)
+    for key, value in det.optional(int, "min_run", "tolerance_ms").items():
+        defaulted[f"detector_{key}"] = value
     det.finish()
 
     plans = {}
@@ -510,9 +510,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         traffic=traffic_cfg,
         estimators=specs,
         fraud_plans=tuple(plans.values()),
-        default_ctr=default_ctr,
-        detector_min_run=det_min_run,
-        detector_tolerance_ms=det_tol,
+        **defaulted,
     )
     for name, plan in plans.items():
         try:
@@ -611,18 +609,18 @@ def build_series(
 def run_scenario(cfg: ScenarioConfig, drop_flagged: bool = False) -> ScenarioResult:
     """Simulate, detect scripted fraud, and build the per-tick series.
 
-    Estimators and the detector work on a label-stripped view of the log.
-    With ``drop_flagged`` the detector's flagged clicks are discarded from the
+    The detector and the estimators read the labelled log itself: neither
+    looks at a click's ``source``, so no label-stripped copy is made. With
+    ``drop_flagged`` the detector's flagged clicks are discarded from the
     series; otherwise they count like any other click. The returned result
     carries the flags either way.
     """
     log = simulate(cfg)
-    view = log.stripped()
-    flags = detect_scripted(view, cfg.detector_min_run, cfg.detector_tolerance_ms)
+    flags = detect_scripted(log, cfg.detector_min_run, cfg.detector_tolerance_ms)
     exclude = None
     if drop_flagged:
         exclude = {(f.advertiser, ref) for f in flags for ref in f.flagged_click_ids}
-    rows = build_series(view, cfg.focus, cfg.estimators, cfg.tick_ms, exclude)
+    rows = build_series(log, cfg.focus, cfg.estimators, cfg.tick_ms, exclude)
     return ScenarioResult(log, rows, flags, drop_flagged)
 
 

@@ -158,12 +158,12 @@ _COMPARE_DEFAULTS = {
 
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    configured = {spec.kind: spec for spec in cfg.estimators}
-    specs = tuple(
-        configured.get(kind) or default(cfg)
-        for kind, default in _COMPARE_DEFAULTS.items()
+    # the configured primary still prices the auction; defaults fill the rest
+    configured = {spec.kind for spec in cfg.estimators}
+    missing = (
+        default(cfg) for kind, default in _COMPARE_DEFAULTS.items() if kind not in configured
     )
-    cfg = dataclasses.replace(cfg, estimators=specs)
+    cfg = dataclasses.replace(cfg, estimators=(*cfg.estimators, *missing))
     result = run_scenario(cfg)
     print(f"all-estimator comparison for {cfg.focus!r}:")
     print(_render_series(result.rows))
@@ -194,7 +194,7 @@ def _cmd_replay(args) -> int:
         raise ConfigError("advertiser: the log is empty, specify one explicitly")
     if advertisers and focus not in advertisers:
         raise ConfigError(f"advertiser: {focus!r} is not in the log")
-    rows = build_series(log.stripped(), focus, specs, args.tick_ms)
+    rows = build_series(log, focus, specs, args.tick_ms)
     if args.csv:
         emit_csv(rows, args.csv)
         print(f"wrote {args.csv}")

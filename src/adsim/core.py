@@ -1,4 +1,4 @@
-"""Domain events, the append-only event log, click tallies, and JSONL persistence.
+"""Domain events, the append-only event log, and JSONL persistence.
 
 All timestamps are integer milliseconds from scenario start. Advertiser ids are
 opaque strings; their lexicographic order is the global tie-break everywhere.
@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 AdvertiserId = str
 
@@ -128,27 +128,6 @@ def event_sort_key(e: Event) -> tuple[int, int, str, int]:
     return (e.t, 1, e.advertiser, e.impression_ref)
 
 
-@dataclass(frozen=True)
-class ClickTally:
-    """Per-advertiser click counts over a half-open window ``[from_ms, to_ms)``."""
-
-    per_advertiser: Mapping[AdvertiserId, int]
-    total: int
-    window: tuple[int, int]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.per_advertiser.values()):
-            raise ValueError("negative click count")
-        if self.total != sum(self.per_advertiser.values()):
-            raise ValueError("total does not match per-advertiser counts")
-        lo, hi = self.window
-        if lo > hi:
-            raise ValueError(f"inverted window: [{lo}, {hi})")
-
-    def count(self, advertiser: AdvertiserId) -> int:
-        return self.per_advertiser.get(advertiser, 0)
-
-
 class EventLog:
     """Append-only, time-ordered stream of impressions and clicks.
 
@@ -203,7 +182,7 @@ class EventLog:
         self._events.append(e)
 
     def stripped(self) -> "EventLog":
-        """Label-free copy for estimators and detectors: click sources erased.
+        """Label-free copy for export: click sources erased.
 
         This log's events are already validated, so the copy takes them and
         the index sets over as they are instead of appending each again.

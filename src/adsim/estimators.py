@@ -3,11 +3,13 @@
 Three windowed estimators (trailing time window, last-N impressions, last-N
 clicks) plus a cohort-relative estimator that scores an advertiser by its
 share of all clicks. Each is a streaming fold that consumes events in log
-order. ``WindowSpec(kind, param).build_cohort(advertisers)`` is how the
-simulator runs one kind for a whole cohort: ``observe`` each event once, and
-``rates(now)`` maps every advertiser to its rate, or to None while the
-estimate is undefined. ``ctr_relative`` and ``ctr_legacy`` score the
-reference tables from their counts.
+order and answers ``estimate(now)`` with a ``CtrEstimate``: the window's two
+counts, clicks over impressions for the windowed kinds and #clicks_i over
+#clicks_t for the relative one. ``WindowSpec(kind, param).build_cohort(
+advertisers)`` is how the simulator runs one kind for a whole cohort:
+``observe`` each event once, and ``rates(now)`` maps every advertiser to its
+rate, or to None while the estimate is undefined. ``ctr_relative`` and
+``ctr_legacy`` score the reference tables from their counts.
 
 Feeding contract for the folds: call ``observe`` with events in non-decreasing
 timestamp order, feed everything with ``t <= now`` before calling
@@ -22,38 +24,31 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AdvertiserId, ClickEvent, ClickTally, Event, ImpressionEvent
+from .core import AdvertiserId, ClickEvent, Event, ImpressionEvent
 
 
 @dataclass(frozen=True, slots=True)
 class CtrEstimate:
-    """A click-through-rate estimate with its supporting counts.
+    """A click-through rate as its two counts.
 
-    ``defined`` is False when the window holds no denominator yet (cold
+    ``defined`` is False while the window holds no denominator yet (cold
     start); consumers substitute their own default in that case.
     """
 
-    value: float
     clicks_in_window: int
     denominator: int
-    defined: bool
 
     def __post_init__(self):
         if self.clicks_in_window < 0 or self.denominator < 0:
             raise ValueError("negative counts")
-        if self.defined:
-            if self.denominator <= 0:
-                raise ValueError("defined estimate needs a positive denominator")
-            if self.value != self.clicks_in_window / self.denominator:
-                raise ValueError("value does not match clicks/denominator")
 
-    @classmethod
-    def ratio(cls, clicks: int, denominator: int) -> "CtrEstimate":
-        return cls(clicks / denominator, clicks, denominator, True)
+    @property
+    def defined(self) -> bool:
+        return self.denominator > 0
 
-    @classmethod
-    def undefined(cls) -> "CtrEstimate":
-        return cls(0.0, 0, 0, False)
+    @property
+    def value(self) -> float:
+        return self.clicks_in_window / self.denominator if self.denominator else 0.0
 
 
 class TimeWindowCtr:
@@ -79,7 +74,7 @@ class TimeWindowCtr:
                 dq.popleft()
         y = len(self._imp) - _count_at_or_after(self._imp, now)
         x = len(self._clk) - _count_at_or_after(self._clk, now)
-        return CtrEstimate.ratio(x, y) if y > 0 else CtrEstimate.undefined()
+        return CtrEstimate(x, y) if y > 0 else CtrEstimate(0, 0)
 
 
 def _count_at_or_after(dq: deque, now: int) -> int:
@@ -118,10 +113,7 @@ class ImpressionWindowCtr:
             self._clicked.add(e.impression_ref)
 
     def estimate(self, now: int) -> CtrEstimate:
-        y = len(self._window)
-        if y == 0:
-            return CtrEstimate.undefined()
-        return CtrEstimate.ratio(len(self._clicked), y)
+        return CtrEstimate(len(self._clicked), len(self._window))
 
 
 class ClickWindowCtr:
@@ -153,9 +145,8 @@ class ClickWindowCtr:
 
     def estimate(self, now: int) -> CtrEstimate:
         if len(self._recent) < self.size:
-            return CtrEstimate.undefined()
-        y = self._imp_count - self._recent[0]
-        return CtrEstimate.ratio(self.size, y)
+            return CtrEstimate(0, 0)
+        return CtrEstimate(self.size, self._imp_count - self._recent[0])
 
 
 class RelativeCtr:
@@ -188,26 +179,28 @@ class RelativeCtr:
         else:
             c[1], c[2] = e.t, 1
 
-    def tally(self, now: int) -> ClickTally:
+    def tally(self, now: int) -> dict[AdvertiserId, int]:
+        """Clicks per advertiser in the window ending before ``now``; only
+        advertisers with clicks there appear."""
         counts: dict[str, int] = {}
         if self.interval_ms is None:
-            lo = 0
-            for adv, (n, last, at_last) in sorted(self._counts.items()):
+            for adv, (n, last, at_last) in self._counts.items():
                 n -= at_last if last >= now else 0
                 if n > 0:
                     counts[adv] = n
         else:
             lo = now - self.interval_ms
-            for adv, dq in sorted(self._clicks.items()):
+            for adv, dq in self._clicks.items():
                 while dq and dq[0] < lo:
                     dq.popleft()
                 n = len(dq) - _count_at_or_after(dq, now)
                 if n > 0:
                     counts[adv] = n
-        return ClickTally(counts, sum(counts.values()), (max(lo, 0), now))
+        return counts
 
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
-        return ctr_relative(self.tally(now), advertiser)
+        counts = self.tally(now)
+        return ctr_relative(counts.get(advertiser, 0), sum(counts.values()))
 
 
 # The estimator kinds in CSV column order: kind -> (column label, streaming fold).
@@ -269,10 +262,11 @@ class _RelativeCohort:
         self.observe = shared.observe  # the one tally sees every event itself
 
     def rates(self, now: int) -> dict[AdvertiserId, float | None]:
-        tally = self.shared.tally(now)
-        if tally.total == 0:
+        counts = self.shared.tally(now)
+        total = sum(counts.values())
+        if total == 0:
             return dict.fromkeys(self.advertisers)
-        return {adv: tally.count(adv) / tally.total for adv in self.advertisers}
+        return {adv: counts.get(adv, 0) / total for adv in self.advertisers}
 
 
 class _FoldCohort:
@@ -293,11 +287,11 @@ class _FoldCohort:
         }
 
 
-def ctr_relative(tally: ClickTally, advertiser: AdvertiserId) -> CtrEstimate:
-    """The advertiser's share of all clicks in the tally window."""
-    if tally.total == 0:
-        return CtrEstimate.undefined()
-    return CtrEstimate.ratio(tally.count(advertiser), tally.total)
+def ctr_relative(clicks: int, total_clicks: int) -> CtrEstimate:
+    """An advertiser's share of the cohort's clicks: #clicks_i / #clicks_t."""
+    if clicks > total_clicks:
+        raise ValueError("an advertiser's clicks exceed the cohort total")
+    return CtrEstimate(clicks, total_clicks)
 
 
 def ctr_legacy(clicks: int, impressions: int) -> float:

@@ -266,6 +266,21 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.traffic.position_decay == 0.6
 
 
+def test_absent_optional_keys_take_the_dataclass_defaults(tmp_path):
+    # the loader restates no default: each one lives only on its dataclass
+    cfg = load_config(write_ini(tmp_path, MINIMAL_INI))
+    assert cfg == ScenarioConfig(
+        seed=1,
+        horizon_ms=5000,
+        tick_ms=500,
+        focus="a",
+        bids={"a": 100},
+        auction=AuctionConfig(1),
+        traffic=TrafficConfig(2.0, {"a": 0.2}),
+        estimators=(WindowSpec("relative"),),
+    )
+
+
 @pytest.mark.parametrize(
     "mangle, fragment",
     [

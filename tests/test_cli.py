@@ -150,6 +150,21 @@ def test_compare_runs_all_four_estimators(tmp_path, ini, capsys):
     assert (out / "compare.svg").is_file()
 
 
+def test_compare_ranks_with_the_configured_primary_estimator(tmp_path, example_ini, capsys):
+    # relative is configured first; by_ctr_weighted ranking lets it move the slots
+    text = example_ini.read_text()
+    for adv, old, new in (("alpha", 1000, 400), ("bravo", 300, 500), ("delta", 500, 450)):
+        assert f"{adv} = {old}\n" in text
+        text = text.replace(f"{adv} = {old}\n", f"{adv} = {new}\n")
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(text)
+    assert main(["run", str(ini), "--out", str(tmp_path / "run")]) == 0
+    assert main(["compare", str(ini), "--out", str(tmp_path / "cmp")]) == 0
+    capsys.readouterr()
+    series = (tmp_path / "run" / "series.csv").read_bytes()
+    assert (tmp_path / "cmp" / "compare.csv").read_bytes() == series
+
+
 def test_replay_round_trips_a_run_log(tmp_path, ini, capsys):
     out = tmp_path / "out"
     main(["run", str(ini), "--out", str(out)])

@@ -7,7 +7,6 @@ import pytest
 from adsim.core import (
     ClickEvent,
     ClickSource,
-    ClickTally,
     DanglingClickError,
     DuplicateClickError,
     DuplicateImpressionError,
@@ -68,22 +67,6 @@ def test_sort_key_is_total_on_distinct_events():
     log = random_log(3)
     keys = [event_sort_key(e) for e in log]
     assert keys == sorted(keys)
-
-
-# ---------------------------------------------------------------------------
-# ClickTally.
-
-
-def test_tally_validation():
-    with pytest.raises(ValueError):
-        ClickTally({"a": -1}, -1, (0, 10))
-    with pytest.raises(ValueError):
-        ClickTally({"a": 2}, 3, (0, 10))
-    with pytest.raises(ValueError):
-        ClickTally({}, 0, (10, 0))
-    t = ClickTally({"a": 2, "b": 1}, 3, (0, 10))
-    assert t.count("a") == 2
-    assert t.count("missing") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adsim.core import ClickEvent, ClickTally, EventLog, ImpressionEvent
+from adsim.core import ClickEvent, EventLog, ImpressionEvent
 from adsim.estimators import (
     ESTIMATOR_KINDS,
     ClickWindowCtr,
@@ -57,13 +57,13 @@ def small_log() -> EventLog:
 
 def test_estimate_value_must_match_counts():
     with pytest.raises(ValueError):
-        CtrEstimate(0.5, 1, 3, True)
+        CtrEstimate(-1, 1)
     with pytest.raises(ValueError):
-        CtrEstimate(0.0, 0, 0, True)
-    with pytest.raises(ValueError):
-        CtrEstimate(0.0, -1, 1, False)
-    assert CtrEstimate.ratio(1, 4).value == 0.25
-    assert not CtrEstimate.undefined().defined
+        CtrEstimate(0, -1)
+    assert CtrEstimate(1, 4).value == 0.25 and CtrEstimate(1, 4).defined
+    assert CtrEstimate(0, 3).defined and CtrEstimate(0, 3).value == 0.0
+    undefined = CtrEstimate(0, 0)
+    assert not undefined.defined and undefined.value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -176,35 +176,36 @@ def test_click_window_shrinks_as_clicks_bunch_up():
 
 
 def test_relative_from_tally():
-    t = ClickTally({"a": 2, "b": 20}, 22, (0, 1_000))
-    assert ctr_relative(t, "a").value == pytest.approx(2 / 22)
-    assert ctr_relative(t, "b").value == pytest.approx(20 / 22)
-    absent = ctr_relative(t, "zzz")
+    tally = {"a": 2, "b": 20}
+    total = sum(tally.values())
+    assert ctr_relative(tally["a"], total) == CtrEstimate(2, 22)
+    assert ctr_relative(tally["b"], total).value == pytest.approx(20 / 22)
+    absent = ctr_relative(tally.get("zzz", 0), total)
     assert absent.defined and absent.value == 0.0
-    assert not ctr_relative(ClickTally({}, 0, (0, 1)), "a").defined
+    assert not ctr_relative(0, 0).defined
+    with pytest.raises(ValueError):
+        ctr_relative(3, 2)
 
 
 def test_relative_cumulative_counts_everything_before_now():
     fold = RelativeCtr()
     for e in small_log():
         fold.observe(e)
-    tally = fold.tally(31)
-    assert tally.per_advertiser == {"a": 2}
-    assert tally.window == (0, 31)
+    assert fold.tally(31) == {"a": 2}
     assert fold.estimate("a", 31).value == 1.0
     # a click exactly at now belongs to the next tick
     fold2 = RelativeCtr()
     for e in small_log():
         fold2.observe(e)
-    assert fold2.tally(20).per_advertiser == {"a": 1}
+    assert fold2.tally(20) == {"a": 1}
 
 
 def test_relative_interval_mode_slides():
     fold = RelativeCtr(interval_ms=15)
     for e in small_log():
         fold.observe(e)
-    assert fold.tally(21).per_advertiser == {"a": 1}  # [6, 21) holds only t=20
-    assert fold.tally(40).per_advertiser == {}
+    assert fold.tally(21) == {"a": 1}  # [6, 21) holds only t=20
+    assert fold.tally(40) == {}
 
 
 def test_relative_shares_sum_to_one_on_random_logs():
@@ -213,11 +214,11 @@ def test_relative_shares_sum_to_one_on_random_logs():
         fold = RelativeCtr()
         for e in log:
             fold.observe(e)
-        tally = fold.tally(10_000)
-        if tally.total == 0:
+        counts = fold.tally(10_000)
+        if not counts:
             continue
-        total = sum(ctr_relative(tally, a).value for a in tally.per_advertiser)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        shares = sum(fold.estimate(a, 10_000).value for a in counts)
+        assert shares == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,7 @@ def test_relative_matches_oracle(interval):
             while idx < len(events) and events[idx].t <= now:
                 fold.observe(events[idx])
                 idx += 1
-            assert fold.tally(now).per_advertiser == relative_brute(log, interval, now)
+            assert fold.tally(now) == relative_brute(log, interval, now)
 
 
 def test_cumulative_relative_state_does_not_grow_with_the_clicks():

@@ -1,4 +1,5 @@
-"""The benchmark's tracer wraps adsim names by attribute; they must all exist."""
+"""The benchmark's tracer wraps adsim names by attribute and reads their
+return values; both must keep working."""
 
 from __future__ import annotations
 
@@ -6,15 +7,68 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import adsim.bench
+from adsim.auction import SlotAllocation
+from adsim.estimators import ESTIMATOR_KINDS, RelativeCtr
+from adsim.traffic import TrafficConfig
+from oracles import random_log
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def test_every_name_the_tracer_wraps_exists(monkeypatch):
+def load_spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_name_the_tracer_wraps_exists(monkeypatch):
+    spans = load_spans(monkeypatch)
     wrapped = [(owner, attr) for _, owner, attr in spans.STAGES + spans.COUNTED]
     assert len(wrapped) > 10
     missing = [(owner.__name__, attr) for owner, attr in wrapped if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_the_tracer_reads_work_from_what_the_wrapped_names_return(monkeypatch):
+    spans = load_spans(monkeypatch)
+    log = random_log(5)
+
+    def fed(fold):
+        for e in log:
+            fold.observe(e)
+        return fold
+
+    # owner -> the results of real calls to its wrapped attribute: a cold
+    # (undefined) estimate and one after the whole log for each fold
+    results = {
+        adsim.bench: lambda fn: [
+            fn(TrafficConfig(50.0, {"a": 0.5}), (SlotAllocation(1, "a", 0, 0),),
+               np.random.default_rng(1), 0, 1_000, 0)
+        ],
+        RelativeCtr: lambda fn: [fn(RelativeCtr(), "a", 0), fn(fed(RelativeCtr()), "a", 10_000)],
+    }
+    for kind, (_, fold) in ESTIMATOR_KINDS.items():
+        if fold is not RelativeCtr:
+            param = 10_000 if kind == "time" else 3
+
+            def calls(fn, fold=fold, param=param):
+                return [fn(fold("a", param), 0), fn(fed(fold("a", param)), 10_000)]
+
+            results[fold] = calls
+
+    work = {}
+    for name, owner, attr in spans.COUNTED:
+        if name in spans._WORK:
+            for result in results[owner](owner.__dict__[attr]):
+                work.setdefault((name, owner.__name__), []).append(spans._WORK[name](result))
+    assert len(work) == 5  # organic_events and the four folds' estimate
+    for key, counts in work.items():
+        assert all(isinstance(n, (int, bool)) for n in counts), (key, counts)
+    estimates = [counts for (name, _), counts in work.items() if name == "estimators.estimate"]
+    assert estimates == [[True, False]] * 4  # one undefined, one defined each
+    assert work[("traffic.organic_events", "adsim.bench")][0] > 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adsim.auction import SlotAllocation
+from adsim.bench import build_series
 from adsim.core import (
     ClickEvent,
     ClickSource,
@@ -26,6 +27,7 @@ from adsim.traffic import (
     fraud_events,
     organic_events,
 )
+from adsim.estimators import ESTIMATOR_KINDS, WindowSpec
 
 from helpers import organic_log, with_fraud
 from oracles import detect_scripted_brute, tally_brute
@@ -288,6 +290,26 @@ def test_detector_never_reads_click_labels():
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=1_000, count=12, interval_ms=300)
     merged = with_fraud(log, [plan])
     assert detect_scripted(merged) == detect_scripted(merged.stripped())
+
+
+def test_series_never_reads_click_labels():
+    log = organic_log(organic_cfg(), alloc("a", "b"), HORIZON_MS, 12)
+    plans = [
+        FraudPlan(kind=SCRIPTED, target="a", start_ms=1_000, count=12, interval_ms=300),
+        FraudPlan(kind=HUMAN, target="b", start_ms=2_000, count=20, mean_gap_ms=400.0, gap_sigma=0.5, seed=3),
+    ]
+    merged = with_fraud(log, plans)
+    bare = merged.stripped()
+    assert {c.source for c in merged if isinstance(c, ClickEvent)} == set(ClickSource)
+    flags = detect_scripted(bare)
+    exclude = {(f.advertiser, ref) for f in flags for ref in f.flagged_click_ids}
+    assert exclude
+    specs = [WindowSpec(kind, None if kind == "relative" else 5) for kind in ESTIMATOR_KINDS]
+    for focus in ("a", "b"):
+        for dropped in (None, exclude):
+            assert build_series(merged, focus, specs, 1_000, dropped) == build_series(
+                bare, focus, specs, 1_000, dropped
+            )
 
 
 def test_detector_catches_injected_scripted_runs_in_organic_noise():
