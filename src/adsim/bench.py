@@ -578,6 +578,8 @@ def build_series(
     """
     if tick_ms < 1:
         raise ValueError("tick_ms must be >= 1")
+    if len({spec.kind for spec in specs}) != len(specs):
+        raise ValueError("estimator kinds must be unique")
     # columns in ESTIMATOR_KINDS order, whatever the configured order
     ordered = [spec for kind in ESTIMATOR_KINDS for spec in specs if spec.kind == kind]
     cohorts = [(spec.label, spec.build_cohort([focus])) for spec in ordered]

@@ -41,6 +41,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, MalformedRecordError, HorizonExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a path the user gave cannot be read or written
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except ShapeViolation as exc:
         print(f"shape violation: {exc}", file=sys.stderr)
         return 3
@@ -184,8 +189,6 @@ def _cmd_replay(args) -> int:
         raise ConfigError("spec: estimator kinds must be unique")
     try:
         log = read_log(args.log)
-    except OSError as exc:
-        raise ConfigError(f"{args.log}: {exc.strerror}") from exc
     except MalformedRecordError as exc:
         raise ConfigError(f"{args.log}: {exc}") from exc
     advertisers = log.advertisers()

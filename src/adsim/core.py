@@ -268,14 +268,17 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the caller's path, never the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def write_log(log: EventLog, path: str | Path) -> None:

@@ -11,11 +11,12 @@ advertisers)`` is how the simulator runs one kind for a whole cohort:
 rate, or to None while the estimate is undefined. ``ctr_relative`` and
 ``ctr_legacy`` score the reference tables from their counts.
 
-Feeding contract for the folds: call ``observe`` with events in non-decreasing
-timestamp order, feed everything with ``t <= now`` before calling
-``estimate(now)``, and query with non-decreasing ``now`` values. Each fold
-applies its own boundary rule (the time and relative windows are half-open and
-exclude ``t == now``; the impression and click windows include it).
+Feeding rule for the folds: feed a windowed fold one advertiser's events, and
+``RelativeCtr`` the whole cohort's, in log order; feed exactly the events with
+``t < now`` before calling ``estimate(now)``, and query with non-decreasing
+``now``. An estimate covers what the fold was fed: ``now`` only sets the
+trailing edge ``now - T`` of the time window and of the sliding relative one.
+Routing events to their advertiser's fold is the cohort's job.
 """
 
 from __future__ import annotations
@@ -54,17 +55,14 @@ class CtrEstimate:
 class TimeWindowCtr:
     """Clicks over impressions within the trailing half-open window [now-T, now)."""
 
-    def __init__(self, advertiser: AdvertiserId, window_ms: int):
+    def __init__(self, window_ms: int):
         if window_ms < 1:
             raise ValueError("window_ms must be >= 1")
-        self.advertiser = advertiser
         self.window_ms = window_ms
         self._imp: deque[int] = deque()
         self._clk: deque[int] = deque()
 
     def observe(self, e: Event) -> None:
-        if e.advertiser != self.advertiser:
-            return
         (self._imp if isinstance(e, ImpressionEvent) else self._clk).append(e.t)
 
     def estimate(self, now: int) -> CtrEstimate:
@@ -72,36 +70,22 @@ class TimeWindowCtr:
         for dq in (self._imp, self._clk):
             while dq and dq[0] < lo:
                 dq.popleft()
-        y = len(self._imp) - _count_at_or_after(self._imp, now)
-        x = len(self._clk) - _count_at_or_after(self._clk, now)
-        return CtrEstimate(x, y) if y > 0 else CtrEstimate(0, 0)
-
-
-def _count_at_or_after(dq: deque, now: int) -> int:
-    # Timestamps are fed in order, so anything >= now sits at the tail.
-    n = 0
-    for t in reversed(dq):
-        if t < now:
-            break
-        n += 1
-    return n
+        y = len(self._imp)
+        return CtrEstimate(len(self._clk), y) if y else CtrEstimate(0, 0)
 
 
 class ImpressionWindowCtr:
-    """Clicked fraction of the advertiser's last N impressions at or before now."""
+    """Clicked fraction of the last N impressions fed."""
 
-    def __init__(self, advertiser: AdvertiserId, size: int):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError("size must be >= 1")
-        self.advertiser = advertiser
         self.size = size
         self._window: deque[int] = deque()  # query ids, oldest first
         self._members: set[int] = set()
         self._clicked: set[int] = set()
 
     def observe(self, e: Event) -> None:
-        if e.advertiser != self.advertiser:
-            return
         if isinstance(e, ImpressionEvent):
             self._window.append(e.query_id)
             self._members.add(e.query_id)
@@ -119,22 +103,19 @@ class ImpressionWindowCtr:
 class ClickWindowCtr:
     """Last N clicks over the impressions shown since the Nth-most-recent click.
 
-    The denominator counts the advertiser's impressions from the one that
-    received that Nth-last click (inclusive) through now.
+    The denominator counts the impressions fed from the one that received
+    that Nth-last click (inclusive) through the last one fed.
     """
 
-    def __init__(self, advertiser: AdvertiserId, size: int):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError("size must be >= 1")
-        self.advertiser = advertiser
         self.size = size
         self._imp_pos: dict[int, int] = {}  # query id -> arrival ordinal
         self._imp_count = 0
         self._recent: deque[int] = deque()  # ordinals of last N clicked impressions
 
     def observe(self, e: Event) -> None:
-        if e.advertiser != self.advertiser:
-            return
         if isinstance(e, ImpressionEvent):
             self._imp_pos[e.query_id] = self._imp_count
             self._imp_count += 1
@@ -152,11 +133,9 @@ class ClickWindowCtr:
 class RelativeCtr:
     """Shares each advertiser's clicks against the whole cohort's clicks.
 
-    Cumulative from scenario start by default; pass ``interval_ms`` for a
-    sliding half-open window ``[now - interval, now)``. The sliding form keeps
-    the click times inside its window; the cumulative one keeps, per
-    advertiser, its click count, its last click time and the clicks at that
-    time, which are the only ones ``now`` can still exclude.
+    Fed the whole cohort's events, it keeps one click count per advertiser
+    (cumulative, the default) or, given ``interval_ms``, the click times in
+    the sliding half-open window ``[now - interval, now)``.
     """
 
     def __init__(self, interval_ms: int | None = None):
@@ -164,38 +143,28 @@ class RelativeCtr:
             raise ValueError("interval_ms must be >= 1")
         self.interval_ms = interval_ms
         self._clicks: dict[str, deque[int]] = {}  # sliding
-        self._counts: dict[str, list[int]] = {}  # cumulative: [count, last t, at last t]
+        self._counts: dict[str, int] = {}  # cumulative
 
     def observe(self, e: Event) -> None:
         if not isinstance(e, ClickEvent):
             return
-        if self.interval_ms is not None:
-            self._clicks.setdefault(e.advertiser, deque()).append(e.t)
-            return
-        c = self._counts.setdefault(e.advertiser, [0, e.t, 0])
-        c[0] += 1
-        if c[1] == e.t:
-            c[2] += 1
+        if self.interval_ms is None:
+            self._counts[e.advertiser] = self._counts.get(e.advertiser, 0) + 1
         else:
-            c[1], c[2] = e.t, 1
+            self._clicks.setdefault(e.advertiser, deque()).append(e.t)
 
     def tally(self, now: int) -> dict[AdvertiserId, int]:
-        """Clicks per advertiser in the window ending before ``now``; only
+        """Clicks per advertiser in the window ending at ``now``; only
         advertisers with clicks there appear."""
-        counts: dict[str, int] = {}
         if self.interval_ms is None:
-            for adv, (n, last, at_last) in self._counts.items():
-                n -= at_last if last >= now else 0
-                if n > 0:
-                    counts[adv] = n
-        else:
-            lo = now - self.interval_ms
-            for adv, dq in self._clicks.items():
-                while dq and dq[0] < lo:
-                    dq.popleft()
-                n = len(dq) - _count_at_or_after(dq, now)
-                if n > 0:
-                    counts[adv] = n
+            return dict(self._counts)
+        lo = now - self.interval_ms
+        counts: dict[str, int] = {}
+        for adv, dq in self._clicks.items():
+            while dq and dq[0] < lo:
+                dq.popleft()
+            if dq:
+                counts[adv] = len(dq)
         return counts
 
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
@@ -246,18 +215,19 @@ class WindowSpec:
 
         The relative kind keeps one tally for everyone; the windowed kinds
         keep one fold per advertiser and hand each event only to its own.
+        Feed ``observe`` the events with ``t < now`` before ``rates(now)``.
         """
         fold = ESTIMATOR_KINDS[self.kind][1]
         if fold is RelativeCtr:
             return _RelativeCohort(advertisers, RelativeCtr(self.param))
-        return _FoldCohort({adv: fold(adv, self.param) for adv in advertisers})
+        return _FoldCohort({adv: fold(self.param) for adv in advertisers})
 
 
 class _RelativeCohort:
     """Every advertiser's share, from one tally per ``rates`` call."""
 
     def __init__(self, advertisers: Sequence[AdvertiserId], shared: RelativeCtr):
-        self.advertisers = list(advertisers)
+        self.cohort = list(advertisers)
         self.shared = shared
         self.observe = shared.observe  # the one tally sees every event itself
 
@@ -265,8 +235,8 @@ class _RelativeCohort:
         counts = self.shared.tally(now)
         total = sum(counts.values())
         if total == 0:
-            return dict.fromkeys(self.advertisers)
-        return {adv: counts.get(adv, 0) / total for adv in self.advertisers}
+            return dict.fromkeys(self.cohort)
+        return {adv: counts.get(adv, 0) / total for adv in self.cohort}
 
 
 class _FoldCohort:

@@ -20,10 +20,12 @@ def with_fraud(log: EventLog, plans) -> EventLog:
 
 
 def estimate_at(kind: str, log: EventLog, advertiser: str, param: int, now: int) -> CtrEstimate:
-    """A fresh ``kind`` fold fed every event with ``t <= now``, estimated at ``now``."""
-    fold = ESTIMATOR_KINDS[kind][1](advertiser, param)
+    """A fresh windowed ``kind`` fold fed the advertiser's events with ``t < now``,
+    estimated at ``now``."""
+    fold = ESTIMATOR_KINDS[kind][1](param)
     for e in log:
-        if e.t > now:
+        if e.t >= now:
             break
-        fold.observe(e)
+        if e.advertiser == advertiser:
+            fold.observe(e)
     return fold.estimate(now)

@@ -71,11 +71,11 @@ def time_window_brute(
 def impression_window_brute(
     log: EventLog, adv: str, size: int, now: int
 ) -> tuple[bool, int, int]:
-    """Clicked fraction of the last ``size`` impressions with ``t <= now``."""
+    """Clicked fraction of the last ``size`` impressions with ``t < now``."""
     shown = [
         e.query_id
         for e in log
-        if isinstance(e, ImpressionEvent) and e.advertiser == adv and e.t <= now
+        if isinstance(e, ImpressionEvent) and e.advertiser == adv and e.t < now
     ]
     window = shown[-size:]
     if not window:
@@ -86,7 +86,7 @@ def impression_window_brute(
         for e in log
         if isinstance(e, ClickEvent)
         and e.advertiser == adv
-        and e.t <= now
+        and e.t < now
         and e.impression_ref in members
     )
     return (True, clicks, len(window))
@@ -96,16 +96,16 @@ def click_window_brute(
     log: EventLog, adv: str, size: int, now: int
 ) -> tuple[bool, int, int]:
     """Last ``size`` clicks over impressions since the one that took the
-    oldest of those clicks (inclusive), all restricted to ``t <= now``."""
+    oldest of those clicks (inclusive), all restricted to ``t < now``."""
     shown = [
         e.query_id
         for e in log
-        if isinstance(e, ImpressionEvent) and e.advertiser == adv and e.t <= now
+        if isinstance(e, ImpressionEvent) and e.advertiser == adv and e.t < now
     ]
     clicked = [
         e.impression_ref
         for e in log
-        if isinstance(e, ClickEvent) and e.advertiser == adv and e.t <= now
+        if isinstance(e, ClickEvent) and e.advertiser == adv and e.t < now
     ]
     if len(clicked) < size:
         return (False, 0, 0)

@@ -197,7 +197,7 @@ def test_criterion_3_oracle_equivalence():
             interval = rng.choice((None, rng.randint(1, 12_000)))
             fold = RelativeCtr(interval_ms=interval)
             for e in log:
-                if e.t > now:
+                if e.t >= now:
                     break
                 fold.observe(e)
             want_counts = relative_brute(log, interval, now)

@@ -467,6 +467,15 @@ def test_build_series_orders_columns_canonically():
     assert list(rows[0].ctr) == ["ctr_time", "ctr_click", "ctr_relative"]
 
 
+def test_build_series_rejects_duplicate_kinds():
+    from adsim.core import EventLog
+
+    log = EventLog.from_events([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
+    specs = [WindowSpec("time", 1_000), WindowSpec("time", 30_000)]
+    with pytest.raises(ValueError, match="estimator kinds must be unique"):
+        build_series(log, "alpha", specs, 1_000)
+
+
 def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
     events = [
         ImpressionEvent(100, "a", 1, 0),

@@ -222,6 +222,27 @@ def test_replay_reports_a_missing_log(tmp_path, capsys):
     assert f"error: {path}: No such file or directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case", ["run --out FILE", "tables --csv FILE/x", "replay --csv MISSING/x.csv", "replay --csv DIR"]
+)
+def test_an_unwritable_output_path_exits_2(tmp_path, ini, capsys, case):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    log = tmp_path / "events.jsonl"
+    write_log(EventLog(1_000), log)
+    replay = ["replay", str(log), "--advertiser", "a", "--csv"]
+    argv, path, reason = {
+        "run --out FILE": (["run", str(ini), "--out"], taken, "File exists"),
+        "tables --csv FILE/x": (["tables", "--csv"], taken / "x", "Not a directory"),
+        "replay --csv MISSING/x.csv": (replay, tmp_path / "missing" / "x.csv", "No such file or directory"),
+        "replay --csv DIR": (replay, tmp_path, "Is a directory"),
+    }[case]
+    assert main([*argv, str(path)]) == 2
+    # the path the user typed, never the temp file beside it, and no traceback
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_replay_reports_a_log_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.jsonl"
     write_log(EventLog(1_000), path)

@@ -38,10 +38,12 @@ def test_the_tracer_reads_work_from_what_the_wrapped_names_return(monkeypatch):
     spans = load_spans(monkeypatch)
     log = random_log(5)
 
-    def fed(fold):
-        for e in log:
+    def fed(fold, events=log):
+        for e in events:
             fold.observe(e)
         return fold
+
+    own = [e for e in log if e.advertiser == "a"]  # a windowed fold sees one advertiser
 
     # owner -> the results of real calls to its wrapped attribute: a cold
     # (undefined) estimate and one after the whole log for each fold
@@ -57,7 +59,7 @@ def test_the_tracer_reads_work_from_what_the_wrapped_names_return(monkeypatch):
             param = 10_000 if kind == "time" else 3
 
             def calls(fn, fold=fold, param=param):
-                return [fn(fold("a", param), 0), fn(fed(fold("a", param)), 10_000)]
+                return [fn(fold(param), 0), fn(fed(fold(param), own), 10_000)]
 
             results[fold] = calls
 
