@@ -105,11 +105,16 @@ def _render_series(rows: list[SeriesRow]) -> str:
     return "\n".join("  ".join(f"{c:>12}" for c in cells) for cells in series_cells(rows))
 
 
+def _out_dir(path: str) -> Path:
+    """Create the output directory before any work, so a bad path fails first."""
+    Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
+    out = _out_dir(args.out)
     result = run_scenario(cfg, drop_flagged=args.drop_flagged)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_log(result.log, out / "events.jsonl")
     emit_csv(result.rows, out / "series.csv")
     emit_plot(result.rows, out / "series.svg", title=f"focus: {cfg.focus}")
@@ -123,6 +128,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    out = _out_dir(args.csv) if args.csv else None
     replay = replay_reference_tables()
     print("reference table 1 (per-advertiser CTR, clicks/(impressions+clicks)):")
     print(_render_series(replay.legacy_rows))
@@ -144,9 +150,7 @@ def _cmd_tables(args) -> int:
         f"shape check ctr_new: rise to t={r2.peak_index} then strictly "
         f"decreasing over {r2.checked} steps: PASS"
     )
-    if args.csv:
-        out = Path(args.csv)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         emit_csv(replay.legacy_rows, out / "reference_legacy.csv")
         emit_csv(replay.relative_rows, out / "reference_relative.csv")
         print(f"wrote {out / 'reference_legacy.csv'}, {out / 'reference_relative.csv'}")
@@ -169,12 +173,11 @@ def _cmd_compare(args) -> int:
         default(cfg) for kind, default in _COMPARE_DEFAULTS.items() if kind not in configured
     )
     cfg = dataclasses.replace(cfg, estimators=(*cfg.estimators, *missing))
+    out = _out_dir(args.out) if args.out else None
     result = run_scenario(cfg)
     print(f"all-estimator comparison for {cfg.focus!r}:")
     print(_render_series(result.rows))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         emit_csv(result.rows, out / "compare.csv")
         emit_plot(result.rows, out / "compare.svg", title=f"focus: {cfg.focus}")
         print(f"wrote {out / 'compare.csv'}, {out / 'compare.svg'}")

@@ -2,6 +2,8 @@
 
 All timestamps are integer milliseconds from scenario start. Advertiser ids are
 opaque strings; their lexicographic order is the global tie-break everywhere.
+Events are plain records that may hold any values: ``EventLog.append`` is the
+one gate for an event, so every log it accepts round-trips through JSONL.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ class ImpressionEvent:
     slot: int
     query_id: int
 
-    def __post_init__(self):
-        _check_common(self.t, self.advertiser, self.slot)
-
 
 @dataclass(frozen=True, slots=True)
 class ClickEvent:
@@ -103,22 +102,8 @@ class ClickEvent:
     impression_ref: int
     source: ClickSource | None = ClickSource.ORGANIC
 
-    def __post_init__(self):
-        _check_common(self.t, self.advertiser, self.slot)
-        if self.source is not None and not isinstance(self.source, ClickSource):
-            raise ValueError(f"bad click source: {self.source!r}")
-
 
 Event = Union[ImpressionEvent, ClickEvent]
-
-
-def _check_common(t: int, advertiser: str, slot: int) -> None:
-    if t < 0:
-        raise ValueError(f"negative timestamp: {t}")
-    if not advertiser:
-        raise ValueError("empty advertiser id")
-    if slot < 1:
-        raise ValueError(f"slot must be >= 1, got {slot}")
 
 
 def event_sort_key(e: Event) -> tuple[int, int, str, int]:
@@ -131,13 +116,17 @@ def event_sort_key(e: Event) -> tuple[int, int, str, int]:
 class EventLog:
     """Append-only, time-ordered stream of impressions and clicks.
 
-    Single writer; iteration is read-only and may be shared. Every event
-    lies in ``[0, horizon)``. Each (advertiser, query id) names at most one
-    impression. Clicks must reference an impression already in the log for
-    the same advertiser, and each impression can be clicked at most once.
+    ``append`` is the one gate for an event, so any log it accepts round-trips
+    through ``write_log``/``read_log``. It wants ``t``, ``slot`` and the query
+    id to be ``int`` (not ``bool``), the advertiser a non-empty ``str``, a click
+    source a ``ClickSource`` or ``None``, ``slot >= 1``, time order within
+    ``[0, horizon)``, one impression per (advertiser, query id), and at most one
+    click on each, once it is in the log. Single writer; iteration is read-only.
     """
 
     def __init__(self, horizon: int):
+        if type(horizon) is not int:
+            raise ValueError(f"field 'horizon' must be an integer, got {horizon!r}")
         if horizon < 0:
             raise ValueError(f"negative horizon: {horizon}")
         self.horizon = horizon
@@ -154,39 +143,46 @@ class EventLog:
         return log
 
     def append(self, e: Event) -> None:
-        if self._events and e.t < self._events[-1].t:
-            raise OutOfOrderError(
-                f"event at t={e.t} behind log tail t={self._events[-1].t}"
-            )
-        if e.t >= self.horizon:
-            raise HorizonExceededError(f"event at t={e.t} at or past horizon {self.horizon}")
-        if isinstance(e, ClickEvent):
-            key = (e.advertiser, e.impression_ref)
+        """Add ``e`` at the tail; raise ValueError or an AdsimError if it breaks a rule."""
+        t, advertiser, slot = e.t, e.advertiser, e.slot
+        is_click = isinstance(e, ClickEvent)
+        ref = e.impression_ref if is_click else e.query_id
+        if type(t) is not int or type(slot) is not int or type(ref) is not int:
+            fields = ("t", "slot", "impression_ref" if is_click else "query_id")
+            field = next(f for f in fields if type(getattr(e, f)) is not int)
+            raise ValueError(f"field {field!r} must be an integer, got {getattr(e, field)!r}")
+        if type(advertiser) is not str:
+            raise ValueError(f"field 'advertiser' must be a string, got {advertiser!r}")
+        if t < 0:
+            raise ValueError(f"negative timestamp: {t}")
+        if not advertiser:
+            raise ValueError("empty advertiser id")
+        if slot < 1:
+            raise ValueError(f"slot must be >= 1, got {slot}")
+        if is_click and e.source is not None and not isinstance(e.source, ClickSource):
+            raise ValueError(f"bad click source: {e.source!r}")
+        if self._events and t < self._events[-1].t:
+            raise OutOfOrderError(f"event at t={t} behind log tail t={self._events[-1].t}")
+        if t >= self.horizon:
+            raise HorizonExceededError(f"event at t={t} at or past horizon {self.horizon}")
+        key = (advertiser, ref)
+        if is_click:
             if key not in self._impressions:
                 raise DanglingClickError(
-                    f"click at t={e.t} references unknown impression "
-                    f"{e.impression_ref} of {e.advertiser!r}"
+                    f"click at t={t} references unknown impression {ref} of {advertiser!r}"
                 )
             if key in self._clicked:
-                raise DuplicateClickError(
-                    f"impression {e.impression_ref} of {e.advertiser!r} already clicked"
-                )
+                raise DuplicateClickError(f"impression {ref} of {advertiser!r} already clicked")
             self._clicked.add(key)
+        elif key in self._impressions:
+            raise DuplicateImpressionError(f"impression {ref} of {advertiser!r} already in the log")
         else:
-            key = (e.advertiser, e.query_id)
-            if key in self._impressions:
-                raise DuplicateImpressionError(
-                    f"impression {e.query_id} of {e.advertiser!r} already in the log"
-                )
             self._impressions.add(key)
         self._events.append(e)
 
     def stripped(self) -> "EventLog":
-        """Label-free copy for export: click sources erased.
-
-        This log's events are already validated, so the copy takes them and
-        the index sets over as they are instead of appending each again.
-        """
+        """Label-free copy: click sources erased. The events passed ``append``
+        already, so the copy takes them and the index sets over as they are."""
         out = EventLog(self.horizon)
         out._events = [
             ClickEvent(e.t, e.advertiser, e.slot, e.impression_ref, None)
@@ -231,10 +227,11 @@ class EventLog:
 #   {"advertiser": "a", "impression_ref": 0, "kind": "click", "slot": 1,
 #    "source": "organic", "t": 12}
 #
-# Keys are sorted so identical logs serialize to identical bytes.
+# Keys are sorted so identical logs serialize to identical bytes. The reader
+# checks the JSON shape of each record; ``EventLog.append`` checks its values.
 
-_IMPRESSION_KEYS = {"kind", "t", "advertiser", "slot", "query_id"}
-_CLICK_KEYS = {"kind", "t", "advertiser", "slot", "impression_ref", "source"}
+_EVENT_KINDS = {"impression": ImpressionEvent, "click": ClickEvent}
+_RECORD_KEYS = {cls: {"kind", *cls.__slots__} for cls in _EVENT_KINDS.values()}
 
 
 def _dumps(obj: dict) -> str:
@@ -289,20 +286,6 @@ def write_log(log: EventLog, path: str | Path) -> None:
     write_atomic(path, (_dumps(rec) + "\n" for rec in records))
 
 
-def _parse_int(rec: dict, key: str, line_no: int) -> int:
-    v = rec.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise MalformedRecordError(line_no, f"field {key!r} must be an integer, got {v!r}")
-    return v
-
-
-def _parse_str(rec: dict, key: str, line_no: int) -> str:
-    v = rec.get(key)
-    if not isinstance(v, str):
-        raise MalformedRecordError(line_no, f"field {key!r} must be a string, got {v!r}")
-    return v
-
-
 def read_log(path: str | Path) -> EventLog:
     """Parse a JSONL log. Raises ``MalformedRecordError`` with the offending line."""
     log: EventLog | None = None
@@ -320,13 +303,11 @@ def read_log(path: str | Path) -> EventLog:
                     raise MalformedRecordError(line_no, "record is not an object")
                 try:
                     if line_no > 1:
-                        log.append(_parse_event(rec, line_no))
-                        continue
-                    if rec.get("kind") != "header" or set(rec) != {"kind", "horizon"}:
-                        raise MalformedRecordError(line_no, "missing header record")
-                    log = EventLog(_parse_int(rec, "horizon", line_no))
-                except MalformedRecordError:
-                    raise
+                        log.append(_parse_event(rec))
+                    elif rec.get("kind") == "header" and rec.keys() == {"kind", "horizon"}:
+                        log = EventLog(rec["horizon"])
+                    else:
+                        raise ValueError("missing header record")
                 except (AdsimError, ValueError) as exc:
                     raise MalformedRecordError(line_no, str(exc)) from exc
     except UnicodeDecodeError:
@@ -348,33 +329,18 @@ def _first_undecodable_line(path: str | Path) -> tuple[int, str]:
     raise AssertionError("decodes line by line but not as a whole")
 
 
-def _parse_event(rec: dict, line_no: int) -> Event:
+def _parse_event(rec: dict) -> Event:
     kind = rec.get("kind")
-    if kind == "impression":
-        if set(rec) != _IMPRESSION_KEYS:
-            raise MalformedRecordError(line_no, f"bad impression fields: {sorted(rec)}")
-        return ImpressionEvent(
-            t=_parse_int(rec, "t", line_no),
-            advertiser=_parse_str(rec, "advertiser", line_no),
-            slot=_parse_int(rec, "slot", line_no),
-            query_id=_parse_int(rec, "query_id", line_no),
-        )
-    if kind == "click":
-        if set(rec) != _CLICK_KEYS:
-            raise MalformedRecordError(line_no, f"bad click fields: {sorted(rec)}")
-        raw = rec.get("source")
-        if raw is None:
-            source = None
-        else:
-            try:
-                source = ClickSource(raw)
-            except ValueError:
-                raise MalformedRecordError(line_no, f"unknown click source {raw!r}")
-        return ClickEvent(
-            t=_parse_int(rec, "t", line_no),
-            advertiser=_parse_str(rec, "advertiser", line_no),
-            slot=_parse_int(rec, "slot", line_no),
-            impression_ref=_parse_int(rec, "impression_ref", line_no),
-            source=source,
-        )
-    raise MalformedRecordError(line_no, f"unknown record kind {kind!r}")
+    cls = _EVENT_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown record kind {kind!r}")
+    if rec.keys() != _RECORD_KEYS[cls]:
+        raise ValueError(f"bad {kind} fields: {sorted(rec)}")
+    del rec["kind"]
+    raw = rec.get("source")
+    if raw is not None:
+        try:
+            rec["source"] = ClickSource(raw)
+        except ValueError:
+            raise ValueError(f"unknown click source {raw!r}") from None
+    return cls(**rec)

@@ -243,6 +243,21 @@ def test_an_unwritable_output_path_exits_2(tmp_path, ini, capsys, case):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_unusable_out_path_is_reported_before_simulating(
+    tmp_path, ini, capsys, monkeypatch, command
+):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr("adsim.cli.run_scenario", never)
+    assert main([command, str(ini), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == f"error: {taken}: File exists\n"
+
+
 def test_replay_reports_a_log_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "latin1.jsonl"
     write_log(EventLog(1_000), path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from adsim.core import (
@@ -35,14 +36,27 @@ def clk(t, adv="a", slot=1, ref=0, source=ClickSource.ORGANIC):
 
 
 def test_event_validation():
-    with pytest.raises(ValueError):
-        ImpressionEvent(-1, "a", 1, 0)
-    with pytest.raises(ValueError):
-        ImpressionEvent(0, "", 1, 0)
-    with pytest.raises(ValueError):
-        ImpressionEvent(0, "a", 0, 0)
-    with pytest.raises(ValueError):
-        ClickEvent(0, "a", 1, 0, source="organic")  # must be the enum
+    # an event is a plain record; append is where it is checked
+    cases = [
+        (imp(-1), "negative timestamp: -1"),
+        (imp(0, ""), "empty advertiser id"),
+        (imp(0, slot=0), "slot must be >= 1, got 0"),
+        (clk(0, source="organic"), "bad click source: 'organic'"),  # must be the enum
+        (imp(1.5), "field 't' must be an integer, got 1.5"),
+        (imp(0, slot=True), "field 'slot' must be an integer, got True"),
+        (imp(0, qid=np.int64(3)), f"field 'query_id' must be an integer, got {np.int64(3)!r}"),
+        (clk(0, ref=False), "field 'impression_ref' must be an integer, got False"),
+        (imp(0, 7), "field 'advertiser' must be a string, got 7"),
+    ]
+    for event, message in cases:
+        log = EventLog.from_events([imp(0)], 10)
+        with pytest.raises(ValueError) as err:
+            log.append(event)
+        assert str(err.value) == message
+        assert log.events == [imp(0)]
+    with pytest.raises(ValueError) as err:
+        EventLog(10.5)
+    assert str(err.value) == "field 'horizon' must be an integer, got 10.5"
 
 
 def test_click_source_defaults_to_organic():
@@ -172,19 +186,50 @@ def test_log_equality():
 # JSONL persistence.
 
 
-def test_round_trip_preserves_log(tmp_path):
-    log = random_log(7)
+# t = 0, t = horizon - 1, every click source and None, and an advertiser id
+# that JSON must escape or that is not ASCII.
+_EDGE_LOG = EventLog.from_events(
+    [
+        imp(0, 'q"\\é', qid=0),
+        clk(0, 'q"\\é', ref=0, source=None),
+        imp(0, qid=0),
+        clk(0, ref=0, source=ClickSource.SCRIPTED_FRAUD),
+        imp(99, "广告", slot=3, qid=2**40),
+        clk(99, "广告", slot=3, ref=2**40, source=ClickSource.HUMAN_FRAUD),
+        imp(99, qid=7),
+    ],
+    100,
+)
+
+
+@pytest.mark.parametrize(
+    "log",
+    [
+        *(pytest.param(random_log(seed), id=f"seed{seed}") for seed in range(12)),
+        pytest.param(_EDGE_LOG, id="edges"),
+        pytest.param(EventLog(0), id="empty"),
+    ],
+)
+def test_every_accepted_log_round_trips(tmp_path, log):
+    # read back equal, and written again to the same bytes
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_log(log, first)
+    back = read_log(first)
+    assert back == log
+    write_log(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
     path = tmp_path / "events.jsonl"
-    write_log(log, path)
-    assert read_log(path) == log
-
-
-def test_serialization_is_deterministic(tmp_path):
-    log = random_log(11)
-    p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
-    write_log(log, p1)
-    write_log(log, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    path.write_bytes(
+        b'{ "kind": "header", "horizon": 10 }\r\n'
+        b'{"t": 1, "slot": 2, "query_id": 5, "kind": "impression", "advertiser": "a"}\r\n'
+        b'  {"source": null, "t": 3, "impression_ref": 5, "advertiser": "a", '
+        b'"kind": "click", "slot": 2}  \r\n'
+    )
+    expected = [imp(1, slot=2, qid=5), clk(3, slot=2, ref=5, source=None)]
+    assert read_log(path) == EventLog.from_events(expected, 10)
 
 
 def test_file_layout(tmp_path):
@@ -276,6 +321,57 @@ def test_stripped_click_round_trips_as_null_source(tmp_path):
             ],
             3,
             "past horizon",
+        ),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":1,"t":-1}',
+            ],
+            2,
+            "negative timestamp: -1",
+        ),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":0,"t":1}',
+            ],
+            2,
+            "slot must be >= 1, got 0",
+        ),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"","kind":"impression","query_id":0,"slot":1,"t":1}',
+            ],
+            2,
+            "empty advertiser id",
+        ),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":"impression","query_id":true,"slot":1,"t":1}',
+            ],
+            2,
+            "field 'query_id' must be an integer, got True",
+        ),
+        (['{"horizon":1.5,"kind":"header"}'], 1, "field 'horizon' must be an integer, got 1.5"),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":["impression"],"query_id":0,"slot":1,"t":1}',
+            ],
+            2,
+            "unknown record kind ['impression']",
+        ),
+        (
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":1,"t":1}',
+                '{"advertiser":"a","impression_ref":0,"kind":"click","slot":1,'
+                '"source":["organic"],"t":1}',
+            ],
+            3,
+            "unknown click source ['organic']",
         ),
     ],
 )
