@@ -8,7 +8,6 @@ one gate for an event, so every log it accepts round-trips through JSONL.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -137,6 +136,9 @@ class EventLog:
     @classmethod
     def from_events(cls, events: Iterable[Event], horizon: int) -> "EventLog":
         """Build a log from an unordered batch, sorting by the canonical key."""
+        events = list(events)
+        for e in events:  # before sorting, which would fail on a mistyped key first
+            _check_field_types(e)
         log = cls(horizon)
         for e in sorted(events, key=event_sort_key):
             log.append(e)
@@ -147,12 +149,11 @@ class EventLog:
         t, advertiser, slot = e.t, e.advertiser, e.slot
         is_click = isinstance(e, ClickEvent)
         ref = e.impression_ref if is_click else e.query_id
-        if type(t) is not int or type(slot) is not int or type(ref) is not int:
-            fields = ("t", "slot", "impression_ref" if is_click else "query_id")
-            field = next(f for f in fields if type(getattr(e, f)) is not int)
-            raise ValueError(f"field {field!r} must be an integer, got {getattr(e, field)!r}")
-        if type(advertiser) is not str:
-            raise ValueError(f"field 'advertiser' must be a string, got {advertiser!r}")
+        if (
+            type(t) is not int or type(slot) is not int or type(ref) is not int
+            or type(advertiser) is not str
+        ):
+            _check_field_types(e)
         if t < 0:
             raise ValueError(f"negative timestamp: {t}")
         if not advertiser:
@@ -216,45 +217,33 @@ class EventLog:
         return f"EventLog(horizon={self.horizon}, events={len(self._events)})"
 
 
+def _check_field_types(e: Event) -> None:
+    """Raise ``append``'s ValueError for the first field of ``e`` of the wrong type."""
+    ref = "impression_ref" if isinstance(e, ClickEvent) else "query_id"
+    for field in ("t", "slot", ref):
+        value = getattr(e, field)
+        if type(value) is not int:
+            raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+    if type(e.advertiser) is not str:
+        raise ValueError(f"field 'advertiser' must be a string, got {e.advertiser!r}")
+
+
 # ---------------------------------------------------------------------------
 # JSONL persistence.
 #
-# One JSON object per line. The first line is a header carrying the log
-# horizon; every following line is an impression or a click:
-#
-#   {"horizon": 60000, "kind": "header"}
-#   {"advertiser": "a", "kind": "impression", "query_id": 0, "slot": 1, "t": 12}
-#   {"advertiser": "a", "impression_ref": 0, "kind": "click", "slot": 1,
-#    "source": "organic", "t": 12}
-#
-# Keys are sorted so identical logs serialize to identical bytes. The reader
-# checks the JSON shape of each record; ``EventLog.append`` checks its values.
+# One JSON object per line: a header carrying the log horizon, then one line
+# per impression or click. The writer emits exactly these canonical lines, keys
+# sorted and no spaces, so identical logs serialize to identical bytes. The
+# reader takes any JSON object with these keys, in any order or spacing; it
+# checks the JSON shape of each record and ``EventLog.append`` checks its values.
+
+_HEADER_LINE = '{"horizon":%d,"kind":"header"}\n'
+_IMPRESSION_LINE = '{"advertiser":%s,"kind":"impression","query_id":%d,"slot":%d,"t":%d}\n'
+_CLICK_LINE = '{"advertiser":%s,"impression_ref":%d,"kind":"click","slot":%d,"source":%s,"t":%d}\n'
+_SOURCE_JSON = {None: "null", **{s: json.dumps(s.value) for s in ClickSource}}
 
 _EVENT_KINDS = {"impression": ImpressionEvent, "click": ClickEvent}
 _RECORD_KEYS = {cls: {"kind", *cls.__slots__} for cls in _EVENT_KINDS.values()}
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _event_record(e: Event) -> dict:
-    if isinstance(e, ImpressionEvent):
-        return {
-            "kind": "impression",
-            "t": e.t,
-            "advertiser": e.advertiser,
-            "slot": e.slot,
-            "query_id": e.query_id,
-        }
-    return {
-        "kind": "click",
-        "t": e.t,
-        "advertiser": e.advertiser,
-        "slot": e.slot,
-        "impression_ref": e.impression_ref,
-        "source": None if e.source is None else e.source.value,
-    }
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -279,54 +268,53 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
 
 
 def write_log(log: EventLog, path: str | Path) -> None:
-    """Serialize to JSONL, atomically."""
-    records = itertools.chain(
-        [{"kind": "header", "horizon": log.horizon}], map(_event_record, log)
-    )
-    write_atomic(path, (_dumps(rec) + "\n" for rec in records))
+    """Serialize to JSONL, atomically. ``append`` admits only ``int`` fields and
+    ``str`` advertisers, so each event fills its line template as it is."""
+
+    def lines() -> Iterator[str]:
+        yield _HEADER_LINE % log.horizon
+        for e in log:
+            adv = json.dumps(e.advertiser)
+            if isinstance(e, ClickEvent):
+                yield _CLICK_LINE % (adv, e.impression_ref, e.slot, _SOURCE_JSON[e.source], e.t)
+            else:
+                yield _IMPRESSION_LINE % (adv, e.query_id, e.slot, e.t)
+
+    write_atomic(path, lines())
 
 
 def read_log(path: str | Path) -> EventLog:
-    """Parse a JSONL log. Raises ``MalformedRecordError`` with the offending line."""
+    """Parse a JSONL log. Raises ``MalformedRecordError`` with the offending line.
+
+    A line ends at a line feed alone, as JSON Lines defines, and is decoded on
+    its own, so a byte that is not UTF-8 is reported on its line."""
     log: EventLog | None = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    raise MalformedRecordError(line_no, "blank line")
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
-                if not isinstance(rec, dict):
-                    raise MalformedRecordError(line_no, "record is not an object")
-                try:
-                    if line_no > 1:
-                        log.append(_parse_event(rec))
-                    elif rec.get("kind") == "header" and rec.keys() == {"kind", "horizon"}:
-                        log = EventLog(rec["horizon"])
-                    else:
-                        raise ValueError("missing header record")
-                except (AdsimError, ValueError) as exc:
-                    raise MalformedRecordError(line_no, str(exc)) from exc
-    except UnicodeDecodeError:
-        line_no, reason = _first_undecodable_line(path)
-        raise MalformedRecordError(line_no, f"not UTF-8: {reason}") from None
-    if log is None:
-        raise MalformedRecordError(1, "empty file")
-    return log
-
-
-def _first_undecodable_line(path: str | Path) -> tuple[int, str]:
-    # Text mode decodes ahead in chunks, so its error cannot name the line.
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                raw.decode("utf-8")
+                line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                return line_no, exc.reason
-    raise AssertionError("decodes line by line but not as a whole")
+                raise MalformedRecordError(line_no, f"not UTF-8: {exc.reason}") from None
+            if not line:
+                raise MalformedRecordError(line_no, "blank line")
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise MalformedRecordError(line_no, "record is not an object")
+            try:
+                if line_no > 1:
+                    log.append(_parse_event(rec))
+                elif rec.get("kind") == "header" and rec.keys() == {"kind", "horizon"}:
+                    log = EventLog(rec["horizon"])
+                else:
+                    raise ValueError("missing header record")
+            except (AdsimError, ValueError) as exc:
+                raise MalformedRecordError(line_no, str(exc)) from exc
+    if log is None:
+        raise MalformedRecordError(1, "empty file")
+    return log
 
 
 def _parse_event(rec: dict) -> Event:

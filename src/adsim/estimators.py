@@ -133,39 +133,37 @@ class ClickWindowCtr:
 class RelativeCtr:
     """Shares each advertiser's clicks against the whole cohort's clicks.
 
-    Fed the whole cohort's events, it keeps one click count per advertiser
-    (cumulative, the default) or, given ``interval_ms``, the click times in
-    the sliding half-open window ``[now - interval, now)``.
+    Fed the whole cohort's events, it keeps one click count per advertiser:
+    cumulative (the default) or, given ``interval_ms``, over the sliding
+    half-open window ``[now - interval, now)``, whose clicks it queues in log
+    order to take them out of the count as they leave the window.
     """
 
     def __init__(self, interval_ms: int | None = None):
         if interval_ms is not None and interval_ms < 1:
             raise ValueError("interval_ms must be >= 1")
         self.interval_ms = interval_ms
-        self._clicks: dict[str, deque[int]] = {}  # sliding
-        self._counts: dict[str, int] = {}  # cumulative
+        self._counts: dict[str, int] = {}
+        self._window: deque[ClickEvent] = deque()  # sliding mode only
 
     def observe(self, e: Event) -> None:
         if not isinstance(e, ClickEvent):
             return
-        if self.interval_ms is None:
-            self._counts[e.advertiser] = self._counts.get(e.advertiser, 0) + 1
-        else:
-            self._clicks.setdefault(e.advertiser, deque()).append(e.t)
+        self._counts[e.advertiser] = self._counts.get(e.advertiser, 0) + 1
+        if self.interval_ms is not None:
+            self._window.append(e)
 
     def tally(self, now: int) -> dict[AdvertiserId, int]:
         """Clicks per advertiser in the window ending at ``now``; only
         advertisers with clicks there appear."""
-        if self.interval_ms is None:
-            return dict(self._counts)
-        lo = now - self.interval_ms
-        counts: dict[str, int] = {}
-        for adv, dq in self._clicks.items():
-            while dq and dq[0] < lo:
-                dq.popleft()
-            if dq:
-                counts[adv] = len(dq)
-        return counts
+        if self.interval_ms is not None:
+            lo = now - self.interval_ms
+            while self._window and self._window[0].t < lo:
+                adv = self._window.popleft().advertiser
+                self._counts[adv] -= 1
+                if not self._counts[adv]:
+                    del self._counts[adv]
+        return dict(self._counts)
 
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
         counts = self.tally(now)

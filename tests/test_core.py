@@ -59,6 +59,20 @@ def test_event_validation():
     assert str(err.value) == "field 'horizon' must be an integer, got 10.5"
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (imp(None), "field 't' must be an integer, got None"),
+        (imp(1, None), "field 'advertiser' must be a string, got None"),
+    ],
+)
+def test_from_events_reports_a_mistyped_event_before_sorting(bad, message):
+    # sorting would compare the bad key with a good one first
+    with pytest.raises(ValueError) as err:
+        EventLog.from_events([bad, imp(1, qid=1)], 10)
+    assert str(err.value) == message
+
+
 def test_click_source_defaults_to_organic():
     assert ClickEvent(5, "a", 1, 3).source is ClickSource.ORGANIC
     assert ClickEvent(5, "a", 1, 3, source=None).source is None
@@ -186,12 +200,14 @@ def test_log_equality():
 # JSONL persistence.
 
 
-# t = 0, t = horizon - 1, every click source and None, and an advertiser id
-# that JSON must escape or that is not ASCII.
+# t = 0, t = horizon - 1, every click source and None, and advertiser ids
+# that JSON must escape, that are not ASCII, or that hold control characters
+# and U+2028 (a line separator to str.splitlines, but not to JSON Lines).
 _EDGE_LOG = EventLog.from_events(
     [
         imp(0, 'q"\\é', qid=0),
         clk(0, 'q"\\é', ref=0, source=None),
+        imp(0, "n\nt\tz\x00l\u2028", slot=2, qid=1),
         imp(0, qid=0),
         clk(0, ref=0, source=ClickSource.SCRIPTED_FRAUD),
         imp(99, "广告", slot=3, qid=2**40),
@@ -214,6 +230,11 @@ def test_every_accepted_log_round_trips(tmp_path, log):
     # read back equal, and written again to the same bytes
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     write_log(log, first)
+    # each line is the generic encoder's canonical form of its record
+    with open(first, encoding="utf-8", newline="") as fh:
+        for line in fh:
+            canonical = json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+            assert line == canonical + "\n"
     back = read_log(first)
     assert back == log
     write_log(back, second)
@@ -372,6 +393,14 @@ def test_stripped_click_round_trips_as_null_source(tmp_path):
             ],
             3,
             "unknown click source ['organic']",
+        ),
+        (  # a line ends at a line feed alone, so a bare CR does not split records
+            [
+                '{"horizon":10,"kind":"header"}\r'
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":1,"t":1}'
+            ],
+            1,
+            "invalid JSON",
         ),
     ],
 )
