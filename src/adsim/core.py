@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -234,8 +235,12 @@ def _check_field_types(e: Event) -> None:
 # One JSON object per line: a header carrying the log horizon, then one line
 # per impression or click. The writer emits exactly these canonical lines, keys
 # sorted and no spaces, so identical logs serialize to identical bytes. The
-# reader takes any JSON object with these keys, in any order or spacing; it
-# checks the JSON shape of each record and ``EventLog.append`` checks its values.
+# reader takes any JSON object with these keys, in any order or spacing. A line
+# that is exactly a template's output, with a plain ASCII advertiser, matches a
+# pattern built from that template and becomes its event directly; any other
+# line goes to ``json.loads``, which checks the JSON shape of the record. Both
+# paths give the same events and the same messages, and ``EventLog.append``
+# checks the values of every event.
 
 _HEADER_LINE = '{"horizon":%d,"kind":"header"}\n'
 _IMPRESSION_LINE = '{"advertiser":%s,"kind":"impression","query_id":%d,"slot":%d,"t":%d}\n'
@@ -244,6 +249,20 @@ _SOURCE_JSON = {None: "null", **{s: json.dumps(s.value) for s in ClickSource}}
 
 _EVENT_KINDS = {"impression": ImpressionEvent, "click": ClickEvent}
 _RECORD_KEYS = {cls: {"kind", *cls.__slots__} for cls in _EVENT_KINDS.values()}
+
+_JSON_INT = rb"(-?(?:0|[1-9][0-9]*))"
+_PLAIN_ADVERTISER = rb'"([ !#-\[\]-~]*)"'  # printable ASCII but '"' and '\', its own JSON
+_SOURCE_OF = {v.encode(): k for k, v in _SOURCE_JSON.items()}
+_SOURCE = b"(%s)" % b"|".join(map(re.escape, _SOURCE_OF))
+
+
+def _line_pattern(template: str, *fields: bytes) -> re.Pattern[bytes]:
+    """Compile a line template, with ``fields`` as the patterns of its slots in order."""
+    return re.compile(re.escape(template.encode()).replace(b"%d", b"%s") % fields)
+
+
+_IMPRESSION_RE = _line_pattern(_IMPRESSION_LINE, _PLAIN_ADVERTISER, *[_JSON_INT] * 3)
+_CLICK_RE = _line_pattern(_CLICK_LINE, _PLAIN_ADVERTISER, _JSON_INT, _JSON_INT, _SOURCE, _JSON_INT)
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -287,25 +306,29 @@ def read_log(path: str | Path) -> EventLog:
     """Parse a JSONL log. Raises ``MalformedRecordError`` with the offending line.
 
     A line ends at a line feed alone, as JSON Lines defines, and is decoded on
-    its own, so a byte that is not UTF-8 is reported on its line."""
+    its own, so a byte that is not UTF-8 is reported on its line. An event line
+    as ``write_log`` writes it, with a plain ASCII advertiser, is matched, not
+    parsed, and gives the same event."""
     log: EventLog | None = None
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise MalformedRecordError(line_no, f"not UTF-8: {exc.reason}") from None
-            if not line:
-                raise MalformedRecordError(line_no, "blank line")
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise MalformedRecordError(line_no, "record is not an object")
+            event = _canonical_event(raw) if line_no > 1 else None
+            if event is None:
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise MalformedRecordError(line_no, f"not UTF-8: {exc.reason}") from None
+                if not line:
+                    raise MalformedRecordError(line_no, "blank line")
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
+                if not isinstance(rec, dict):
+                    raise MalformedRecordError(line_no, "record is not an object")
             try:
                 if line_no > 1:
-                    log.append(_parse_event(rec))
+                    log.append(event or _parse_event(rec))
                 elif rec.get("kind") == "header" and rec.keys() == {"kind", "horizon"}:
                     log = EventLog(rec["horizon"])
                 else:
@@ -315,6 +338,20 @@ def read_log(path: str | Path) -> EventLog:
     if log is None:
         raise MalformedRecordError(1, "empty file")
     return log
+
+
+def _canonical_event(raw: bytes) -> Event | None:
+    """The event of a line exactly as ``write_log`` writes it with a plain
+    advertiser, else None."""
+    m = _IMPRESSION_RE.fullmatch(raw)
+    if m is not None:
+        advertiser, query_id, slot, t = m.groups()
+        return ImpressionEvent(int(t), advertiser.decode(), int(slot), int(query_id))
+    m = _CLICK_RE.fullmatch(raw)
+    if m is not None:
+        advertiser, ref, slot, source, t = m.groups()
+        return ClickEvent(int(t), advertiser.decode(), int(slot), int(ref), _SOURCE_OF[source])
+    return None
 
 
 def _parse_event(rec: dict) -> Event:

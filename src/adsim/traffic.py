@@ -129,18 +129,22 @@ def organic_events(
     if span_ms <= 0:
         return [], query_id_start
     n_queries = int(rng.poisson(cfg.queries_per_second * span_ms / 1000.0))
+    if n_queries == 0:
+        return [], query_id_start
     times = np.sort(rng.integers(t_lo, t_hi, size=n_queries))
+    shown = [
+        (a.advertiser, a.slot, cfg.base_ctr[a.advertiser] * cfg.position_decay ** (a.slot - 1))
+        for a in allocation
+    ]
+    # one uniform per query and slot, drawn query-major as one call per slot would
+    draws = iter(rng.random(n_queries * len(shown)).tolist())
     events: list[Event] = []
-    qid = query_id_start
-    for t in times.tolist():
-        for alloc in allocation:
-            adv = alloc.advertiser
-            events.append(ImpressionEvent(t, adv, alloc.slot, qid))
-            p = cfg.base_ctr[adv] * cfg.position_decay ** (alloc.slot - 1)
-            if rng.random() < p:
-                events.append(ClickEvent(t, adv, alloc.slot, qid, ClickSource.ORGANIC))
-        qid += 1
-    return events, qid
+    for qid, t in enumerate(times.tolist(), start=query_id_start):
+        for adv, slot, p in shown:
+            events.append(ImpressionEvent(t, adv, slot, qid))
+            if next(draws) < p:
+                events.append(ClickEvent(t, adv, slot, qid, ClickSource.ORGANIC))
+    return events, query_id_start + n_queries
 
 
 # ---------------------------------------------------------------------------

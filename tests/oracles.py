@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import statistics
 
-from adsim.core import ClickEvent, EventLog, ImpressionEvent
+from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent
 from adsim.estimators import CtrEstimate
 from adsim.traffic import FraudFlag
 
@@ -36,6 +36,28 @@ def random_log(
                 events.append(ClickEvent(t, adv, slot, qid))
         qid += rng.randint(1, 5)
     return EventLog.from_events(events, horizon_ms)
+
+
+def organic_events_one_draw_at_a_time(cfg, allocation, rng, t_lo, t_hi, query_id_start):
+    """``traffic.organic_events`` drawing each query's uniform for each slot
+    with its own ``rng.random()`` call, and the query times even when there
+    are none. The batched draw must leave ``rng`` in the same state."""
+    span_ms = t_hi - t_lo
+    if span_ms <= 0:
+        return [], query_id_start
+    n_queries = int(rng.poisson(cfg.queries_per_second * span_ms / 1000.0))
+    times = sorted(rng.integers(t_lo, t_hi, size=n_queries).tolist())
+    events = []
+    qid = query_id_start
+    for t in times:
+        for alloc in allocation:
+            adv = alloc.advertiser
+            events.append(ImpressionEvent(t, adv, alloc.slot, qid))
+            p = cfg.base_ctr[adv] * cfg.position_decay ** (alloc.slot - 1)
+            if rng.random() < p:
+                events.append(ClickEvent(t, adv, alloc.slot, qid, ClickSource.ORGANIC))
+        qid += 1
+    return events, qid
 
 
 def est_counts(est: CtrEstimate) -> tuple[bool, int, int]:

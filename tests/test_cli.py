@@ -190,6 +190,21 @@ def test_replay_with_specs_and_csv(tmp_path, ini, capsys):
     assert dest.read_text().splitlines()[0].endswith("ctr_time,ctr_impr")
 
 
+def test_replay_of_the_example_reproduces_its_series(tmp_path, example_ini, capsys):
+    # the saved log alone gives the run's series, byte for byte
+    out, dest = tmp_path / "out", tmp_path / "replay.csv"
+    assert main(["run", str(example_ini), "--out", str(out)]) == 0
+    code = main(
+        [
+            "replay", str(out / "events.jsonl"), "--advertiser", "alpha", "--tick-ms", "1000",
+            "--spec", "relative", "--spec", "time:10000", "--spec", "impressions:200",
+            "--spec", "clicks:20", "--csv", str(dest),
+        ]
+    )
+    assert code == 0
+    assert dest.read_bytes() == (out / "series.csv").read_bytes()
+
+
 def test_replay_rejects_duplicate_spec_kinds(tmp_path, ini, capsys):
     out = tmp_path / "out"
     main(["run", str(ini), "--out", str(out)])

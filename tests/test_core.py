@@ -202,7 +202,8 @@ def test_log_equality():
 
 # t = 0, t = horizon - 1, every click source and None, and advertiser ids
 # that JSON must escape, that are not ASCII, or that hold control characters
-# and U+2028 (a line separator to str.splitlines, but not to JSON Lines).
+# and U+2028 (a line separator to str.splitlines, but not to JSON Lines); and
+# plain ASCII ids, at the ends of the printable range and just past it (DEL).
 _EDGE_LOG = EventLog.from_events(
     [
         imp(0, 'q"\\é', qid=0),
@@ -210,6 +211,14 @@ _EDGE_LOG = EventLog.from_events(
         imp(0, "n\nt\tz\x00l\u2028", slot=2, qid=1),
         imp(0, qid=0),
         clk(0, ref=0, source=ClickSource.SCRIPTED_FRAUD),
+        imp(50, " !#[]~", slot=2, qid=3),
+        clk(50, " !#[]~", slot=2, ref=3, source=None),
+        imp(50, "\x7f", qid=3),
+        imp(50, "b", qid=-5),
+        imp(60, "b", qid=2**40),
+        clk(60, "b", ref=2**40, source=ClickSource.HUMAN_FRAUD),
+        imp(60, "b", qid=4),
+        clk(61, "b", ref=4),
         imp(99, "广告", slot=3, qid=2**40),
         clk(99, "广告", slot=3, ref=2**40, source=ClickSource.HUMAN_FRAUD),
         imp(99, qid=7),
@@ -251,6 +260,79 @@ def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
     )
     expected = [imp(1, slot=2, qid=5), clk(3, slot=2, ref=5, source=None)]
     assert read_log(path) == EventLog.from_events(expected, 10)
+
+
+def _plain(advertiser: str) -> bool:
+    return advertiser.isascii() and advertiser.isprintable() and not {'"', "\\"} & set(advertiser)
+
+
+def _rewrite(line: str, form: str) -> str:
+    """A canonical line as an equal record in another valid form."""
+    if form == "canonical":
+        return line
+    if form == "crlf":
+        return line[:-1] + "\r\n"
+    if form == "escaped":  # the plain advertiser "a" spelled with a JSON escape
+        return line.replace('"advertiser":"a"', '"advertiser":"\\u0061"')
+    rec = json.loads(line)
+    if form == "spaced":
+        return json.dumps(rec, sort_keys=True, separators=(", ", ": ")) + "\n"
+    assert form == "reversed"
+    return json.dumps(dict(sorted(rec.items(), reverse=True)), separators=(",", ":")) + "\n"
+
+
+_FORMS = ["canonical", "spaced", "reversed", "escaped", "crlf"]
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_matched_and_parsed_lines_read_the_same(tmp_path, monkeypatch, form):
+    canonical = tmp_path / "canonical.jsonl"
+    write_log(_EDGE_LOG, canonical)
+    with open(canonical, encoding="utf-8", newline="") as fh:
+        lines = list(fh)
+    rewritten = [_rewrite(line, form) for line in lines]
+    path = tmp_path / "rewritten.jsonl"
+    path.write_bytes("".join(rewritten).encode("utf-8"))
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: parsed.append(s) or loads(s))
+    assert read_log(path) == _EDGE_LOG
+    monkeypatch.undo()
+    # json.loads sees the header and every line but a write_log line with a plain advertiser
+    expected = [
+        new.strip()
+        for line_no, (old, new) in enumerate(zip(lines, rewritten), start=1)
+        if line_no == 1 or new != old or not _plain(json.loads(old)["advertiser"])
+    ]
+    assert parsed == expected
+    if form == "canonical":
+        assert len(parsed) < len(lines)  # so some lines were matched
+
+
+_HEADER = '{"horizon":10,"kind":"header"}\n'
+_IMP = '{"advertiser":"a","kind":"impression","query_id":%d,"slot":%d,"t":%d}\n'
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([_IMP % (0, 1, -1)], "line 2: negative timestamp: -1"),
+        ([_IMP % (0, 0, 1)], "line 2: slot must be >= 1, got 0"),
+        ([_IMP % (0, 1, 1), _IMP % (0, 1, 2)], "line 3: impression 0 of 'a' already in the log"),
+        (
+            ['{"advertiser":"a","impression_ref":0,"kind":"click","slot":1,"source":null,"t":1}\n'],
+            "line 2: click at t=1 references unknown impression 0 of 'a'",
+        ),
+    ],
+    ids=["negative t", "slot 0", "duplicate impression", "dangling click"],
+)
+def test_a_record_append_rejects_fails_alike_on_both_paths(tmp_path, lines, message, form):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(_rewrite(line, form) for line in [_HEADER, *lines]), newline="")
+    with pytest.raises(MalformedRecordError) as err:
+        read_log(path)
+    assert str(err.value) == message
 
 
 def test_file_layout(tmp_path):

@@ -336,7 +336,9 @@ def test_estimator_state_does_not_grow_with_the_run(spec):
         tracemalloc.stop()
         return after - before
 
-    assert retained_bytes(30_000) - retained_bytes(3_000) < 10_000
+    # the short run first, so caches that any first run fills count against it
+    short = retained_bytes(3_000)
+    assert retained_bytes(30_000) - short < 10_000
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from adsim.traffic import (
 from adsim.estimators import ESTIMATOR_KINDS, WindowSpec
 
 from helpers import organic_log, with_fraud
-from oracles import detect_scripted_brute, tally_brute
+from oracles import detect_scripted_brute, organic_events_one_draw_at_a_time, tally_brute
 
 
 def alloc(*advertisers):
@@ -124,6 +124,30 @@ def test_organic_events_mints_sequential_query_ids():
     assert next_qid == 100 + n_queries
     assert len(imps) == 2 * n_queries
     assert organic_events(cfg, alloc("a"), rng, 5, 5, 0) == ([], 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("allocation", [(), ("a",), ("c", "a", "b")], ids=["none", "one", "three"])
+def test_organic_events_draw_as_one_call_per_query_and_slot(seed, allocation):
+    cfg = organic_cfg(
+        queries_per_second=(0.5, 4.0, 40.0)[seed % 3],
+        base_ctr={"a": 0.3, "b": 0.9, "c": 0.0},
+        position_decay=0.5,
+    )
+    batched, one_at_a_time = np.random.default_rng(seed), np.random.default_rng(seed)
+    qid = seed * 1_000
+    empty_ticks = 0
+    for t_lo in range(0, 20_000, 250):  # one RNG across ticks, as simulate shares it
+        got = organic_events(cfg, alloc(*allocation), batched, t_lo, t_lo + 250, qid)
+        want = organic_events_one_draw_at_a_time(
+            cfg, alloc(*allocation), one_at_a_time, t_lo, t_lo + 250, qid
+        )
+        assert got == want
+        assert batched.bit_generator.state == one_at_a_time.bit_generator.state
+        empty_ticks += got[1] == qid
+        qid = got[1]
+    if cfg.queries_per_second < 10:
+        assert empty_ticks > 0  # so the tick without queries is covered
 
 
 # ---------------------------------------------------------------------------
