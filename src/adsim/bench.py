@@ -601,6 +601,8 @@ def build_series(
                     clicks += 1
             elif e.advertiser == focus:
                 impressions += 1
+            else:  # another advertiser's impression: no [focus] cohort reads it
+                continue
             for observe in observers:
                 observe(e)
         rates = {label: cohort.rates(tick_end)[focus] for label, cohort in cohorts}

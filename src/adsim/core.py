@@ -122,6 +122,7 @@ class EventLog:
     source a ``ClickSource`` or ``None``, ``slot >= 1``, time order within
     ``[0, horizon)``, one impression per (advertiser, query id), and at most one
     click on each, once it is in the log. Single writer; iteration is read-only.
+    The last two rules read per-advertiser sets of the events' own query ids.
     """
 
     def __init__(self, horizon: int):
@@ -131,8 +132,8 @@ class EventLog:
             raise ValueError(f"negative horizon: {horizon}")
         self.horizon = horizon
         self._events: list[Event] = []
-        self._impressions: set[tuple[str, int]] = set()
-        self._clicked: set[tuple[str, int]] = set()
+        self._impressions: dict[AdvertiserId, set[int]] = {}
+        self._clicked: dict[AdvertiserId, set[int]] = {}
 
     @classmethod
     def from_events(cls, events: Iterable[Event], horizon: int) -> "EventLog":
@@ -167,36 +168,38 @@ class EventLog:
             raise OutOfOrderError(f"event at t={t} behind log tail t={self._events[-1].t}")
         if t >= self.horizon:
             raise HorizonExceededError(f"event at t={t} at or past horizon {self.horizon}")
-        key = (advertiser, ref)
+        shown = self._impressions.get(advertiser, ())
         if is_click:
-            if key not in self._impressions:
+            if ref not in shown:
                 raise DanglingClickError(
                     f"click at t={t} references unknown impression {ref} of {advertiser!r}"
                 )
-            if key in self._clicked:
+            clicked = self._clicked[advertiser]
+            if ref in clicked:
                 raise DuplicateClickError(f"impression {ref} of {advertiser!r} already clicked")
-            self._clicked.add(key)
-        elif key in self._impressions:
+            clicked.add(ref)
+        elif not shown:  # the advertiser's first impression
+            self._impressions[advertiser], self._clicked[advertiser] = {ref}, set()
+        elif ref in shown:
             raise DuplicateImpressionError(f"impression {ref} of {advertiser!r} already in the log")
         else:
-            self._impressions.add(key)
+            shown.add(ref)
         self._events.append(e)
 
     def stripped(self) -> "EventLog":
-        """Label-free copy: click sources erased. The events passed ``append``
-        already, so the copy takes them and the index sets over as they are."""
+        """Label-free copy of the log and its index; no event is checked again."""
         out = EventLog(self.horizon)
         out._events = [
             ClickEvent(e.t, e.advertiser, e.slot, e.impression_ref, None)
             if isinstance(e, ClickEvent) else e
             for e in self._events
         ]
-        out._impressions = set(self._impressions)
-        out._clicked = set(self._clicked)
+        out._impressions = {adv: set(ids) for adv, ids in self._impressions.items()}
+        out._clicked = {adv: set(ids) for adv, ids in self._clicked.items()}
         return out
 
     def advertisers(self) -> list[AdvertiserId]:
-        return sorted({e.advertiser for e in self._events})
+        return sorted(self._impressions)  # a click needs an impression first
 
     @property
     def events(self) -> Sequence[Event]:
@@ -265,6 +268,14 @@ _IMPRESSION_RE = _line_pattern(_IMPRESSION_LINE, _PLAIN_ADVERTISER, *[_JSON_INT]
 _CLICK_RE = _line_pattern(_CLICK_LINE, _PLAIN_ADVERTISER, _JSON_INT, _JSON_INT, _SOURCE, _JSON_INT)
 
 
+class _Names(dict):
+    """Advertiser bytes to one shared ``str`` each, decoded on first sight."""
+
+    def __missing__(self, raw: bytes) -> str:
+        name = self[raw] = raw.decode()
+        return name
+
+
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
     """Write the chunks as UTF-8 to a temp file beside ``path``, then rename it.
 
@@ -289,11 +300,12 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
 def write_log(log: EventLog, path: str | Path) -> None:
     """Serialize to JSONL, atomically. ``append`` admits only ``int`` fields and
     ``str`` advertisers, so each event fills its line template as it is."""
+    names = {adv: json.dumps(adv) for adv in log.advertisers()}
 
     def lines() -> Iterator[str]:
         yield _HEADER_LINE % log.horizon
         for e in log:
-            adv = json.dumps(e.advertiser)
+            adv = names[e.advertiser]
             if isinstance(e, ClickEvent):
                 yield _CLICK_LINE % (adv, e.impression_ref, e.slot, _SOURCE_JSON[e.source], e.t)
             else:
@@ -308,11 +320,12 @@ def read_log(path: str | Path) -> EventLog:
     A line ends at a line feed alone, as JSON Lines defines, and is decoded on
     its own, so a byte that is not UTF-8 is reported on its line. An event line
     as ``write_log`` writes it, with a plain ASCII advertiser, is matched, not
-    parsed, and gives the same event."""
+    parsed, and gives the same event, whose advertiser is one ``str`` per name."""
     log: EventLog | None = None
+    names = _Names()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            event = _canonical_event(raw) if line_no > 1 else None
+            event = _canonical_event(raw, names) if line_no > 1 else None
             if event is None:
                 try:
                     line = raw.decode("utf-8").strip()
@@ -340,17 +353,17 @@ def read_log(path: str | Path) -> EventLog:
     return log
 
 
-def _canonical_event(raw: bytes) -> Event | None:
+def _canonical_event(raw: bytes, names: _Names) -> Event | None:
     """The event of a line exactly as ``write_log`` writes it with a plain
-    advertiser, else None."""
+    advertiser, else None. ``names`` maps an advertiser's bytes to its ``str``."""
     m = _IMPRESSION_RE.fullmatch(raw)
     if m is not None:
         advertiser, query_id, slot, t = m.groups()
-        return ImpressionEvent(int(t), advertiser.decode(), int(slot), int(query_id))
+        return ImpressionEvent(int(t), names[advertiser], int(slot), int(query_id))
     m = _CLICK_RE.fullmatch(raw)
     if m is not None:
         advertiser, ref, slot, source, t = m.groups()
-        return ClickEvent(int(t), advertiser.decode(), int(slot), int(ref), _SOURCE_OF[source])
+        return ClickEvent(int(t), names[advertiser], int(slot), int(ref), _SOURCE_OF[source])
     return None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -33,7 +34,7 @@ from adsim.bench import (
     series_columns,
     simulate,
 )
-from adsim.core import ClickEvent, ClickSource, ImpressionEvent
+from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent
 from adsim.estimators import RelativeCtr, WindowSpec
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
@@ -42,6 +43,13 @@ from adsim.traffic import (
     FraudPlan,
     TrafficConfig,
     fraud_events,
+)
+from oracles import (
+    click_window_brute,
+    impression_window_brute,
+    random_log,
+    relative_brute,
+    time_window_brute,
 )
 
 
@@ -492,6 +500,59 @@ def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
     assert rows[0].clicks == 1
     assert rows[0].total_clicks == 1
     assert rows[0].impressions == 2
+
+
+def series_brute(log, focus, specs, tick_ms, exclude) -> list[tuple]:
+    """``build_series``'s rows as tuples, from the brute-force oracles run on
+    the log with the excluded clicks taken out."""
+    kept = EventLog.from_events(
+        [e for e in log if not isinstance(e, ClickEvent)
+         or (e.advertiser, e.impression_ref) not in exclude],
+        log.horizon,
+    )
+    windowed = {"time": time_window_brute, "impressions": impression_window_brute,
+                "clicks": click_window_brute}
+    rows = []
+    for time_index, tick_start in enumerate(range(0, log.horizon, tick_ms), start=1):
+        now = min(tick_start + tick_ms, log.horizon)
+        seen = [e for e in kept if e.t < now]
+        ctr = {}
+        for spec in specs:
+            if spec.kind == "relative":
+                counts = relative_brute(kept, spec.param, now)
+                total = sum(counts.values())
+                ctr[spec.label] = counts.get(focus, 0) / total if total else None
+            else:
+                defined, c, d = windowed[spec.kind](kept, focus, spec.param, now)
+                ctr[spec.label] = c / d if defined else None
+        rows.append((
+            time_index,
+            sum(isinstance(e, ImpressionEvent) and e.advertiser == focus for e in seen),
+            sum(isinstance(e, ClickEvent) and e.advertiser == focus for e in seen),
+            sum(isinstance(e, ClickEvent) for e in seen),
+            ctr,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("focus", ["a", "nobody"])
+@pytest.mark.parametrize("excluding", [False, True], ids=["all_clicks", "exclude"])
+def test_build_series_matches_the_oracles(seed, focus, excluding):
+    rng = random.Random(seed)
+    log = random_log(seed, max_queries=rng.choice([40, 150]))
+    specs = (
+        WindowSpec("time", rng.randint(1, 4_000)),
+        WindowSpec("impressions", rng.randint(1, 12)),
+        WindowSpec("clicks", rng.randint(1, 6)),
+        WindowSpec("relative", rng.choice([None, rng.randint(1, 3_000)])),
+    )
+    clicks = [(e.advertiser, e.impression_ref) for e in log if isinstance(e, ClickEvent)]
+    exclude = {key for key in clicks if rng.random() < 0.3} if excluding else set()
+    tick_ms = rng.choice([300, 700, 2_500, 10_000])
+    rows = build_series(log, focus, specs, tick_ms, exclude or None)
+    got = [(r.time_index, r.impressions, r.clicks, r.total_clicks, dict(r.ctr)) for r in rows]
+    assert got == series_brute(log, focus, specs, tick_ms, exclude)
 
 
 def test_drop_flagged_removes_scripted_clicks_from_the_series():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,46 @@ def test_log_introspection():
     assert log.advertisers() == ["a", "b"]
     assert len(log) == 2
     assert list(log) == [log.events[0], log.events[1]]
+    log.append(clk(3, "b", ref=7))
+    log.append(imp(4, "c", qid=7))
+    log.append(clk(5, "c", ref=7))
+    with pytest.raises(DanglingClickError):
+        log.append(clk(6, "d", ref=7))  # a rejected click names no advertiser
+    assert log.advertisers() == ["a", "b", "c"]
+    copy = log.stripped()
+    assert copy.advertisers() == ["a", "b", "c"]
+    # the copy's index is its own: each log goes on taking and refusing alike
+    copy.append(clk(6, "a", ref=3))
+    with pytest.raises(DuplicateClickError):
+        copy.append(clk(7, "a", ref=3))
+    log.append(clk(7, "a", ref=3))
+    with pytest.raises(DuplicateImpressionError):
+        copy.append(imp(8, "b", qid=7))
+    copy.append(imp(8, "d", qid=7))
+    assert copy.advertisers() == ["a", "b", "c", "d"]
+    assert log.advertisers() == ["a", "b", "c"]
+    assert len(log) == 6 and len(copy) == 7
+
+
+def test_log_bookkeeping_per_event_is_small():
+    # 30,000 impressions of 3 advertisers and 3,000 clicks, made before tracing:
+    # what append allocates besides the events is the log's own bookkeeping
+    events = []
+    for q in range(10_000):
+        for slot, adv in enumerate(("a", "b", "c"), start=1):
+            events.append(imp(q, adv, slot, qid=1_000_000 + q))
+        if q % 10 == 0:
+            events += [clk(q, adv, slot, ref=1_000_000 + q) for slot, adv in enumerate("abc", 1)]
+    log = EventLog(10_000)
+    tracemalloc.start()
+    try:
+        for e in events:
+            log.append(e)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 33_000
+    assert held / len(log) < 80
 
 
 def test_log_equality():
