@@ -449,8 +449,6 @@ def test_build_series_hand_checked():
         ImpressionEvent(2_500, "b", 2, 2),
         ClickEvent(2_500, "b", 2, 2, None),
     ]
-    from adsim.core import EventLog
-
     log = EventLog.from_events(events, 3_000)
     rows = build_series(log, "a", (WindowSpec("relative"),), 1_000)
     assert [(r.impressions, r.clicks, r.total_clicks) for r in rows] == [
@@ -463,8 +461,6 @@ def test_build_series_hand_checked():
 
 
 def test_build_series_orders_columns_canonically():
-    from adsim.core import EventLog
-
     log = EventLog.from_events([ImpressionEvent(0, "a", 1, 0)], 1_000)
     rows = build_series(
         log,
@@ -476,8 +472,6 @@ def test_build_series_orders_columns_canonically():
 
 
 def test_build_series_rejects_duplicate_kinds():
-    from adsim.core import EventLog
-
     log = EventLog.from_events([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
     specs = [WindowSpec("time", 1_000), WindowSpec("time", 30_000)]
     with pytest.raises(ValueError, match="estimator kinds must be unique"):
@@ -491,8 +485,6 @@ def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
         ImpressionEvent(200, "a", 1, 1),
         ClickEvent(200, "a", 1, 1, None),
     ]
-    from adsim.core import EventLog
-
     log = EventLog.from_events(events, 1_000)
     rows = build_series(
         log, "a", (WindowSpec("relative"),), 1_000, exclude={("a", 1)}

@@ -291,6 +291,19 @@ def test_every_accepted_log_round_trips(tmp_path, log):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_read_log_shares_one_str_per_matched_advertiser(tmp_path):
+    log = EventLog(100)
+    for q in range(10):
+        for slot, adv in enumerate(("alpha", "beta"), start=1):
+            log.append(imp(q, adv, slot, qid=q))
+        log.append(clk(q, "beta", 2, ref=q))
+    path = tmp_path / "events.jsonl"
+    write_log(log, path)
+    back = read_log(path)
+    assert back == log
+    assert len({id(e.advertiser) for e in back}) == 2
+
+
 def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_bytes(
