@@ -1,8 +1,9 @@
 """Scenario runner, reference-table replay, curve-shape checks, CSV/SVG output.
 
-A scenario ties the other modules together: each tick it ranks the standing
-bids with current CTR estimates, allocates slots, draws organic traffic for
-the winners, merges any scheduled fraud, and feeds everything back into the
+A scenario ties the other modules together: each tick it draws the query
+arrivals and, when there are any, ranks the standing bids with current CTR
+estimates, allocates slots and draws organic traffic for the winners; then
+it merges any scheduled fraud and feeds everything back into the
 estimators. Runs are fully determined by the configured seed.
 
 The module also ships a reconstructed 20-step reference dataset (a cohort
@@ -48,6 +49,7 @@ from .traffic import (
     detect_scripted,
     fraud_events,
     organic_events,
+    query_times,
 )
 
 SHAPE_INCREASING = "increasing"
@@ -545,14 +547,15 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     next_qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
-        ctrs = {
-            adv: cfg.default_ctr if rate is None else rate
-            for adv, rate in primary.rates(tick_start).items()
-        }
-        allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
-        events, next_qid = organic_events(
-            cfg.traffic, allocation, rng, tick_start, tick_end, next_qid
-        )
+        times = query_times(cfg.traffic, rng, tick_start, tick_end)
+        events = []
+        if times:  # a tick without queries shows no ad, so it runs no auction
+            ctrs = {
+                adv: cfg.default_ctr if rate is None else rate
+                for adv, rate in primary.rates(tick_start).items()
+            }
+            allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
+            events, next_qid = organic_events(cfg.traffic, allocation, rng, times, next_qid)
         while fraud_idx < len(fraud) and fraud[fraud_idx].t < tick_end:
             events.append(fraud[fraud_idx])
             fraud_idx += 1

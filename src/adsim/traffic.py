@@ -112,39 +112,44 @@ class FraudFlag:
 # Organic traffic.
 
 
+def query_times(
+    cfg: TrafficConfig, rng: np.random.Generator, t_lo: int, t_hi: int
+) -> list[int]:
+    """Sorted query arrival times over ``[t_lo, t_hi)``: a Poisson count, then
+    that many uniform milliseconds. Draws nothing for an empty span."""
+    span_ms = t_hi - t_lo
+    if span_ms <= 0:
+        return []
+    n_queries = int(rng.poisson(cfg.queries_per_second * span_ms / 1000.0))
+    if n_queries == 0:
+        return []
+    return np.sort(rng.integers(t_lo, t_hi, size=n_queries)).tolist()
+
+
 def organic_events(
     cfg: TrafficConfig,
     allocation: Sequence[SlotAllocation],
     rng: np.random.Generator,
-    t_lo: int,
-    t_hi: int,
+    times: Sequence[int],
     query_id_start: int,
 ) -> tuple[list[Event], int]:
-    """Draw organic traffic over ``[t_lo, t_hi)``; returns (events, next query id).
-
-    A scenario runner calls this once per tick against the current allocation,
-    sharing one RNG across ticks.
+    """One impression per slot of ``allocation``, and its organic click if
+    drawn, for each query arriving at ``times`` (from ``query_times``);
+    returns (events, next query id). Query ids run from ``query_id_start``.
     """
-    span_ms = t_hi - t_lo
-    if span_ms <= 0:
-        return [], query_id_start
-    n_queries = int(rng.poisson(cfg.queries_per_second * span_ms / 1000.0))
-    if n_queries == 0:
-        return [], query_id_start
-    times = np.sort(rng.integers(t_lo, t_hi, size=n_queries))
     shown = [
         (a.advertiser, a.slot, cfg.base_ctr[a.advertiser] * cfg.position_decay ** (a.slot - 1))
         for a in allocation
     ]
     # one uniform per query and slot, drawn query-major as one call per slot would
-    draws = iter(rng.random(n_queries * len(shown)).tolist())
+    draws = iter(rng.random(len(times) * len(shown)).tolist())
     events: list[Event] = []
-    for qid, t in enumerate(times.tolist(), start=query_id_start):
+    for qid, t in enumerate(times, start=query_id_start):
         for adv, slot, p in shown:
             events.append(ImpressionEvent(t, adv, slot, qid))
             if next(draws) < p:
                 events.append(ClickEvent(t, adv, slot, qid, ClickSource.ORGANIC))
-    return events, query_id_start + n_queries
+    return events, query_id_start + len(times)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import numpy as np
 
 from adsim.core import EventLog
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
-from adsim.traffic import fraud_events, organic_events
+from adsim.traffic import fraud_events, organic_events, query_times
 
 
 def organic_log(cfg, allocation, horizon_ms: int, seed: int) -> EventLog:
     """Organic-only log over ``[0, horizon_ms)`` for a fixed slot allocation."""
-    events, _ = organic_events(cfg, allocation, np.random.default_rng(seed), 0, horizon_ms, 0)
+    rng = np.random.default_rng(seed)
+    events, _ = organic_events(cfg, allocation, rng, query_times(cfg, rng, 0, horizon_ms), 0)
     return EventLog.from_events(events, horizon_ms)
 
 

@@ -2,16 +2,21 @@
 
 Everything here recomputes results from first principles with plain list
 scans and ``random.Random`` (not numpy), so a bug in the package's
-incremental bookkeeping cannot hide in the oracle too.
+incremental bookkeeping cannot hide in the oracle too. The traffic and
+simulator oracles take numpy's generator, since they must reproduce its
+draws, and make them one call at a time.
 """
 from __future__ import annotations
 
 import random
 import statistics
 
-from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent
+import numpy as np
+
+from adsim.auction import Bid, gsp_allocate, rank
+from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent, event_sort_key
 from adsim.estimators import CtrEstimate
-from adsim.traffic import FraudFlag
+from adsim.traffic import FraudFlag, fraud_events
 
 
 def random_log(
@@ -39,9 +44,10 @@ def random_log(
 
 
 def organic_events_one_draw_at_a_time(cfg, allocation, rng, t_lo, t_hi, query_id_start):
-    """``traffic.organic_events`` drawing each query's uniform for each slot
-    with its own ``rng.random()`` call, and the query times even when there
-    are none. The batched draw must leave ``rng`` in the same state."""
+    """``traffic.query_times`` then ``traffic.organic_events``, drawing each
+    query's uniform for each slot with its own ``rng.random()`` call, and the
+    query times even when there are none. The batched draw must leave ``rng``
+    in the same state."""
     span_ms = t_hi - t_lo
     if span_ms <= 0:
         return [], query_id_start
@@ -58,6 +64,37 @@ def organic_events_one_draw_at_a_time(cfg, allocation, rng, t_lo, t_hi, query_id
                 events.append(ClickEvent(t, adv, alloc.slot, qid, ClickSource.ORGANIC))
         qid += 1
     return events, qid
+
+
+def simulate_every_tick(cfg) -> tuple[list, list[int]]:
+    """``bench.simulate`` running the auction on every tick: the primary
+    cohort's rates at the tick start, ``rank`` and ``gsp_allocate``, whether
+    or not the tick then draws a query, with the traffic drawn by
+    ``organic_events_one_draw_at_a_time``. Returns the events in log order
+    and the starts of the ticks that drew at least one query."""
+    rng = np.random.default_rng(cfg.seed)
+    bid_list = [Bid(a, cfg.bids[a]) for a in cfg.advertisers]
+    primary = cfg.estimators[0].build_cohort(cfg.advertisers)
+    fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
+    events, query_ticks = [], []
+    qid = 0
+    for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
+        tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
+        rates = primary.rates(tick_start)
+        ctrs = {adv: cfg.default_ctr if r is None else r for adv, r in rates.items()}
+        allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
+        tick, next_qid = organic_events_one_draw_at_a_time(
+            cfg.traffic, allocation, rng, tick_start, tick_end, qid
+        )
+        if next_qid > qid:
+            query_ticks.append(tick_start)
+        qid = next_qid
+        tick += [e for e in fraud if tick_start <= e.t < tick_end]
+        tick.sort(key=event_sort_key)
+        for e in tick:
+            primary.observe(e)
+        events += tick
+    return events, query_ticks
 
 
 def est_counts(est: CtrEstimate) -> tuple[bool, int, int]:

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from adsim.auction import BY_CTR_WEIGHTED, AuctionConfig
+import adsim.bench
+from adsim.auction import BY_CTR_WEIGHTED, AuctionConfig, rank
 from adsim.bench import (
     PRINTED_CLICKS,
     PRINTED_IMPRESSIONS,
@@ -49,6 +50,7 @@ from oracles import (
     impression_window_brute,
     random_log,
     relative_brute,
+    simulate_every_tick,
     time_window_brute,
 )
 
@@ -408,11 +410,67 @@ def test_simulate_tallies_the_cohort_once_per_tick(monkeypatch):
 
     monkeypatch.setattr(RelativeCtr, "tally", counted)
     cfg = tiny_config(
+        tick_ms=250,
         bids={"a": 1000, "b": 300, "c": 500},
-        traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.2, "c": 0.1}),
+        traffic=TrafficConfig(1.0, {"a": 0.3, "b": 0.2, "c": 0.1}),
     )
-    simulate(cfg)
-    assert calls == list(range(0, cfg.horizon_ms, cfg.tick_ms))
+    log = simulate(cfg)
+    # the auction runs, and so ranks on a tally, only on a tick that draws a
+    # query: every query shows slot 1, so the ticks with queries are those
+    # holding organic impressions
+    query_ticks = sorted({
+        e.t - e.t % cfg.tick_ms
+        for e in log
+        if isinstance(e, ImpressionEvent) and e.query_id < FRAUD_QUERY_ID_BASE
+    })
+    assert calls == query_ticks
+    assert 0 < len(query_ticks) < cfg.horizon_ms // cfg.tick_ms  # some tick draws none
+
+
+PRIMARY_KINDS = (
+    WindowSpec("relative"),
+    WindowSpec("relative", 1_500),
+    WindowSpec("time", 2_000),
+    WindowSpec("impressions", 20),
+    WindowSpec("clicks", 5),
+)
+
+
+@pytest.mark.parametrize("tick_ms", [50, 250, 1_000])
+@pytest.mark.parametrize("qps", [0.3, 3.0, 30.0])
+@pytest.mark.parametrize(
+    "primary", PRIMARY_KINDS, ids=lambda spec: f"{spec.kind}:{spec.param}"
+)
+def test_simulate_equals_the_auction_run_on_every_tick(primary, qps, tick_ms, monkeypatch):
+    ranked = []
+
+    def counted(*args):
+        ranked.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(adsim.bench, "rank", counted)
+    for seed in (1, 2, 3):
+        cfg = tiny_config(
+            seed=seed,
+            tick_ms=tick_ms,
+            bids={"a": 400, "b": 500, "c": 600, "d": 900},
+            auction=AuctionConfig(3, ranking=BY_CTR_WEIGHTED),
+            traffic=TrafficConfig(qps, {"a": 0.5, "b": 0.35, "c": 0.3, "d": 0.1}),
+            estimators=(primary,),
+            fraud_plans=(
+                FraudPlan(kind=SCRIPTED, target="a", start_ms=3_000, count=25, interval_ms=150),
+                FraudPlan(
+                    kind=HUMAN, target="c", start_ms=1_000, count=15,
+                    mean_gap_ms=300.0, gap_sigma=0.5, seed=seed,
+                ),
+            ),
+        )
+        ranked.clear()
+        want, query_ticks = simulate_every_tick(cfg)
+        assert simulate(cfg).events == want
+        assert len(ranked) == len(query_ticks)
+        if qps * tick_ms < 1_000:  # under one query per tick on average
+            assert len(query_ticks) < cfg.horizon_ms // tick_ms  # so ticks are skipped
 
 
 def test_series_rows_are_cumulative_and_cover_every_tick():

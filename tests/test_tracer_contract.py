@@ -12,7 +12,7 @@ import numpy as np
 import adsim.bench
 from adsim.auction import SlotAllocation
 from adsim.estimators import ESTIMATOR_KINDS, RelativeCtr
-from adsim.traffic import TrafficConfig
+from adsim.traffic import TrafficConfig, query_times
 from oracles import random_log
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -45,13 +45,12 @@ def test_the_tracer_reads_work_from_what_the_wrapped_names_return(monkeypatch):
 
     own = [e for e in log if e.advertiser == "a"]  # a windowed fold sees one advertiser
 
+    traffic, rng = TrafficConfig(50.0, {"a": 0.5}), np.random.default_rng(1)
+    times = query_times(traffic, rng, 0, 1_000)
     # owner -> the results of real calls to its wrapped attribute: a cold
     # (undefined) estimate and one after the whole log for each fold
     results = {
-        adsim.bench: lambda fn: [
-            fn(TrafficConfig(50.0, {"a": 0.5}), (SlotAllocation(1, "a", 0, 0),),
-               np.random.default_rng(1), 0, 1_000, 0)
-        ],
+        adsim.bench: lambda fn: [fn(traffic, (SlotAllocation(1, "a", 0, 0),), rng, times, 0)],
         RelativeCtr: lambda fn: [fn(RelativeCtr(), "a", 0), fn(fed(RelativeCtr()), "a", 10_000)],
     }
     for kind, (_, fold) in ESTIMATOR_KINDS.items():

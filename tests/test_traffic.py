@@ -26,6 +26,7 @@ from adsim.traffic import (
     checked_click_times,
     fraud_events,
     organic_events,
+    query_times,
 )
 from adsim.estimators import ESTIMATOR_KINDS, WindowSpec
 
@@ -118,12 +119,13 @@ def test_zero_ctr_never_clicks_and_certain_ctr_always_clicks():
 def test_organic_events_mints_sequential_query_ids():
     cfg = organic_cfg()
     rng = np.random.default_rng(5)
-    events, next_qid = organic_events(cfg, alloc("a", "b"), rng, 0, 10_000, 100)
+    times = query_times(cfg, rng, 0, 10_000)
+    events, next_qid = organic_events(cfg, alloc("a", "b"), rng, times, 100)
     imps = [e for e in events if isinstance(e, ImpressionEvent)]
     n_queries = len({e.query_id for e in imps})
     assert next_qid == 100 + n_queries
     assert len(imps) == 2 * n_queries
-    assert organic_events(cfg, alloc("a"), rng, 5, 5, 0) == ([], 0)
+    assert organic_events(cfg, alloc("a"), rng, query_times(cfg, rng, 5, 5), 0) == ([], 0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -138,7 +140,8 @@ def test_organic_events_draw_as_one_call_per_query_and_slot(seed, allocation):
     qid = seed * 1_000
     empty_ticks = 0
     for t_lo in range(0, 20_000, 250):  # one RNG across ticks, as simulate shares it
-        got = organic_events(cfg, alloc(*allocation), batched, t_lo, t_lo + 250, qid)
+        times = query_times(cfg, batched, t_lo, t_lo + 250)
+        got = organic_events(cfg, alloc(*allocation), batched, times, qid)
         want = organic_events_one_draw_at_a_time(
             cfg, alloc(*allocation), one_at_a_time, t_lo, t_lo + 250, qid
         )
@@ -148,6 +151,25 @@ def test_organic_events_draw_as_one_call_per_query_and_slot(seed, allocation):
         qid = got[1]
     if cfg.queries_per_second < 10:
         assert empty_ticks > 0  # so the tick without queries is covered
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [(5, 5), (1_000, 0)])
+def test_query_times_over_an_empty_span_draw_nothing(t_lo, t_hi):
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    assert query_times(organic_cfg(), rng, t_lo, t_hi) == []
+    assert rng.bit_generator.state == before
+
+
+def test_query_times_on_a_tick_without_queries_make_the_count_draw_only():
+    cfg = organic_cfg(queries_per_second=0.3)
+    rng, oracle, count_only = (np.random.default_rng(5) for _ in range(3))
+    before = rng.bit_generator.state
+    assert query_times(cfg, rng, 0, 250) == []
+    assert organic_events_one_draw_at_a_time(cfg, alloc("a", "b"), oracle, 0, 250, 0) == ([], 0)
+    assert count_only.poisson(0.3 * 250 / 1000) == 0
+    assert rng.bit_generator.state != before
+    assert rng.bit_generator.state == oracle.bit_generator.state == count_only.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
