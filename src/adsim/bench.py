@@ -41,7 +41,7 @@ from .core import (
 from .estimators import ESTIMATOR_KINDS, WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
     HUMAN,
-    SCRIPTED,
+    PLAN_FIELDS,
     FraudFlag,
     FraudPlan,
     TrafficConfig,
@@ -488,16 +488,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{name}.target: {target!r} has no bid")
         start_ms = fr.get("start_ms", int)
         count = fr.get("count", int)
-        if kind == SCRIPTED:
-            extra = {"interval_ms": fr.get("interval_ms", int)}
-        elif kind == HUMAN:
-            extra = {
-                "mean_gap_ms": fr.get("mean_gap_ms", float),
-                "gap_sigma": fr.get("gap_sigma", float),
-                "seed": fr.get("seed", int, (seed + len(plans) + 1) % (MAX_SEED + 1)),
-            }
-        else:
-            extra = {}
+        extra = {key: fr.get(key, conv) for key, (conv, _) in PLAN_FIELDS.get(kind, {}).items()}
+        if kind == HUMAN:
+            extra["seed"] = fr.get("seed", int, (seed + len(plans) + 1) % (MAX_SEED + 1))
         plans[name] = _located(f"{name}.", FraudPlan, kind, target, start_ms, count, **extra)
         fr.finish()
 

@@ -121,8 +121,10 @@ class EventLog:
     id to be ``int`` (not ``bool``), the advertiser a non-empty ``str``, a click
     source a ``ClickSource`` or ``None``, ``slot >= 1``, time order within
     ``[0, horizon)``, one impression per (advertiser, query id), and at most one
-    click on each, once it is in the log. Single writer; iteration is read-only.
-    The last two rules read per-advertiser sets of the events' own query ids.
+    click on each, once it is in the log. The last two rules read per-advertiser
+    sets of the events' own query ids. Only ``append`` adds to the events and
+    those sets, and every log, a ``stripped()`` copy too, is built through it.
+    Iteration is read-only.
     """
 
     def __init__(self, horizon: int):
@@ -134,17 +136,6 @@ class EventLog:
         self._events: list[Event] = []
         self._impressions: dict[AdvertiserId, set[int]] = {}
         self._clicked: dict[AdvertiserId, set[int]] = {}
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event], horizon: int) -> "EventLog":
-        """Build a log from an unordered batch, sorting by the canonical key."""
-        events = list(events)
-        for e in events:  # before sorting, which would fail on a mistyped key first
-            _check_field_types(e)
-        log = cls(horizon)
-        for e in sorted(events, key=event_sort_key):
-            log.append(e)
-        return log
 
     def append(self, e: Event) -> None:
         """Add ``e`` at the tail; raise ValueError or an AdsimError if it breaks a rule."""
@@ -187,15 +178,12 @@ class EventLog:
         self._events.append(e)
 
     def stripped(self) -> "EventLog":
-        """Label-free copy of the log and its index; no event is checked again."""
+        """A new log of the same events, each click's ``source`` set to None."""
         out = EventLog(self.horizon)
-        out._events = [
-            ClickEvent(e.t, e.advertiser, e.slot, e.impression_ref, None)
-            if isinstance(e, ClickEvent) else e
-            for e in self._events
-        ]
-        out._impressions = {adv: set(ids) for adv, ids in self._impressions.items()}
-        out._clicked = {adv: set(ids) for adv, ids in self._clicked.items()}
+        for e in self._events:
+            if isinstance(e, ClickEvent):
+                e = ClickEvent(e.t, e.advertiser, e.slot, e.impression_ref, None)
+            out.append(e)
         return out
 
     def advertisers(self) -> list[AdvertiserId]:

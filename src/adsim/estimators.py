@@ -16,7 +16,9 @@ Feeding rule for the folds: feed a windowed fold one advertiser's events, and
 ``t < now`` before calling ``estimate(now)``, and query with non-decreasing
 ``now``. An estimate covers what the fold was fed: ``now`` only sets the
 trailing edge ``now - T`` of the time window and of the sliding relative one.
-Routing events to their advertiser's fold is the cohort's job.
+Both drop what falls below ``e.t - T`` as each ``e`` is fed (every later
+``now`` exceeds ``e.t``). Routing events to their advertiser's fold is the
+cohort's job.
 """
 
 from __future__ import annotations
@@ -64,14 +66,18 @@ class TimeWindowCtr:
 
     def observe(self, e: Event) -> None:
         (self._imp if isinstance(e, ImpressionEvent) else self._clk).append(e.t)
+        self._evict(e.t)
 
     def estimate(self, now: int) -> CtrEstimate:
+        self._evict(now)
+        y = len(self._imp)
+        return CtrEstimate(len(self._clk), y) if y else CtrEstimate(0, 0)
+
+    def _evict(self, now: int) -> None:
         lo = now - self.window_ms
         for dq in (self._imp, self._clk):
             while dq and dq[0] < lo:
                 dq.popleft()
-        y = len(self._imp)
-        return CtrEstimate(len(self._clk), y) if y else CtrEstimate(0, 0)
 
 
 class ImpressionWindowCtr:
@@ -152,18 +158,22 @@ class RelativeCtr:
         self._counts[e.advertiser] = self._counts.get(e.advertiser, 0) + 1
         if self.interval_ms is not None:
             self._window.append(e)
+            self._evict(e.t)
 
     def tally(self, now: int) -> dict[AdvertiserId, int]:
         """Clicks per advertiser in the window ending at ``now``; only
         advertisers with clicks there appear."""
         if self.interval_ms is not None:
-            lo = now - self.interval_ms
-            while self._window and self._window[0].t < lo:
-                adv = self._window.popleft().advertiser
-                self._counts[adv] -= 1
-                if not self._counts[adv]:
-                    del self._counts[adv]
+            self._evict(now)
         return dict(self._counts)
+
+    def _evict(self, now: int) -> None:
+        lo = now - self.interval_ms
+        while self._window and self._window[0].t < lo:
+            adv = self._window.popleft().advertiser
+            self._counts[adv] -= 1
+            if not self._counts[adv]:
+                del self._counts[adv]
 
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
         counts = self.tally(now)

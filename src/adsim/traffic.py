@@ -2,9 +2,11 @@
 
 Query arrivals are Poisson; organic click probability is the advertiser's base
 CTR damped by slot position. Clicks land at the same millisecond as their
-impression. ``fraud_events`` is the one source of fraud clicks: ``simulate``
-merges them tick by tick, and ``EventLog.from_events`` merges them into any
-other log. With a fixed seed every function here is fully deterministic.
+impression. ``fraud_events`` is the one source of fraud clicks, and
+``simulate``, which merges them tick by tick, the one place they enter a log.
+``PLAN_FIELDS`` holds the fields each plan kind needs, for ``FraudPlan`` and
+the config loader alike. With a fixed seed every function here is fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from .auction import SlotAllocation
 
 SCRIPTED = "scripted"
 HUMAN = "human"
+# The fields each plan kind needs: key -> (type a config value is read as, lower bound).
+PLAN_FIELDS = {
+    SCRIPTED: {"interval_ms": (int, 1)},
+    HUMAN: {"mean_gap_ms": (float, 1.0), "gap_sigma": (float, 0.0)},
+}
 
 # Synthetic fraud impressions get query ids from here up, far above anything
 # the organic generator can mint in a sane scenario.
@@ -81,17 +88,13 @@ class FraudPlan:
     seed: Seed = 0
 
     def __post_init__(self):
-        if self.kind not in (SCRIPTED, HUMAN):
+        if self.kind not in PLAN_FIELDS:
             raise ValueError(f"kind: expected scripted or human, got {self.kind!r}")
         if not self.target:
             raise ValueError("target: empty advertiser id")
         check_min("start_ms", self.start_ms, 0)
         check_min("count", self.count, 1)
-        if self.kind == SCRIPTED:
-            needed = {"interval_ms": 1}
-        else:
-            needed = {"mean_gap_ms": 1.0, "gap_sigma": 0.0}
-        for key, lo in needed.items():
+        for key, (_, lo) in PLAN_FIELDS[self.kind].items():
             if getattr(self, key) is None:
                 raise ValueError(f"{key}: required by a {self.kind} plan")
             check_min(key, getattr(self, key), lo)

@@ -17,6 +17,7 @@ from adsim.auction import Bid, gsp_allocate, rank
 from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent, event_sort_key
 from adsim.estimators import CtrEstimate
 from adsim.traffic import FraudFlag, fraud_events
+from helpers import log_of
 
 
 def random_log(
@@ -40,7 +41,7 @@ def random_log(
             if rng.random() < click_prob:
                 events.append(ClickEvent(t, adv, slot, qid))
         qid += rng.randint(1, 5)
-    return EventLog.from_events(events, horizon_ms)
+    return log_of(events, horizon_ms)
 
 
 def organic_events_one_draw_at_a_time(cfg, allocation, rng, t_lo, t_hi, query_id_start):

@@ -35,16 +35,18 @@ from adsim.bench import (
     series_columns,
     simulate,
 )
-from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent
+from adsim.core import ClickEvent, ClickSource, ImpressionEvent
 from adsim.estimators import RelativeCtr, WindowSpec
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
     HUMAN,
+    PLAN_FIELDS,
     SCRIPTED,
     FraudPlan,
     TrafficConfig,
     fraud_events,
 )
+from helpers import log_of
 from oracles import (
     click_window_brute,
     impression_window_brute,
@@ -351,6 +353,37 @@ def test_config_errors_name_the_offending_field(tmp_path, mangle, fragment):
     assert fragment in str(err.value)
 
 
+_PLAN_VALUES = {"interval_ms": "100", "mean_gap_ms": "100", "gap_sigma": "0.1"}
+
+
+def _fraud_ini(kind: str, fields: dict) -> str:
+    body = "".join(f"{key} = {value}\n" for key, value in fields.items())
+    return MINIMAL_INI + f"\n[fraud:x]\nkind = {kind}\ntarget = a\nstart_ms = 0\ncount = 5\n{body}"
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, fields in PLAN_FIELDS.items() for key in fields]
+)
+def test_each_plan_field_is_required_typed_and_kept_to_its_kind(tmp_path, kind, key):
+    good = {k: _PLAN_VALUES[k] for k in PLAN_FIELDS[kind]}
+    (other,) = set(PLAN_FIELDS) - {kind}
+    other_good = {k: _PLAN_VALUES[k] for k in PLAN_FIELDS[other]}
+    what = "an integer" if PLAN_FIELDS[kind][key][0] is int else "a number"
+    assert load_config(write_ini(tmp_path, _fraud_ini(kind, good))).fraud_plans[0].kind == kind
+    cases = [
+        (_fraud_ini(kind, {k: v for k, v in good.items() if k != key}), f"fraud:x.{key}: missing"),
+        (_fraud_ini(kind, {**good, key: "lots"}), f"fraud:x.{key}: expected {what}, got 'lots'"),
+        (_fraud_ini(other, {**other_good, key: good[key]}), f"fraud:x.{key}: unknown key"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ConfigError) as err:
+            load_config(write_ini(tmp_path, text))
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:  # the dataclass reads the same table
+        FraudPlan(kind, "a", 0, 5, **{k: float(v) for k, v in good.items() if k != key})
+    assert str(err.value) == f"{key}: required by a {kind} plan"
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/scenario.ini")
@@ -507,7 +540,7 @@ def test_build_series_hand_checked():
         ImpressionEvent(2_500, "b", 2, 2),
         ClickEvent(2_500, "b", 2, 2, None),
     ]
-    log = EventLog.from_events(events, 3_000)
+    log = log_of(events, 3_000)
     rows = build_series(log, "a", (WindowSpec("relative"),), 1_000)
     assert [(r.impressions, r.clicks, r.total_clicks) for r in rows] == [
         (1, 1, 1),
@@ -519,7 +552,7 @@ def test_build_series_hand_checked():
 
 
 def test_build_series_orders_columns_canonically():
-    log = EventLog.from_events([ImpressionEvent(0, "a", 1, 0)], 1_000)
+    log = log_of([ImpressionEvent(0, "a", 1, 0)], 1_000)
     rows = build_series(
         log,
         "a",
@@ -530,7 +563,7 @@ def test_build_series_orders_columns_canonically():
 
 
 def test_build_series_rejects_duplicate_kinds():
-    log = EventLog.from_events([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
+    log = log_of([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
     specs = [WindowSpec("time", 1_000), WindowSpec("time", 30_000)]
     with pytest.raises(ValueError, match="estimator kinds must be unique"):
         build_series(log, "alpha", specs, 1_000)
@@ -543,7 +576,7 @@ def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
         ImpressionEvent(200, "a", 1, 1),
         ClickEvent(200, "a", 1, 1, None),
     ]
-    log = EventLog.from_events(events, 1_000)
+    log = log_of(events, 1_000)
     rows = build_series(
         log, "a", (WindowSpec("relative"),), 1_000, exclude={("a", 1)}
     )
@@ -555,7 +588,7 @@ def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
 def series_brute(log, focus, specs, tick_ms, exclude) -> list[tuple]:
     """``build_series``'s rows as tuples, from the brute-force oracles run on
     the log with the excluded clicks taken out."""
-    kept = EventLog.from_events(
+    kept = log_of(
         [e for e in log if not isinstance(e, ClickEvent)
          or (e.advertiser, e.impression_ref) not in exclude],
         log.horizon,

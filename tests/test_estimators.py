@@ -19,7 +19,7 @@ from adsim.estimators import (
     ctr_legacy,
     ctr_relative,
 )
-from helpers import estimate_at
+from helpers import estimate_at, log_of
 from oracles import (
     click_window_brute,
     est_counts,
@@ -49,7 +49,7 @@ def small_log() -> EventLog:
         imp(30, qid=3),
         imp(30, "b", qid=3),
     ]
-    return EventLog.from_events(events, 100)
+    return log_of(events, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_click_on_evicted_impression_does_not_count():
 def test_click_window_frozen_case():
     events = [imp(i * 10, qid=i) for i in range(6)]
     events += [clk(10, ref=1), clk(30, ref=3), clk(50, ref=5)]
-    log = EventLog.from_events(events, 100)
+    log = log_of(events, 100)
     # last 2 clicks hit qids 3 and 5; impressions since qid 3: qids 3, 4, 5
     assert est_counts(estimate_at("clicks", log, "a", 2, 51)) == (True, 2, 3)
     # all 3 clicks; impressions since qid 1: five of them
@@ -173,7 +173,7 @@ def test_click_window_frozen_case():
 def test_click_window_shrinks_as_clicks_bunch_up():
     events = [imp(i, qid=i) for i in range(10)]
     events += [clk(8, ref=8), clk(9, ref=9)]
-    log = EventLog.from_events(events, 100)
+    log = log_of(events, 100)
     assert estimate_at("clicks", log, "a", 2, 10).value == 1.0
 
 
@@ -304,41 +304,54 @@ def test_relative_matches_oracle(interval):
             assert fold.tally(now) == relative_brute(log, interval, now)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "relative",
-        "relative:1000",
-        "time:1000",
-        "impressions:100",
-        pytest.param(
-            "clicks:10",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 5: ClickWindowCtr._imp_pos keeps every impression",
-            ),
+_STATE_SPECS = [
+    "relative",
+    "relative:1000",
+    "time:1000",
+    "impressions:100",
+    pytest.param(
+        "clicks:10",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 5: ClickWindowCtr._imp_pos keeps every impression",
         ),
-    ],
-)
-def test_estimator_state_does_not_grow_with_the_run(spec):
-    def retained_bytes(run_ms):
-        cohort = parse_spec(spec, "spec").build_cohort(["a", "b", "c"])
-        tracemalloc.start()
-        before = tracemalloc.get_traced_memory()[0]
-        for t in range(run_ms):  # one impression and one click per ms
-            if t % 100 == 0:
-                cohort.rates(t)
-            adv = "abc"[t % 3]
-            cohort.observe(imp(t, adv, t))
-            cohort.observe(clk(t, adv, t))
-        cohort.rates(run_ms)
-        after = tracemalloc.get_traced_memory()[0]
-        tracemalloc.stop()
-        return after - before
+    ),
+]
 
+
+def _retained_bytes(spec: str, run_ms: int, rates_every: int | None) -> int:
+    """Bytes a cohort keeps after one impression and one click per ms over
+    ``run_ms``, with ``rates`` called every ``rates_every`` ms and once at the
+    end, or, given None, never."""
+    cohort = parse_spec(spec, "spec").build_cohort(["a", "b", "c"])
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for t in range(run_ms):
+        if rates_every and t % rates_every == 0:
+            cohort.rates(t)
+        adv = "abc"[t % 3]
+        cohort.observe(imp(t, adv, t))
+        cohort.observe(clk(t, adv, t))
+    if rates_every:
+        cohort.rates(run_ms)
+    after = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return after - before
+
+
+@pytest.mark.parametrize("spec", _STATE_SPECS)
+def test_estimator_state_does_not_grow_with_the_run(spec):
     # the short run first, so caches that any first run fills count against it
-    short = retained_bytes(3_000)
-    assert retained_bytes(30_000) - short < 10_000
+    short = _retained_bytes(spec, 3_000, 100)
+    assert _retained_bytes(spec, 30_000, 100) - short < 10_000
+
+
+@pytest.mark.parametrize("spec", _STATE_SPECS)
+def test_estimator_state_does_not_grow_between_queries(spec):
+    # as in simulate, where ticks without a query take no rates: each window
+    # must drop what it no longer covers as it is fed, not only when queried
+    short = _retained_bytes(spec, 3_000, None)
+    assert _retained_bytes(spec, 30_000, None) - short < 10_000
 
 
 @pytest.mark.parametrize(

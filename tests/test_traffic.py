@@ -11,7 +11,6 @@ from adsim.core import (
     ClickEvent,
     ClickSource,
     DuplicateImpressionError,
-    EventLog,
     ImpressionEvent,
     event_sort_key,
 )
@@ -30,7 +29,7 @@ from adsim.traffic import (
 )
 from adsim.estimators import ESTIMATOR_KINDS, WindowSpec
 
-from helpers import organic_log, with_fraud
+from helpers import log_of, organic_log, with_fraud
 from oracles import detect_scripted_brute, organic_events_one_draw_at_a_time, tally_brute
 
 
@@ -286,7 +285,7 @@ def bare_log(times_by_adv, horizon=100_000):
             events.append(ImpressionEvent(t, adv, 1, qid))
             events.append(ClickEvent(t, adv, 1, qid, None))
             qid += 1
-    return EventLog.from_events(events, horizon)
+    return log_of(events, horizon)
 
 
 def test_detector_flags_an_exact_five_click_run():
