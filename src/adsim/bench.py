@@ -27,12 +27,14 @@ import numpy as np
 
 from .auction import AuctionConfig, Bid, gsp_allocate, rank
 from .core import (
+    IMPRESSION,
     MAX_SEED,
     AdsimError,
     AdvertiserId,
     ClickEvent,
     EventLog,
     HorizonExceededError,
+    ImpressionEvent,
     check_min,
     check_range,
     event_sort_key,
@@ -533,6 +535,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     advertisers = cfg.advertisers
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
     primary = cfg.estimators[0].build_cohort(advertisers)
+    reads_impressions = primary.reads_impressions
 
     fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
     log = EventLog(cfg.horizon_ms)
@@ -555,7 +558,8 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
         events.sort(key=event_sort_key)
         for e in events:
             log.append(e)
-            primary.observe(e)
+            if reads_impressions or isinstance(e, ClickEvent):
+                primary.observe(e)
     return log
 
 
@@ -581,22 +585,24 @@ def build_series(
     cohorts = [(spec.label, spec.build_cohort([focus])) for spec in ordered]
     observers = [cohort.observe for _, cohort in cohorts]
     rows: list[SeriesRow] = []
-    events = log.events
-    idx = 0
+    records = log.records()
+    pending = next(records, None)
     impressions = clicks = total_clicks = 0
     for time_index, tick_start in enumerate(range(0, log.horizon, tick_ms), start=1):
         tick_end = min(tick_start + tick_ms, log.horizon)
-        while idx < len(events) and events[idx].t < tick_end:
-            e = events[idx]
-            idx += 1
-            if isinstance(e, ClickEvent):
-                if exclude and (e.advertiser, e.impression_ref) in exclude:
+        while pending is not None and pending[0] < tick_end:
+            t, advertiser, slot, ref, source = pending
+            pending = next(records, None)
+            if source is not IMPRESSION:
+                if exclude and (advertiser, ref) in exclude:
                     continue
                 total_clicks += 1
-                if e.advertiser == focus:
+                if advertiser == focus:
                     clicks += 1
-            elif e.advertiser == focus:
+                e = ClickEvent(t, advertiser, slot, ref, source)
+            elif advertiser == focus:
                 impressions += 1
+                e = ImpressionEvent(t, advertiser, slot, ref)
             else:  # another advertiser's impression: no [focus] cohort reads it
                 continue
             for observe in observers:

@@ -29,7 +29,7 @@ from .bench import (
     run_scenario,
     series_cells,
 )
-from .core import ClickEvent, HorizonExceededError, MalformedRecordError, read_log, write_log
+from .core import HorizonExceededError, MalformedRecordError, read_log, write_log
 from .estimators import WindowSpec
 
 
@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
     write_log(result.log, out / "events.jsonl")
     emit_csv(result.rows, out / "series.csv")
     emit_plot(result.rows, out / "series.svg", title=f"focus: {cfg.focus}")
-    clicks = sum(1 for e in result.log if isinstance(e, ClickEvent))
+    clicks = result.log.clicks()
     flagged = sum(len(f.flagged_click_ids) for f in result.flags)
     mode = "dropped from series" if args.drop_flagged else "counted in series"
     print(f"events: {len(result.log)} ({clicks} clicks) over {len(result.rows)} ticks")

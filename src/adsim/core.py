@@ -3,7 +3,8 @@
 All timestamps are integer milliseconds from scenario start. Advertiser ids are
 opaque strings; their lexicographic order is the global tie-break everywhere.
 Events are plain records that may hold any values: ``EventLog.append`` is the
-one gate for an event, so every log it accepts round-trips through JSONL.
+one gate for an event, so every log it accepts round-trips through JSONL. A log
+stores fields in columns; ``EventLog.events`` is a list built on each access.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 AdvertiserId = str
 
@@ -105,6 +106,8 @@ class ClickEvent:
 
 Event = Union[ImpressionEvent, ClickEvent]
 
+IMPRESSION = "impression"  # an impression's entry in the log's click-source column
+
 
 def event_sort_key(e: Event) -> tuple[int, int, str, int]:
     """Canonical total order: time, impressions before clicks, advertiser, ref."""
@@ -116,15 +119,18 @@ def event_sort_key(e: Event) -> tuple[int, int, str, int]:
 class EventLog:
     """Append-only, time-ordered stream of impressions and clicks.
 
+    It holds its events' fields in parallel columns, which ``records()`` yields
+    as rows; ``events`` and iteration build event objects from the rows.
+
     ``append`` is the one gate for an event, so any log it accepts round-trips
     through ``write_log``/``read_log``. It wants ``t``, ``slot`` and the query
     id to be ``int`` (not ``bool``), the advertiser a non-empty ``str``, a click
     source a ``ClickSource`` or ``None``, ``slot >= 1``, time order within
     ``[0, horizon)``, one impression per (advertiser, query id), and at most one
     click on each, once it is in the log. The last two rules read per-advertiser
-    sets of the events' own query ids. Only ``append`` adds to the events and
-    those sets, and every log, a ``stripped()`` copy too, is built through it.
-    Iteration is read-only.
+    sets of the events' own query ids. Only the field-level gate behind
+    ``append``, which ``read_log`` and ``stripped()`` call too, adds to the
+    columns and those sets.
     """
 
     def __init__(self, horizon: int):
@@ -133,30 +139,39 @@ class EventLog:
         if horizon < 0:
             raise ValueError(f"negative horizon: {horizon}")
         self.horizon = horizon
-        self._events: list[Event] = []
+        self._columns = ([], [], [], [], [])  # t, advertiser, slot, ref, source
         self._impressions: dict[AdvertiserId, set[int]] = {}
         self._clicked: dict[AdvertiserId, set[int]] = {}
 
     def append(self, e: Event) -> None:
         """Add ``e`` at the tail; raise ValueError or an AdsimError if it breaks a rule."""
-        t, advertiser, slot = e.t, e.advertiser, e.slot
-        is_click = isinstance(e, ClickEvent)
-        ref = e.impression_ref if is_click else e.query_id
+        if isinstance(e, ClickEvent):
+            self._add(e.t, e.advertiser, e.slot, e.impression_ref, e.source, True)
+        else:
+            self._add(e.t, e.advertiser, e.slot, e.query_id, IMPRESSION, False)
+
+    def _add(self, t, advertiser, slot, ref, source, is_click: bool) -> None:
+        """``append``'s checks, in order, and bookkeeping, on an event's fields."""
         if (
             type(t) is not int or type(slot) is not int or type(ref) is not int
             or type(advertiser) is not str
         ):
-            _check_field_types(e)
+            ref_field = "impression_ref" if is_click else "query_id"
+            for field, value in (("t", t), ("slot", slot), (ref_field, ref)):
+                if type(value) is not int:
+                    raise ValueError(f"field {field!r} must be an integer, got {value!r}")
+            raise ValueError(f"field 'advertiser' must be a string, got {advertiser!r}")
         if t < 0:
             raise ValueError(f"negative timestamp: {t}")
         if not advertiser:
             raise ValueError("empty advertiser id")
         if slot < 1:
             raise ValueError(f"slot must be >= 1, got {slot}")
-        if is_click and e.source is not None and not isinstance(e.source, ClickSource):
-            raise ValueError(f"bad click source: {e.source!r}")
-        if self._events and t < self._events[-1].t:
-            raise OutOfOrderError(f"event at t={t} behind log tail t={self._events[-1].t}")
+        if is_click and source is not None and not isinstance(source, ClickSource):
+            raise ValueError(f"bad click source: {source!r}")
+        times, advertisers, slots, refs, sources = self._columns
+        if times and t < times[-1]:
+            raise OutOfOrderError(f"event at t={t} behind log tail t={times[-1]}")
         if t >= self.horizon:
             raise HorizonExceededError(f"event at t={t} at or past horizon {self.horizon}")
         shown = self._impressions.get(advertiser, ())
@@ -175,49 +190,52 @@ class EventLog:
             raise DuplicateImpressionError(f"impression {ref} of {advertiser!r} already in the log")
         else:
             shown.add(ref)
-        self._events.append(e)
+        times.append(t)
+        advertisers.append(advertiser)
+        slots.append(slot)
+        refs.append(ref)
+        sources.append(source)
 
     def stripped(self) -> "EventLog":
         """A new log of the same events, each click's ``source`` set to None."""
         out = EventLog(self.horizon)
-        for e in self._events:
-            if isinstance(e, ClickEvent):
-                e = ClickEvent(e.t, e.advertiser, e.slot, e.impression_ref, None)
-            out.append(e)
+        for t, advertiser, slot, ref, source in self.records():
+            is_click = source is not IMPRESSION
+            out._add(t, advertiser, slot, ref, None if is_click else source, is_click)
         return out
+
+    def records(self) -> Iterator[tuple]:
+        """``(t, advertiser, slot, query id or ref, source)`` per event, in log order."""
+        return zip(*self._columns)
 
     def advertisers(self) -> list[AdvertiserId]:
         return sorted(self._impressions)  # a click needs an impression first
 
+    def clicks(self) -> int:
+        return sum(map(len, self._clicked.values()))
+
     @property
-    def events(self) -> Sequence[Event]:
-        """Live read-only view; do not mutate."""
-        return self._events
+    def events(self) -> list[Event]:
+        """The events as objects, in a list built on each access."""
+        return list(self)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        for t, advertiser, slot, ref, source in self.records():
+            if source is IMPRESSION:
+                yield ImpressionEvent(t, advertiser, slot, ref)
+            else:
+                yield ClickEvent(t, advertiser, slot, ref, source)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._columns[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        return self.horizon == other.horizon and self._events == other._events
+        return self.horizon == other.horizon and self._columns == other._columns
 
     def __repr__(self) -> str:
-        return f"EventLog(horizon={self.horizon}, events={len(self._events)})"
-
-
-def _check_field_types(e: Event) -> None:
-    """Raise ``append``'s ValueError for the first field of ``e`` of the wrong type."""
-    ref = "impression_ref" if isinstance(e, ClickEvent) else "query_id"
-    for field in ("t", "slot", ref):
-        value = getattr(e, field)
-        if type(value) is not int:
-            raise ValueError(f"field {field!r} must be an integer, got {value!r}")
-    if type(e.advertiser) is not str:
-        raise ValueError(f"field 'advertiser' must be a string, got {e.advertiser!r}")
+        return f"EventLog(horizon={self.horizon}, events={len(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +246,10 @@ def _check_field_types(e: Event) -> None:
 # sorted and no spaces, so identical logs serialize to identical bytes. The
 # reader takes any JSON object with these keys, in any order or spacing. A line
 # that is exactly a template's output, with a plain ASCII advertiser, matches a
-# pattern built from that template and becomes its event directly; any other
-# line goes to ``json.loads``, which checks the JSON shape of the record. Both
-# paths give the same events and the same messages, and ``EventLog.append``
-# checks the values of every event.
+# pattern built from that template and its fields go straight to the log's
+# field gate; any other line goes to ``json.loads``, which checks the JSON
+# shape of the record. Both paths give the same events and the same messages,
+# and the gate behind ``EventLog.append`` checks the values of every event.
 
 _HEADER_LINE = '{"horizon":%d,"kind":"header"}\n'
 _IMPRESSION_LINE = '{"advertiser":%s,"kind":"impression","query_id":%d,"slot":%d,"t":%d}\n'
@@ -287,17 +305,16 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
 
 def write_log(log: EventLog, path: str | Path) -> None:
     """Serialize to JSONL, atomically. ``append`` admits only ``int`` fields and
-    ``str`` advertisers, so each event fills its line template as it is."""
+    ``str`` advertisers, so each record fills its line template as it is."""
     names = {adv: json.dumps(adv) for adv in log.advertisers()}
 
     def lines() -> Iterator[str]:
         yield _HEADER_LINE % log.horizon
-        for e in log:
-            adv = names[e.advertiser]
-            if isinstance(e, ClickEvent):
-                yield _CLICK_LINE % (adv, e.impression_ref, e.slot, _SOURCE_JSON[e.source], e.t)
+        for t, advertiser, slot, ref, source in log.records():
+            if source is IMPRESSION:
+                yield _IMPRESSION_LINE % (names[advertiser], ref, slot, t)
             else:
-                yield _IMPRESSION_LINE % (adv, e.query_id, e.slot, e.t)
+                yield _CLICK_LINE % (names[advertiser], ref, slot, _SOURCE_JSON[source], t)
 
     write_atomic(path, lines())
 
@@ -308,51 +325,51 @@ def read_log(path: str | Path) -> EventLog:
     A line ends at a line feed alone, as JSON Lines defines, and is decoded on
     its own, so a byte that is not UTF-8 is reported on its line. An event line
     as ``write_log`` writes it, with a plain ASCII advertiser, is matched, not
-    parsed, and gives the same event, whose advertiser is one ``str`` per name."""
-    log: EventLog | None = None
+    parsed: its fields go straight to ``append``'s gate, with one ``str`` per
+    advertiser name, and no event object is built."""
     names = _Names()
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            event = _canonical_event(raw, names) if line_no > 1 else None
-            if event is None:
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    raise MalformedRecordError(line_no, f"not UTF-8: {exc.reason}") from None
-                if not line:
-                    raise MalformedRecordError(line_no, "blank line")
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from exc
-                if not isinstance(rec, dict):
-                    raise MalformedRecordError(line_no, "record is not an object")
+        first = fh.readline()
+        if not first:
+            raise MalformedRecordError(1, "empty file")
+        try:
+            rec = _json_record(first)
+            if rec.get("kind") != "header" or rec.keys() != {"kind", "horizon"}:
+                raise ValueError("missing header record")
+            log = EventLog(rec["horizon"])
+        except ValueError as exc:
+            raise MalformedRecordError(1, str(exc)) from exc
+        add, impression, click = log._add, _IMPRESSION_RE.fullmatch, _CLICK_RE.fullmatch
+        for line_no, raw in enumerate(fh, start=2):
             try:
-                if line_no > 1:
-                    log.append(event or _parse_event(rec))
-                elif rec.get("kind") == "header" and rec.keys() == {"kind", "horizon"}:
-                    log = EventLog(rec["horizon"])
+                if m := impression(raw):
+                    advertiser, query_id, slot, t = m.groups()
+                    add(int(t), names[advertiser], int(slot), int(query_id), IMPRESSION, False)
+                elif m := click(raw):
+                    advertiser, ref, slot, source, t = m.groups()
+                    add(int(t), names[advertiser], int(slot), int(ref), _SOURCE_OF[source], True)
                 else:
-                    raise ValueError("missing header record")
+                    log.append(_parse_event(_json_record(raw)))
             except (AdsimError, ValueError) as exc:
                 raise MalformedRecordError(line_no, str(exc)) from exc
-    if log is None:
-        raise MalformedRecordError(1, "empty file")
     return log
 
 
-def _canonical_event(raw: bytes, names: _Names) -> Event | None:
-    """The event of a line exactly as ``write_log`` writes it with a plain
-    advertiser, else None. ``names`` maps an advertiser's bytes to its ``str``."""
-    m = _IMPRESSION_RE.fullmatch(raw)
-    if m is not None:
-        advertiser, query_id, slot, t = m.groups()
-        return ImpressionEvent(int(t), names[advertiser], int(slot), int(query_id))
-    m = _CLICK_RE.fullmatch(raw)
-    if m is not None:
-        advertiser, ref, slot, source, t = m.groups()
-        return ClickEvent(int(t), names[advertiser], int(slot), int(ref), _SOURCE_OF[source])
-    return None
+def _json_record(raw: bytes) -> dict:
+    """One line as a JSON object; a ValueError says why it is not one."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc.reason}") from None
+    if not line:
+        raise ValueError("blank line")
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(rec, dict):
+        raise ValueError("record is not an object")
+    return rec
 
 
 def _parse_event(rec: dict) -> Event:

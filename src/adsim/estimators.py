@@ -218,8 +218,9 @@ class WindowSpec:
         return ESTIMATOR_KINDS[self.kind][0]
 
     def build_cohort(self, advertisers: Sequence[AdvertiserId]):
-        """One estimator for the whole cohort, with ``observe(e)`` and
-        ``rates(now) -> {advertiser: rate, or None while undefined}``.
+        """One estimator for the whole cohort, with ``observe(e)``,
+        ``rates(now) -> {advertiser: rate, or None while undefined}`` and
+        ``reads_impressions``, False when ``observe`` ignores impressions.
 
         The relative kind keeps one tally for everyone; the windowed kinds
         keep one fold per advertiser and hand each event only to its own.
@@ -233,6 +234,8 @@ class WindowSpec:
 
 class _RelativeCohort:
     """Every advertiser's share, from one tally per ``rates`` call."""
+
+    reads_impressions = False  # a share counts clicks only
 
     def __init__(self, advertisers: Sequence[AdvertiserId], shared: RelativeCtr):
         self.cohort = list(advertisers)
@@ -249,6 +252,8 @@ class _RelativeCohort:
 
 class _FoldCohort:
     """One windowed fold per advertiser; an event reaches only its own."""
+
+    reads_impressions = True
 
     def __init__(self, folds: dict[AdvertiserId, object]):
         self.folds = folds

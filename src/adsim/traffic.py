@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    IMPRESSION,
     MAX_SEED,
     AdvertiserId,
     ClickEvent,
@@ -212,7 +213,8 @@ def detect_scripted(
     Scans each advertiser's click stream left to right, growing a run while
     every inter-click gap stays within ``interval_tolerance_ms`` of the run's
     median gap. A run that ends with at least ``min_run`` clicks is flagged.
-    Never reads click labels, so it behaves identically on stripped views.
+    Reads each click's time and ref from the log's records, never its label,
+    so it behaves identically on stripped views, and builds no event object.
 
     The run's gaps sit in two heaps (lower half negated, upper half) beside
     their running min and max, so each click costs O(log L). The test is done
@@ -224,10 +226,10 @@ def detect_scripted(
     if interval_tolerance_ms < 0:
         raise ValueError(f"negative tolerance: {interval_tolerance_ms}")
     tol2 = 2 * interval_tolerance_ms
-    clicks_by: dict[str, list[ClickEvent]] = {}
-    for e in log:
-        if isinstance(e, ClickEvent):
-            clicks_by.setdefault(e.advertiser, []).append(e)
+    clicks_by: dict[str, list[tuple[int, int]]] = {}  # advertiser -> [(t, ref)]
+    for t, adv, _, ref, source in log.records():
+        if source is not IMPRESSION:
+            clicks_by.setdefault(adv, []).append((t, ref))
     flags: list[FraudFlag] = []
     for adv in sorted(clicks_by):
         clicks = clicks_by[adv]
@@ -236,7 +238,7 @@ def detect_scripted(
         upper: list[int] = []
         lo = hi = 0
         for j in range(1, len(clicks)):
-            gap = clicks[j].t - clicks[j - 1].t
+            gap = clicks[j][0] - clicks[j - 1][0]
             if j - start > 1:
                 if gap <= -lower[0]:
                     heapq.heappush(lower, -gap)
@@ -259,9 +261,9 @@ def detect_scripted(
     return flags
 
 
-def _flag(adv: str, run: list[ClickEvent]) -> FraudFlag:
+def _flag(adv: str, run: list[tuple[int, int]]) -> FraudFlag:
     return FraudFlag(
-        span=(run[0].t, run[-1].t),
+        span=(run[0][0], run[-1][0]),
         advertiser=adv,
-        flagged_click_ids=tuple(c.impression_ref for c in run),
+        flagged_click_ids=tuple(ref for _, ref in run),
     )

@@ -28,11 +28,11 @@ def with_fraud(log: EventLog, plans) -> EventLog:
     return log_of([*log, *fraud_events(plans, log.horizon)], log.horizon)
 
 
-def estimate_at(kind: str, log: EventLog, advertiser: str, param: int, now: int) -> CtrEstimate:
+def estimate_at(kind: str, events, advertiser: str, param: int, now: int) -> CtrEstimate:
     """A fresh windowed ``kind`` fold fed the advertiser's events with ``t < now``,
-    estimated at ``now``."""
+    estimated at ``now``. ``events`` is a log, or ``list(log)`` to scan it often."""
     fold = ESTIMATOR_KINDS[kind][1](param)
-    for e in log:
+    for e in events:
         if e.t >= now:
             break
         if e.advertiser == advertiser:

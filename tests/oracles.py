@@ -2,7 +2,10 @@
 
 Everything here recomputes results from first principles with plain list
 scans and ``random.Random`` (not numpy), so a bug in the package's
-incremental bookkeeping cannot hide in the oracle too. The traffic and
+incremental bookkeeping cannot hide in the oracle too. The window oracles
+scan their events several times per call, so they take a list of event
+objects (``list(log)``, taken once per log) rather than the log, whose
+iteration builds the objects anew each time. The traffic and
 simulator oracles take numpy's generator, since they must reproduce its
 draws, and make them one call at a time.
 """
@@ -10,11 +13,12 @@ from __future__ import annotations
 
 import random
 import statistics
+from typing import Sequence
 
 import numpy as np
 
 from adsim.auction import Bid, gsp_allocate, rank
-from adsim.core import ClickEvent, ClickSource, EventLog, ImpressionEvent, event_sort_key
+from adsim.core import ClickEvent, ClickSource, Event, EventLog, ImpressionEvent, event_sort_key
 from adsim.estimators import CtrEstimate
 from adsim.traffic import FraudFlag, fraud_events
 from helpers import log_of
@@ -102,39 +106,39 @@ def est_counts(est: CtrEstimate) -> tuple[bool, int, int]:
     return (est.defined, est.clicks_in_window, est.denominator)
 
 
-def tally_brute(log: EventLog, from_ms: int, to_ms: int) -> dict[str, int]:
+def tally_brute(events: Sequence[Event], from_ms: int, to_ms: int) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for e in log:
+    for e in events:
         if isinstance(e, ClickEvent) and from_ms <= e.t < to_ms:
             counts[e.advertiser] = counts.get(e.advertiser, 0) + 1
     return counts
 
 
 def time_window_brute(
-    log: EventLog, adv: str, window_ms: int, now: int
+    events: Sequence[Event], adv: str, window_ms: int, now: int
 ) -> tuple[bool, int, int]:
     """Clicks/impressions for ``adv`` with ``now - window_ms <= t < now``."""
     lo = now - window_ms
     imps = sum(
         1
-        for e in log
+        for e in events
         if isinstance(e, ImpressionEvent) and e.advertiser == adv and lo <= e.t < now
     )
     clicks = sum(
         1
-        for e in log
+        for e in events
         if isinstance(e, ClickEvent) and e.advertiser == adv and lo <= e.t < now
     )
     return (True, clicks, imps) if imps > 0 else (False, 0, 0)
 
 
 def impression_window_brute(
-    log: EventLog, adv: str, size: int, now: int
+    events: Sequence[Event], adv: str, size: int, now: int
 ) -> tuple[bool, int, int]:
     """Clicked fraction of the last ``size`` impressions with ``t < now``."""
     shown = [
         e.query_id
-        for e in log
+        for e in events
         if isinstance(e, ImpressionEvent) and e.advertiser == adv and e.t < now
     ]
     window = shown[-size:]
@@ -143,7 +147,7 @@ def impression_window_brute(
     members = set(window)
     clicks = sum(
         1
-        for e in log
+        for e in events
         if isinstance(e, ClickEvent)
         and e.advertiser == adv
         and e.t < now
@@ -153,18 +157,18 @@ def impression_window_brute(
 
 
 def click_window_brute(
-    log: EventLog, adv: str, size: int, now: int
+    events: Sequence[Event], adv: str, size: int, now: int
 ) -> tuple[bool, int, int]:
     """Last ``size`` clicks over impressions since the one that took the
     oldest of those clicks (inclusive), all restricted to ``t < now``."""
     shown = [
         e.query_id
-        for e in log
+        for e in events
         if isinstance(e, ImpressionEvent) and e.advertiser == adv and e.t < now
     ]
     clicked = [
         e.impression_ref
-        for e in log
+        for e in events
         if isinstance(e, ClickEvent) and e.advertiser == adv and e.t < now
     ]
     if len(clicked) < size:
@@ -174,14 +178,14 @@ def click_window_brute(
 
 
 def relative_brute(
-    log: EventLog, interval_ms: int | None, now: int
+    events: Sequence[Event], interval_ms: int | None, now: int
 ) -> dict[str, int]:
     """Per-advertiser click counts over ``[now - interval, now)`` (whole log
     start when ``interval_ms`` is None)."""
     lo = 0 if interval_ms is None else now - interval_ms
     return {
         adv: n
-        for adv, n in tally_brute(log, lo, now).items()
+        for adv, n in tally_brute(events, lo, now).items()
         if n > 0
     }
 

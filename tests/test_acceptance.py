@@ -179,14 +179,14 @@ def test_criterion_3_oracle_equivalence():
     problems = []
     per_kind = {kind: 0 for kind in (*ops, "relative")}
     for log_i in range(50):
-        log = random_log(31_000 + log_i)
+        events = list(random_log(31_000 + log_i))  # one object view for every scan
         for _ in range(20):
             now = rng.randint(0, 11_000)
             adv = rng.choice(("a", "b", "c", "d"))
             for kind, (brute, (lo, hi)) in ops.items():
                 param = rng.randint(lo, hi)
-                got = est_counts(estimate_at(kind, log, adv, param, now))
-                want = brute(log, adv, param, now)
+                got = est_counts(estimate_at(kind, events, adv, param, now))
+                want = brute(events, adv, param, now)
                 if got != want:
                     problems.append(
                         f"{kind}(param={param}, now={now}, adv={adv}, "
@@ -196,11 +196,11 @@ def test_criterion_3_oracle_equivalence():
                     per_kind[kind] += 1
             interval = rng.choice((None, rng.randint(1, 12_000)))
             fold = RelativeCtr(interval_ms=interval)
-            for e in log:
+            for e in events:
                 if e.t >= now:
                     break
                 fold.observe(e)
-            want_counts = relative_brute(log, interval, now)
+            want_counts = relative_brute(events, interval, now)
             want_total = sum(want_counts.values())
             got_est = est_counts(fold.estimate(adv, now))
             want_est = (

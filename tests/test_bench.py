@@ -460,6 +460,27 @@ def test_simulate_tallies_the_cohort_once_per_tick(monkeypatch):
     assert 0 < len(query_ticks) < cfg.horizon_ms // cfg.tick_ms  # some tick draws none
 
 
+@pytest.mark.parametrize("interval", [None, 1_500])
+def test_simulate_feeds_a_relative_primary_only_the_clicks(interval, monkeypatch):
+    observed = []
+    observe = RelativeCtr.observe
+
+    def spy(self, e):
+        observed.append(e)
+        return observe(self, e)
+
+    cfg = tiny_config(
+        estimators=(WindowSpec("relative", interval),),
+        fraud_plans=(FraudPlan(kind=SCRIPTED, target="a", start_ms=5_000, count=20, interval_ms=200),),
+    )
+    want, _ = simulate_every_tick(cfg)  # feeds the primary every event
+    monkeypatch.setattr(RelativeCtr, "observe", spy)
+    log = simulate(cfg)
+    # the cohort says it reads no impression, so none reaches the tally
+    assert observed == [e for e in log if isinstance(e, ClickEvent)]
+    assert observed and log.events == want
+
+
 PRIMARY_KINDS = (
     WindowSpec("relative"),
     WindowSpec("relative", 1_500),
@@ -588,11 +609,11 @@ def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
 def series_brute(log, focus, specs, tick_ms, exclude) -> list[tuple]:
     """``build_series``'s rows as tuples, from the brute-force oracles run on
     the log with the excluded clicks taken out."""
-    kept = log_of(
+    kept = list(log_of(  # one object view for every tick's scans
         [e for e in log if not isinstance(e, ClickEvent)
          or (e.advertiser, e.impression_ref) not in exclude],
         log.horizon,
-    )
+    ))
     windowed = {"time": time_window_brute, "impressions": impression_window_brute,
                 "clicks": click_window_brute}
     rows = []

@@ -6,7 +6,7 @@ import stat
 import pytest
 
 from adsim.cli import main
-from adsim.core import EventLog, write_log
+from adsim.core import ClickEvent, EventLog, read_log, write_log
 
 MINIMAL_INI = """\
 [scenario]
@@ -51,7 +51,10 @@ def test_run_writes_the_three_artifacts(tmp_path, ini, capsys):
     out = tmp_path / "out"
     assert main(["run", str(ini), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "events:" in stdout and "detector:" in stdout
+    log = read_log(out / "events.jsonl")
+    clicks = sum(isinstance(e, ClickEvent) for e in log)
+    assert f"events: {len(log)} ({clicks} clicks) over 8 ticks\n" in stdout
+    assert 0 < clicks < len(log) and "detector:" in stdout
     for name in ("events.jsonl", "series.csv", "series.svg"):
         assert (out / name).is_file()
     header = (out / "series.csv").read_text().splitlines()[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 
@@ -188,24 +189,22 @@ def test_log_introspection():
 
 
 def test_log_bookkeeping_per_event_is_small():
-    # 30,000 impressions of 3 advertisers and 3,000 clicks, made before tracing:
-    # what append allocates besides the events is the log's own bookkeeping
-    events = []
-    for q in range(10_000):
-        for slot, adv in enumerate(("a", "b", "c"), start=1):
-            events.append(imp(q, adv, slot, qid=1_000_000 + q))
-        if q % 10 == 0:
-            events += [clk(q, adv, slot, ref=1_000_000 + q) for slot, adv in enumerate("abc", 1)]
+    # 30,000 impressions of 3 advertisers and 3,000 clicks, each made inside the
+    # traced loop and dropped once appended: what stays is all the log keeps
     log = EventLog(10_000)
     tracemalloc.start()
     try:
-        for e in events:
-            log.append(e)
+        for q in range(10_000):
+            for slot, adv in enumerate(("a", "b", "c"), start=1):
+                log.append(imp(q, adv, slot, qid=1_000_000 + q))
+            if q % 10 == 0:
+                for slot, adv in enumerate("abc", 1):
+                    log.append(clk(q, adv, slot, ref=1_000_000 + q))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(log) == 33_000
-    assert held / len(log) < 80
+    assert held / len(log) < 150
 
 
 def test_log_equality():
@@ -215,6 +214,12 @@ def test_log_equality():
     assert a == b
     assert a != c
     assert a != "not a log"
+    # a click's source is part of the event, so of the log
+    organic = log_of([imp(1), clk(1)], 10)
+    scripted = log_of([imp(1), clk(1, source=ClickSource.SCRIPTED_FRAUD)], 10)
+    assert organic != scripted
+    assert organic.stripped() != organic
+    assert organic.stripped() == scripted.stripped()
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +287,22 @@ def test_read_log_shares_one_str_per_matched_advertiser(tmp_path):
     back = read_log(path)
     assert back == log
     assert len({id(e.advertiser) for e in back}) == 2
+
+
+def test_read_log_keeps_no_event_objects(tmp_path):
+    # matched lines go to the log as fields: no event object outlives read_log
+    path = tmp_path / "events.jsonl"
+    log = random_log(7)
+    write_log(log, path)
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, (ImpressionEvent, ClickEvent))}
+    back = read_log(path)
+    kept = [
+        o for o in gc.get_objects()
+        if isinstance(o, (ImpressionEvent, ClickEvent)) and id(o) not in before
+    ]
+    assert kept == []
+    assert back == log
 
 
 def test_a_valid_but_non_canonical_file_still_parses(tmp_path):

@@ -263,45 +263,44 @@ BRUTES = {
 @given(seed=st.integers(0, 10**9), param=st.integers(1, 40), now=st.integers(0, 12_000))
 @settings(max_examples=60, deadline=None)
 def test_single_shot_matches_oracle(kind, seed, param, now):
-    log = random_log(seed)
+    events = list(random_log(seed))
     for adv in ("a", "c"):
-        est = estimate_at(kind, log, adv, param, now)
-        assert est_counts(est) == BRUTES[kind](log, adv, param, now)
+        est = estimate_at(kind, events, adv, param, now)
+        assert est_counts(est) == BRUTES[kind](events, adv, param, now)
 
 
 @pytest.mark.parametrize("kind", sorted(BRUTES))
 def test_incremental_estimates_match_oracle(kind):
     for seed in range(25):
-        log = random_log(seed + 500)
+        snapshot = list(random_log(seed + 500))  # one object view for every checkpoint
         param = (seed % 13) + 1
         fold = ESTIMATOR_KINDS[kind][1](param)
         # every event's own time and the time its window edge reaches it
         checkpoints = {(seed * 37 + k * 997) % 11_000 for k in range(8)}
-        checkpoints |= {e.t + d for e in log for d in (0, param)}
+        checkpoints |= {e.t + d for e in snapshot for d in (0, param)}
         idx = 0
-        events = [e for e in log if e.advertiser == "b"]
+        events = [e for e in snapshot if e.advertiser == "b"]
         for now in sorted(checkpoints):
             while idx < len(events) and events[idx].t < now:
                 fold.observe(events[idx])
                 idx += 1
-            assert est_counts(fold.estimate(now)) == BRUTES[kind](log, "b", param, now)
+            assert est_counts(fold.estimate(now)) == BRUTES[kind](snapshot, "b", param, now)
 
 
 @pytest.mark.parametrize("interval", [None, 1_500, 40])
 def test_relative_matches_oracle(interval):
     for seed in range(25):
-        log = random_log(seed + 900)
+        events = list(random_log(seed + 900))  # one object view for every checkpoint
         fold = RelativeCtr(interval_ms=interval)
         checkpoints = {(seed * 53 + k * 887) % 11_000 for k in range(8)}
         # every event's own time and the time the sliding edge reaches it
-        checkpoints |= {e.t + d for e in log for d in (0, interval or 0)}
+        checkpoints |= {e.t + d for e in events for d in (0, interval or 0)}
         idx = 0
-        events = log.events
         for now in sorted(checkpoints):
             while idx < len(events) and events[idx].t < now:
                 fold.observe(events[idx])
                 idx += 1
-            assert fold.tally(now) == relative_brute(log, interval, now)
+            assert fold.tally(now) == relative_brute(events, interval, now)
 
 
 _STATE_SPECS = [
