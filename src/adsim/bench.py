@@ -3,8 +3,9 @@
 A scenario ties the other modules together: each tick it draws the query
 arrivals and, when there are any, ranks the standing bids with current CTR
 estimates, allocates slots and draws organic traffic for the winners; then
-it merges any scheduled fraud and feeds everything back into the
-estimators. Runs are fully determined by the configured seed.
+it merges any scheduled fraud and hands each row, ``(t, advertiser, slot,
+query id or ref, source)``, to the log's gate and to the estimators, as
+``build_series`` does too. Runs are fully determined by the configured seed.
 
 The module also ships a reconstructed 20-step reference dataset (a cohort
 under click inflation) used to sanity-check the estimators end to end; the
@@ -31,13 +32,11 @@ from .core import (
     MAX_SEED,
     AdsimError,
     AdvertiserId,
-    ClickEvent,
     EventLog,
     HorizonExceededError,
-    ImpressionEvent,
     check_min,
     check_range,
-    event_sort_key,
+    row_order,
     write_atomic,
 )
 from .estimators import ESTIMATOR_KINDS, WindowSpec, ctr_legacy, ctr_relative
@@ -535,31 +534,31 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     advertisers = cfg.advertisers
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
     primary = cfg.estimators[0].build_cohort(advertisers)
-    reads_impressions = primary.reads_impressions
+    observe = primary.observe
 
     fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
     log = EventLog(cfg.horizon_ms)
+    add = log._add
     fraud_idx = 0
     next_qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
         times = query_times(cfg.traffic, rng, tick_start, tick_end)
-        events = []
+        rows = []
         if times:  # a tick without queries shows no ad, so it runs no auction
             ctrs = {
                 adv: cfg.default_ctr if rate is None else rate
                 for adv, rate in primary.rates(tick_start).items()
             }
             allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
-            events, next_qid = organic_events(cfg.traffic, allocation, rng, times, next_qid)
-        while fraud_idx < len(fraud) and fraud[fraud_idx].t < tick_end:
-            events.append(fraud[fraud_idx])
+            rows, next_qid = organic_events(cfg.traffic, allocation, rng, times, next_qid)
+        while fraud_idx < len(fraud) and fraud[fraud_idx][0] < tick_end:
+            rows.append(fraud[fraud_idx])
             fraud_idx += 1
-        events.sort(key=event_sort_key)
-        for e in events:
-            log.append(e)
-            if reads_impressions or isinstance(e, ClickEvent):
-                primary.observe(e)
+        rows.sort(key=row_order)
+        for row in rows:
+            add(*row)
+            observe(*row)
     return log
 
 
@@ -591,22 +590,20 @@ def build_series(
     for time_index, tick_start in enumerate(range(0, log.horizon, tick_ms), start=1):
         tick_end = min(tick_start + tick_ms, log.horizon)
         while pending is not None and pending[0] < tick_end:
-            t, advertiser, slot, ref, source = pending
-            pending = next(records, None)
+            row, pending = pending, next(records, None)
+            _, advertiser, _, ref, source = row
             if source is not IMPRESSION:
                 if exclude and (advertiser, ref) in exclude:
                     continue
                 total_clicks += 1
                 if advertiser == focus:
                     clicks += 1
-                e = ClickEvent(t, advertiser, slot, ref, source)
             elif advertiser == focus:
                 impressions += 1
-                e = ImpressionEvent(t, advertiser, slot, ref)
             else:  # another advertiser's impression: no [focus] cohort reads it
                 continue
             for observe in observers:
-                observe(e)
+                observe(*row)
         rates = {label: cohort.rates(tick_end)[focus] for label, cohort in cohorts}
         rows.append(SeriesRow(time_index, impressions, clicks, total_clicks, rates))
     return rows

@@ -2,9 +2,11 @@
 
 All timestamps are integer milliseconds from scenario start. Advertiser ids are
 opaque strings; their lexicographic order is the global tie-break everywhere.
-Events are plain records that may hold any values: ``EventLog.append`` is the
-one gate for an event, so every log it accepts round-trips through JSONL. A log
-stores fields in columns; ``EventLog.events`` is a list built on each access.
+Inside the package an event is a row, ``(t, advertiser, slot, query id or
+ref, source)`` with ``IMPRESSION`` as an impression's source. ``ImpressionEvent``
+and ``ClickEvent`` are a row's public view, records that may hold any values;
+the gate behind ``EventLog.append`` checks every row, so every log it accepts
+round-trips through JSONL.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ MAX_SEED = 2**64 - 1
 
 
 def check_min(path: str, value, lo) -> None:
-    """Raise ValueError starting with ``path`` unless ``lo <= value``."""
+    """Raise ValueError starting with ``path`` unless ``value`` is finite and ``lo <= value``."""
+    if value - value:  # NaN (true) for NaN and +-inf, 0 for any finite number
+        raise ValueError(f"{path}: must be a finite number, got {value}")
     if value < lo:
         raise ValueError(f"{path}: must be >= {lo}, got {value}")
 
 
 def check_range(path: str, value, lo, hi) -> None:
-    """Raise ValueError starting with ``path`` unless ``lo <= value <= hi``."""
+    """Raise ValueError starting with ``path`` unless ``value`` is finite and in ``[lo, hi]``."""
     check_min(path, value, lo)
     if value > hi:
         raise ValueError(f"{path}: must be <= {hi}, got {value}")
@@ -106,14 +110,13 @@ class ClickEvent:
 
 Event = Union[ImpressionEvent, ClickEvent]
 
-IMPRESSION = "impression"  # an impression's entry in the log's click-source column
+IMPRESSION = "impression"  # an impression's source in a row and in the log's columns
 
 
-def event_sort_key(e: Event) -> tuple[int, int, str, int]:
-    """Canonical total order: time, impressions before clicks, advertiser, ref."""
-    if isinstance(e, ImpressionEvent):
-        return (e.t, 0, e.advertiser, e.query_id)
-    return (e.t, 1, e.advertiser, e.impression_ref)
+def row_order(row: tuple) -> tuple[int, bool, str, int]:
+    """Canonical total order of rows: time, impressions before clicks, advertiser, ref."""
+    t, advertiser, _, ref, source = row
+    return (t, source is not IMPRESSION, advertiser, ref)
 
 
 class EventLog:
@@ -128,9 +131,9 @@ class EventLog:
     source a ``ClickSource`` or ``None``, ``slot >= 1``, time order within
     ``[0, horizon)``, one impression per (advertiser, query id), and at most one
     click on each, once it is in the log. The last two rules read per-advertiser
-    sets of the events' own query ids. Only the field-level gate behind
-    ``append``, which ``read_log`` and ``stripped()`` call too, adds to the
-    columns and those sets.
+    sets of the events' own query ids. Only the row gate behind ``append``,
+    which ``simulate``, ``read_log`` and ``stripped()`` call directly, adds to
+    the columns and those sets.
     """
 
     def __init__(self, horizon: int):
@@ -146,12 +149,15 @@ class EventLog:
     def append(self, e: Event) -> None:
         """Add ``e`` at the tail; raise ValueError or an AdsimError if it breaks a rule."""
         if isinstance(e, ClickEvent):
-            self._add(e.t, e.advertiser, e.slot, e.impression_ref, e.source, True)
+            if e.source is IMPRESSION:  # the gate would take it for an impression
+                raise ValueError(f"bad click source: {e.source!r}")
+            self._add(e.t, e.advertiser, e.slot, e.impression_ref, e.source)
         else:
-            self._add(e.t, e.advertiser, e.slot, e.query_id, IMPRESSION, False)
+            self._add(e.t, e.advertiser, e.slot, e.query_id, IMPRESSION)
 
-    def _add(self, t, advertiser, slot, ref, source, is_click: bool) -> None:
-        """``append``'s checks, in order, and bookkeeping, on an event's fields."""
+    def _add(self, t, advertiser, slot, ref, source) -> None:
+        """``append``'s checks, in order, and bookkeeping, on a row."""
+        is_click = source is not IMPRESSION  # any other source makes the row a click
         if (
             type(t) is not int or type(slot) is not int or type(ref) is not int
             or type(advertiser) is not str
@@ -200,12 +206,11 @@ class EventLog:
         """A new log of the same events, each click's ``source`` set to None."""
         out = EventLog(self.horizon)
         for t, advertiser, slot, ref, source in self.records():
-            is_click = source is not IMPRESSION
-            out._add(t, advertiser, slot, ref, None if is_click else source, is_click)
+            out._add(t, advertiser, slot, ref, source if source is IMPRESSION else None)
         return out
 
     def records(self) -> Iterator[tuple]:
-        """``(t, advertiser, slot, query id or ref, source)`` per event, in log order."""
+        """The rows, ``(t, advertiser, slot, query id or ref, source)``, in log order."""
         return zip(*self._columns)
 
     def advertisers(self) -> list[AdvertiserId]:
@@ -344,10 +349,10 @@ def read_log(path: str | Path) -> EventLog:
             try:
                 if m := impression(raw):
                     advertiser, query_id, slot, t = m.groups()
-                    add(int(t), names[advertiser], int(slot), int(query_id), IMPRESSION, False)
+                    add(int(t), names[advertiser], int(slot), int(query_id), IMPRESSION)
                 elif m := click(raw):
                     advertiser, ref, slot, source, t = m.groups()
-                    add(int(t), names[advertiser], int(slot), int(ref), _SOURCE_OF[source], True)
+                    add(int(t), names[advertiser], int(slot), int(ref), _SOURCE_OF[source])
                 else:
                     log.append(_parse_event(_json_record(raw)))
             except (AdsimError, ValueError) as exc:

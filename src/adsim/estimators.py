@@ -11,14 +11,15 @@ advertisers)`` is how the simulator runs one kind for a whole cohort:
 rate, or to None while the estimate is undefined. ``ctr_relative`` and
 ``ctr_legacy`` score the reference tables from their counts.
 
-Feeding rule for the folds: feed a windowed fold one advertiser's events, and
-``RelativeCtr`` the whole cohort's, in log order; feed exactly the events with
-``t < now`` before calling ``estimate(now)``, and query with non-decreasing
-``now``. An estimate covers what the fold was fed: ``now`` only sets the
-trailing edge ``now - T`` of the time window and of the sliding relative one.
-Both drop what falls below ``e.t - T`` as each ``e`` is fed (every later
-``now`` exceeds ``e.t``). Routing events to their advertiser's fold is the
-cohort's job.
+Feeding rule for the folds and cohorts: ``observe(*row)`` takes an event as
+the log's row, ``(t, advertiser, slot, ref, source)``. Feed a windowed fold
+one advertiser's events, and ``RelativeCtr`` the whole cohort's, in log order;
+feed exactly the events with ``t < now`` before calling ``estimate(now)``, and
+query with non-decreasing ``now``. An estimate covers what the fold was fed:
+``now`` only sets the trailing edge ``now - T`` of the time window and of the
+sliding relative one. Both drop what falls below ``t - T`` as each event at
+``t`` is fed (every later ``now`` exceeds ``t``). Routing events to their
+advertiser's fold is the cohort's job.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AdvertiserId, ClickEvent, Event, ImpressionEvent
+from .core import IMPRESSION, AdvertiserId
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +65,9 @@ class TimeWindowCtr:
         self._imp: deque[int] = deque()
         self._clk: deque[int] = deque()
 
-    def observe(self, e: Event) -> None:
-        (self._imp if isinstance(e, ImpressionEvent) else self._clk).append(e.t)
-        self._evict(e.t)
+    def observe(self, t, advertiser, slot, ref, source) -> None:
+        (self._imp if source is IMPRESSION else self._clk).append(t)
+        self._evict(t)
 
     def estimate(self, now: int) -> CtrEstimate:
         self._evict(now)
@@ -91,16 +92,16 @@ class ImpressionWindowCtr:
         self._members: set[int] = set()
         self._clicked: set[int] = set()
 
-    def observe(self, e: Event) -> None:
-        if isinstance(e, ImpressionEvent):
-            self._window.append(e.query_id)
-            self._members.add(e.query_id)
+    def observe(self, t, advertiser, slot, ref, source) -> None:
+        if source is IMPRESSION:
+            self._window.append(ref)
+            self._members.add(ref)
             if len(self._window) > self.size:
                 old = self._window.popleft()
                 self._members.remove(old)
                 self._clicked.discard(old)
-        elif e.impression_ref in self._members:
-            self._clicked.add(e.impression_ref)
+        elif ref in self._members:
+            self._clicked.add(ref)
 
     def estimate(self, now: int) -> CtrEstimate:
         return CtrEstimate(len(self._clicked), len(self._window))
@@ -121,12 +122,12 @@ class ClickWindowCtr:
         self._imp_count = 0
         self._recent: deque[int] = deque()  # ordinals of last N clicked impressions
 
-    def observe(self, e: Event) -> None:
-        if isinstance(e, ImpressionEvent):
-            self._imp_pos[e.query_id] = self._imp_count
+    def observe(self, t, advertiser, slot, ref, source) -> None:
+        if source is IMPRESSION:
+            self._imp_pos[ref] = self._imp_count
             self._imp_count += 1
         else:
-            self._recent.append(self._imp_pos[e.impression_ref])
+            self._recent.append(self._imp_pos[ref])
             if len(self._recent) > self.size:
                 self._recent.popleft()
 
@@ -150,15 +151,15 @@ class RelativeCtr:
             raise ValueError("interval_ms must be >= 1")
         self.interval_ms = interval_ms
         self._counts: dict[str, int] = {}
-        self._window: deque[ClickEvent] = deque()  # sliding mode only
+        self._window: deque[tuple[int, AdvertiserId]] = deque()  # sliding mode only
 
-    def observe(self, e: Event) -> None:
-        if not isinstance(e, ClickEvent):
+    def observe(self, t, advertiser, slot, ref, source) -> None:
+        if source is IMPRESSION:
             return
-        self._counts[e.advertiser] = self._counts.get(e.advertiser, 0) + 1
+        self._counts[advertiser] = self._counts.get(advertiser, 0) + 1
         if self.interval_ms is not None:
-            self._window.append(e)
-            self._evict(e.t)
+            self._window.append((t, advertiser))
+            self._evict(t)
 
     def tally(self, now: int) -> dict[AdvertiserId, int]:
         """Clicks per advertiser in the window ending at ``now``; only
@@ -169,8 +170,8 @@ class RelativeCtr:
 
     def _evict(self, now: int) -> None:
         lo = now - self.interval_ms
-        while self._window and self._window[0].t < lo:
-            adv = self._window.popleft().advertiser
+        while self._window and self._window[0][0] < lo:
+            adv = self._window.popleft()[1]
             self._counts[adv] -= 1
             if not self._counts[adv]:
                 del self._counts[adv]
@@ -218,9 +219,9 @@ class WindowSpec:
         return ESTIMATOR_KINDS[self.kind][0]
 
     def build_cohort(self, advertisers: Sequence[AdvertiserId]):
-        """One estimator for the whole cohort, with ``observe(e)``,
-        ``rates(now) -> {advertiser: rate, or None while undefined}`` and
-        ``reads_impressions``, False when ``observe`` ignores impressions.
+        """One estimator for the whole cohort, with ``observe(t, advertiser,
+        slot, ref, source)`` and ``rates(now) -> {advertiser: rate, or None
+        while undefined}``.
 
         The relative kind keeps one tally for everyone; the windowed kinds
         keep one fold per advertiser and hand each event only to its own.
@@ -234,8 +235,6 @@ class WindowSpec:
 
 class _RelativeCohort:
     """Every advertiser's share, from one tally per ``rates`` call."""
-
-    reads_impressions = False  # a share counts clicks only
 
     def __init__(self, advertisers: Sequence[AdvertiserId], shared: RelativeCtr):
         self.cohort = list(advertisers)
@@ -253,15 +252,13 @@ class _RelativeCohort:
 class _FoldCohort:
     """One windowed fold per advertiser; an event reaches only its own."""
 
-    reads_impressions = True
-
     def __init__(self, folds: dict[AdvertiserId, object]):
         self.folds = folds
 
-    def observe(self, e: Event) -> None:
-        fold = self.folds.get(e.advertiser)
+    def observe(self, t, advertiser, slot, ref, source) -> None:
+        fold = self.folds.get(advertiser)
         if fold is not None:
-            fold.observe(e)
+            fold.observe(t, advertiser, slot, ref, source)
 
     def rates(self, now: int) -> dict[AdvertiserId, float | None]:
         return {

@@ -2,8 +2,10 @@
 
 Query arrivals are Poisson; organic click probability is the advertiser's base
 CTR damped by slot position. Clicks land at the same millisecond as their
-impression. ``fraud_events`` is the one source of fraud clicks, and
-``simulate``, which merges them tick by tick, the one place they enter a log.
+impression. Traffic comes out as the log's rows, ``(t, advertiser, slot,
+query id or ref, source)``. ``fraud_events`` is the one source of fraud
+clicks, and ``simulate``, which merges them tick by tick, the one place they
+enter a log.
 ``PLAN_FIELDS`` holds the fields each plan kind needs, for ``FraudPlan`` and
 the config loader alike. With a fixed seed every function here is fully
 deterministic.
@@ -22,16 +24,13 @@ from .core import (
     IMPRESSION,
     MAX_SEED,
     AdvertiserId,
-    ClickEvent,
     ClickSource,
-    Event,
     EventLog,
     HorizonExceededError,
-    ImpressionEvent,
     Seed,
     check_min,
     check_range,
-    event_sort_key,
+    row_order,
 )
 from .auction import SlotAllocation
 
@@ -136,10 +135,11 @@ def organic_events(
     rng: np.random.Generator,
     times: Sequence[int],
     query_id_start: int,
-) -> tuple[list[Event], int]:
-    """One impression per slot of ``allocation``, and its organic click if
-    drawn, for each query arriving at ``times`` (from ``query_times``);
-    returns (events, next query id). Query ids run from ``query_id_start``.
+) -> tuple[list[tuple], int]:
+    """One impression row per slot of ``allocation``, and its organic click
+    row if drawn, for each query arriving at ``times`` (from ``query_times``),
+    in draw order; returns (rows, next query id). Query ids run from
+    ``query_id_start``.
     """
     shown = [
         (a.advertiser, a.slot, cfg.base_ctr[a.advertiser] * cfg.position_decay ** (a.slot - 1))
@@ -147,13 +147,13 @@ def organic_events(
     ]
     # one uniform per query and slot, drawn query-major as one call per slot would
     draws = iter(rng.random(len(times) * len(shown)).tolist())
-    events: list[Event] = []
+    rows = []
     for qid, t in enumerate(times, start=query_id_start):
         for adv, slot, p in shown:
-            events.append(ImpressionEvent(t, adv, slot, qid))
+            rows.append((t, adv, slot, qid, IMPRESSION))
             if next(draws) < p:
-                events.append(ClickEvent(t, adv, slot, qid, ClickSource.ORGANIC))
-    return events, query_id_start + len(times)
+                rows.append((t, adv, slot, qid, ClickSource.ORGANIC))
+    return rows, query_id_start + len(times)
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +183,22 @@ def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
     return times
 
 
-def fraud_events(plans: Sequence[FraudPlan], horizon_ms: int) -> list[Event]:
-    """Impression/click pairs for every plan, in canonical order.
+def fraud_events(plans: Sequence[FraudPlan], horizon_ms: int) -> list[tuple]:
+    """Impression/click row pairs for every plan, in ``row_order``.
 
     Each click gets its own synthetic impression in slot 1. Their query ids
     run from FRAUD_QUERY_ID_BASE through the plans in order.
     """
-    events: list[Event] = []
+    rows = []
     qid = FRAUD_QUERY_ID_BASE
     for plan in plans:
         source = ClickSource.SCRIPTED_FRAUD if plan.kind == SCRIPTED else ClickSource.HUMAN_FRAUD
         for t in checked_click_times(plan, horizon_ms):
-            events.append(ImpressionEvent(t, plan.target, 1, qid))
-            events.append(ClickEvent(t, plan.target, 1, qid, source))
+            rows.append((t, plan.target, 1, qid, IMPRESSION))
+            rows.append((t, plan.target, 1, qid, source))
             qid += 1
-    events.sort(key=event_sort_key)
-    return events
+    rows.sort(key=row_order)
+    return rows
 
 
 # ---------------------------------------------------------------------------

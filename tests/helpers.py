@@ -1,11 +1,39 @@
-"""Log fixtures shared by several test modules."""
+"""Log fixtures shared by several test modules, and the event/row conversions.
+
+The package passes events around as the log's rows, ``(t, advertiser, slot,
+query id or ref, source)``; the tests' oracles build event objects. ``row_of``
+and ``event_of`` convert between the two, and ``event_sort_key`` is the
+canonical order written on event objects, independently of ``row_order``.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from adsim.core import EventLog, event_sort_key
+from adsim.core import IMPRESSION, ClickEvent, EventLog, ImpressionEvent
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
 from adsim.traffic import fraud_events, organic_events, query_times
+
+
+def event_sort_key(e) -> tuple[int, int, str, int]:
+    """Canonical total order: time, impressions before clicks, advertiser, ref."""
+    if isinstance(e, ImpressionEvent):
+        return (e.t, 0, e.advertiser, e.query_id)
+    return (e.t, 1, e.advertiser, e.impression_ref)
+
+
+def row_of(e) -> tuple:
+    """The row that ``EventLog.records()`` yields for event ``e``."""
+    if isinstance(e, ImpressionEvent):
+        return (e.t, e.advertiser, e.slot, e.query_id, IMPRESSION)
+    return (e.t, e.advertiser, e.slot, e.impression_ref, e.source)
+
+
+def event_of(row):
+    """The event object of a row, as iterating a log builds it."""
+    t, advertiser, slot, ref, source = row
+    if source is IMPRESSION:
+        return ImpressionEvent(t, advertiser, slot, ref)
+    return ClickEvent(t, advertiser, slot, ref, source)
 
 
 def log_of(events, horizon: int) -> EventLog:
@@ -19,13 +47,13 @@ def log_of(events, horizon: int) -> EventLog:
 def organic_log(cfg, allocation, horizon_ms: int, seed: int) -> EventLog:
     """Organic-only log over ``[0, horizon_ms)`` for a fixed slot allocation."""
     rng = np.random.default_rng(seed)
-    events, _ = organic_events(cfg, allocation, rng, query_times(cfg, rng, 0, horizon_ms), 0)
-    return log_of(events, horizon_ms)
+    rows, _ = organic_events(cfg, allocation, rng, query_times(cfg, rng, 0, horizon_ms), 0)
+    return log_of(map(event_of, rows), horizon_ms)
 
 
 def with_fraud(log: EventLog, plans) -> EventLog:
     """A new log with the plans' fraud events merged in; ``log`` is untouched."""
-    return log_of([*log, *fraud_events(plans, log.horizon)], log.horizon)
+    return log_of([*log, *map(event_of, fraud_events(plans, log.horizon))], log.horizon)
 
 
 def estimate_at(kind: str, events, advertiser: str, param: int, now: int) -> CtrEstimate:
@@ -36,5 +64,5 @@ def estimate_at(kind: str, events, advertiser: str, param: int, now: int) -> Ctr
         if e.t >= now:
             break
         if e.advertiser == advertiser:
-            fold.observe(e)
+            fold.observe(*row_of(e))
     return fold.estimate(now)

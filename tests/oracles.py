@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from adsim.auction import Bid, gsp_allocate, rank
-from adsim.core import ClickEvent, ClickSource, Event, EventLog, ImpressionEvent, event_sort_key
+from adsim.core import ClickEvent, ClickSource, Event, EventLog, ImpressionEvent
 from adsim.estimators import CtrEstimate
 from adsim.traffic import FraudFlag, fraud_events
-from helpers import log_of
+from helpers import event_of, event_sort_key, log_of, row_of
 
 
 def random_log(
@@ -80,7 +80,7 @@ def simulate_every_tick(cfg) -> tuple[list, list[int]]:
     rng = np.random.default_rng(cfg.seed)
     bid_list = [Bid(a, cfg.bids[a]) for a in cfg.advertisers]
     primary = cfg.estimators[0].build_cohort(cfg.advertisers)
-    fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
+    fraud = [event_of(row) for row in fraud_events(cfg.fraud_plans, cfg.horizon_ms)]
     events, query_ticks = [], []
     qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
@@ -97,7 +97,7 @@ def simulate_every_tick(cfg) -> tuple[list, list[int]]:
         tick += [e for e in fraud if tick_start <= e.t < tick_end]
         tick.sort(key=event_sort_key)
         for e in tick:
-            primary.observe(e)
+            primary.observe(*row_of(e))
         events += tick
     return events, query_ticks
 

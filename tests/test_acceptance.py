@@ -48,7 +48,7 @@ from adsim.traffic import (
     detect_scripted,
 )
 from adsim.auction import SlotAllocation
-from helpers import estimate_at, organic_log, with_fraud
+from helpers import estimate_at, organic_log, row_of, with_fraud
 from oracles import (
     click_window_brute,
     est_counts,
@@ -199,7 +199,7 @@ def test_criterion_3_oracle_equivalence():
             for e in events:
                 if e.t >= now:
                     break
-                fold.observe(e)
+                fold.observe(*row_of(e))
             want_counts = relative_brute(events, interval, now)
             want_total = sum(want_counts.values())
             got_est = est_counts(fold.estimate(adv, now))

@@ -35,6 +35,7 @@ from adsim.bench import (
     series_columns,
     simulate,
 )
+from adsim.cli import main
 from adsim.core import ClickEvent, ClickSource, ImpressionEvent
 from adsim.estimators import RelativeCtr, WindowSpec
 from adsim.traffic import (
@@ -46,7 +47,7 @@ from adsim.traffic import (
     TrafficConfig,
     fraud_events,
 )
-from helpers import log_of
+from helpers import log_of, row_of
 from oracles import (
     click_window_brute,
     impression_window_brute,
@@ -389,6 +390,32 @@ def test_missing_config_file():
         load_config("/nonexistent/scenario.ini")
 
 
+@pytest.mark.parametrize(
+    "line, key, value",
+    [
+        pytest.param(line, key, value, id=f"{key}={value}")
+        for line, key, value in [
+            ("alpha = 0.30", "base_ctr.alpha", "nan"),
+            ("queries_per_second = 5.0", "traffic.queries_per_second", "nan"),
+            ("queries_per_second = 5.0", "traffic.queries_per_second", "inf"),
+            ("default_ctr = 0.1", "scenario.default_ctr", "nan"),
+            ("mean_gap_ms = 1500", "fraud:crew.mean_gap_ms", "inf"),
+            ("gap_sigma = 0.8", "fraud:crew.gap_sigma", "nan"),
+        ]
+    ],
+)
+def test_a_number_that_is_not_finite_is_a_config_error(tmp_path, capsys, example_ini, line, key, value):
+    text = example_ini.read_text()
+    assert text.count(line) == 1
+    path = write_ini(tmp_path, text.replace(line, f"{line.split(' = ')[0]} = {value}"))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{key}: must be a finite number, got {value}"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {key}: must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Scenario runs.
 
@@ -430,7 +457,7 @@ def test_simulate_writes_exactly_the_fraud_events():
         return e.query_id if isinstance(e, ImpressionEvent) else e.impression_ref
 
     fraud = [e for e in simulate(cfg) if query_id(e) >= FRAUD_QUERY_ID_BASE]
-    assert fraud == fraud_events(cfg.fraud_plans, cfg.horizon_ms)
+    assert [row_of(e) for e in fraud] == fraud_events(cfg.fraud_plans, cfg.horizon_ms)
 
 
 def test_simulate_tallies_the_cohort_once_per_tick(monkeypatch):
@@ -461,13 +488,13 @@ def test_simulate_tallies_the_cohort_once_per_tick(monkeypatch):
 
 
 @pytest.mark.parametrize("interval", [None, 1_500])
-def test_simulate_feeds_a_relative_primary_only_the_clicks(interval, monkeypatch):
+def test_simulate_feeds_the_primary_every_row_in_log_order(interval, monkeypatch):
     observed = []
     observe = RelativeCtr.observe
 
-    def spy(self, e):
-        observed.append(e)
-        return observe(self, e)
+    def spy(self, *row):
+        observed.append(row)
+        return observe(self, *row)
 
     cfg = tiny_config(
         estimators=(WindowSpec("relative", interval),),
@@ -476,8 +503,8 @@ def test_simulate_feeds_a_relative_primary_only_the_clicks(interval, monkeypatch
     want, _ = simulate_every_tick(cfg)  # feeds the primary every event
     monkeypatch.setattr(RelativeCtr, "observe", spy)
     log = simulate(cfg)
-    # the cohort says it reads no impression, so none reaches the tally
-    assert observed == [e for e in log if isinstance(e, ClickEvent)]
+    # the tally is handed each row as the log takes it, and passes over impressions
+    assert observed == list(log.records())
     assert observed and log.events == want
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adsim.core import (
+    IMPRESSION,
     ClickEvent,
     ClickSource,
     DanglingClickError,
@@ -18,11 +19,11 @@ from adsim.core import (
     ImpressionEvent,
     MalformedRecordError,
     OutOfOrderError,
-    event_sort_key,
     read_log,
+    row_order,
     write_log,
 )
-from helpers import log_of
+from helpers import event_sort_key, log_of, row_of
 from oracles import random_log
 
 
@@ -62,6 +63,16 @@ def test_event_validation():
     assert str(err.value) == "field 'horizon' must be an integer, got 10.5"
 
 
+def test_append_never_takes_a_click_for_an_impression():
+    # the row gate reads an IMPRESSION source as an impression's, so a click
+    # carrying it must be rejected, not stored as an impression of its ref
+    log = log_of([imp(0)], 10)
+    with pytest.raises(ValueError) as err:
+        log.append(clk(1, ref=5, source=IMPRESSION))
+    assert str(err.value) == "bad click source: 'impression'"
+    assert log.events == [imp(0)]
+
+
 def test_click_source_defaults_to_organic():
     assert ClickEvent(5, "a", 1, 3).source is ClickSource.ORGANIC
     assert ClickEvent(5, "a", 1, 3, source=None).source is None
@@ -75,15 +86,16 @@ def test_events_are_immutable():
 
 def test_sort_key_orders_impressions_before_clicks_at_same_time():
     events = [clk(7, "b", ref=1), imp(7, "b", qid=2), clk(7, "a", ref=0), imp(7, "a", qid=9)]
-    ordered = sorted(events, key=event_sort_key)
-    assert [type(e).__name__[0] for e in ordered] == ["I", "I", "C", "C"]
-    assert [e.advertiser for e in ordered] == ["a", "b", "a", "b"]
+    ordered = sorted(map(row_of, events), key=row_order)
+    assert [row[4] is IMPRESSION for row in ordered] == [True, True, False, False]
+    assert [row[1] for row in ordered] == ["a", "b", "a", "b"]
 
 
 def test_sort_key_is_total_on_distinct_events():
     log = random_log(3)
-    keys = [event_sort_key(e) for e in log]
-    assert keys == sorted(keys)
+    keys = [row_order(row) for row in log.records()]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert keys == [row_order(row_of(e)) for e in sorted(log, key=event_sort_key)]
 
 
 # ---------------------------------------------------------------------------

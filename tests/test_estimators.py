@@ -19,7 +19,7 @@ from adsim.estimators import (
     ctr_legacy,
     ctr_relative,
 )
-from helpers import estimate_at, log_of
+from helpers import estimate_at, log_of, row_of
 from oracles import (
     click_window_brute,
     est_counts,
@@ -119,7 +119,7 @@ def test_time_window_ignores_other_advertisers():
     # the cohort, not the fold, hands each advertiser's fold only its own events
     cohort = WindowSpec("time", 1_000).build_cohort(["a", "b"])
     for e in small_log():
-        cohort.observe(e)
+        cohort.observe(*row_of(e))
     assert cohort.rates(31) == {"a": 0.5, "b": 0.0}
 
 
@@ -150,7 +150,7 @@ def test_click_on_evicted_impression_does_not_count():
     # by t=3 the window of size 2 holds qids 1 and 2; the click hit qid 0
     fold = ImpressionWindowCtr(2)
     for e in sorted(events, key=lambda e: e.t):
-        fold.observe(e)
+        fold.observe(*row_of(e))
     assert est_counts(fold.estimate(4)) == (True, 0, 2)
 
 
@@ -196,21 +196,21 @@ def test_relative_from_tally():
 def test_relative_cumulative_counts_everything_before_now():
     fold = RelativeCtr()
     for e in small_log():
-        fold.observe(e)
+        fold.observe(*row_of(e))
     assert fold.tally(31) == {"a": 2}
     assert fold.estimate("a", 31).value == 1.0
     # a click exactly at now belongs to the next tick, so it is not fed yet
     fold2 = RelativeCtr()
     for e in small_log():
         if e.t < 20:
-            fold2.observe(e)
+            fold2.observe(*row_of(e))
     assert fold2.tally(20) == {"a": 1}
 
 
 def test_relative_interval_mode_slides():
     fold = RelativeCtr(interval_ms=15)
     for e in small_log():
-        fold.observe(e)
+        fold.observe(*row_of(e))
     assert fold.tally(31) == {"a": 1}  # [16, 31) holds only t=20
     assert fold.tally(40) == {}
 
@@ -220,7 +220,7 @@ def test_relative_shares_sum_to_one_on_random_logs():
         log = random_log(seed)
         fold = RelativeCtr()
         for e in log:
-            fold.observe(e)
+            fold.observe(*row_of(e))
         counts = fold.tally(10_000)
         if not counts:
             continue
@@ -282,7 +282,7 @@ def test_incremental_estimates_match_oracle(kind):
         events = [e for e in snapshot if e.advertiser == "b"]
         for now in sorted(checkpoints):
             while idx < len(events) and events[idx].t < now:
-                fold.observe(events[idx])
+                fold.observe(*row_of(events[idx]))
                 idx += 1
             assert est_counts(fold.estimate(now)) == BRUTES[kind](snapshot, "b", param, now)
 
@@ -298,7 +298,7 @@ def test_relative_matches_oracle(interval):
         idx = 0
         for now in sorted(checkpoints):
             while idx < len(events) and events[idx].t < now:
-                fold.observe(events[idx])
+                fold.observe(*row_of(events[idx]))
                 idx += 1
             assert fold.tally(now) == relative_brute(events, interval, now)
 
@@ -329,8 +329,8 @@ def _retained_bytes(spec: str, run_ms: int, rates_every: int | None) -> int:
         if rates_every and t % rates_every == 0:
             cohort.rates(t)
         adv = "abc"[t % 3]
-        cohort.observe(imp(t, adv, t))
-        cohort.observe(clk(t, adv, t))
+        cohort.observe(*row_of(imp(t, adv, t)))
+        cohort.observe(*row_of(clk(t, adv, t)))
     if rates_every:
         cohort.rates(run_ms)
     after = tracemalloc.get_traced_memory()[0]
@@ -378,10 +378,10 @@ def test_cohort_estimates_match_one_fold_per_advertiser(kind):
         for now in range(0, 11_000, 500):
             while idx < len(events) and events[idx].t < now:
                 e = events[idx]
-                cohort.observe(e)
+                cohort.observe(*row_of(e))
                 for adv, (fold, _) in folds.items():
                     if relative or e.advertiser == adv:
-                        fold.observe(e)
+                        fold.observe(*row_of(e))
                 idx += 1
             expected = {}
             for adv, (_, estimate) in folds.items():

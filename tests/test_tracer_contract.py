@@ -13,6 +13,7 @@ import adsim.bench
 from adsim.auction import SlotAllocation
 from adsim.estimators import ESTIMATOR_KINDS, RelativeCtr
 from adsim.traffic import TrafficConfig, query_times
+from helpers import row_of
 from oracles import random_log
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -40,7 +41,7 @@ def test_the_tracer_reads_work_from_what_the_wrapped_names_return(monkeypatch):
 
     def fed(fold, events=log):
         for e in events:
-            fold.observe(e)
+            fold.observe(*row_of(e))
         return fold
 
     own = [e for e in log if e.advertiser == "a"]  # a windowed fold sees one advertiser

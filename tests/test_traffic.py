@@ -12,7 +12,6 @@ from adsim.core import (
     ClickSource,
     DuplicateImpressionError,
     ImpressionEvent,
-    event_sort_key,
 )
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
@@ -29,7 +28,7 @@ from adsim.traffic import (
 )
 from adsim.estimators import ESTIMATOR_KINDS, WindowSpec
 
-from helpers import log_of, organic_log, with_fraud
+from helpers import event_of, event_sort_key, log_of, organic_log, row_of, with_fraud
 from oracles import detect_scripted_brute, organic_events_one_draw_at_a_time, tally_brute
 
 
@@ -119,8 +118,8 @@ def test_organic_events_mints_sequential_query_ids():
     cfg = organic_cfg()
     rng = np.random.default_rng(5)
     times = query_times(cfg, rng, 0, 10_000)
-    events, next_qid = organic_events(cfg, alloc("a", "b"), rng, times, 100)
-    imps = [e for e in events if isinstance(e, ImpressionEvent)]
+    rows, next_qid = organic_events(cfg, alloc("a", "b"), rng, times, 100)
+    imps = [e for e in map(event_of, rows) if isinstance(e, ImpressionEvent)]
     n_queries = len({e.query_id for e in imps})
     assert next_qid == 100 + n_queries
     assert len(imps) == 2 * n_queries
@@ -140,14 +139,14 @@ def test_organic_events_draw_as_one_call_per_query_and_slot(seed, allocation):
     empty_ticks = 0
     for t_lo in range(0, 20_000, 250):  # one RNG across ticks, as simulate shares it
         times = query_times(cfg, batched, t_lo, t_lo + 250)
-        got = organic_events(cfg, alloc(*allocation), batched, times, qid)
-        want = organic_events_one_draw_at_a_time(
+        rows, next_qid = organic_events(cfg, alloc(*allocation), batched, times, qid)
+        want, want_qid = organic_events_one_draw_at_a_time(
             cfg, alloc(*allocation), one_at_a_time, t_lo, t_lo + 250, qid
         )
-        assert got == want
+        assert (rows, next_qid) == ([row_of(e) for e in want], want_qid)
         assert batched.bit_generator.state == one_at_a_time.bit_generator.state
-        empty_ticks += got[1] == qid
-        qid = got[1]
+        empty_ticks += next_qid == qid
+        qid = next_qid
     if cfg.queries_per_second < 10:
         assert empty_ticks > 0  # so the tick without queries is covered
 
@@ -197,7 +196,7 @@ def test_human_times_are_seeded_and_increasing():
 
 def test_plan_events_pair_each_click_with_its_own_impression():
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=10, count=3, interval_ms=5)
-    events = fraud_events([plan], horizon_ms=100)
+    events = [event_of(row) for row in fraud_events([plan], horizon_ms=100)]
     assert len(events) == 6
     imps = [e for e in events if isinstance(e, ImpressionEvent)]
     clicks = [e for e in events if isinstance(e, ClickEvent)]
@@ -214,7 +213,7 @@ def test_fraud_events_number_the_plans_in_order_and_sort_canonically():
     early = FraudPlan(
         kind=HUMAN, target="b", start_ms=0, count=3, mean_gap_ms=5.0, gap_sigma=0.2
     )
-    events = fraud_events([late, early], horizon_ms=100)
+    events = [event_of(row) for row in fraud_events([late, early], horizon_ms=100)]
     assert events == sorted(events, key=event_sort_key)
     clicks = sorted(
         (e.advertiser, e.impression_ref, e.source)
