@@ -24,8 +24,6 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 from xml.etree import ElementTree as ET
 
-import numpy as np
-
 from .auction import AuctionConfig, Bid, gsp_allocate, rank
 from .core import (
     IMPRESSION,
@@ -42,6 +40,7 @@ from .core import (
 from .estimators import ESTIMATOR_KINDS, WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
     HUMAN,
+    MAX_POISSON_MEAN,
     PLAN_FIELDS,
     FraudFlag,
     FraudPlan,
@@ -323,6 +322,9 @@ class ScenarioConfig:
         check_min("scenario.horizon_ms", self.horizon_ms, 1)
         check_range("scenario.tick_ms", self.tick_ms, 1, self.horizon_ms)
         check_range("scenario.default_ctr", self.default_ctr, 0.0, 1.0)
+        if self.traffic.queries_per_second * self.tick_ms / 1000.0 > MAX_POISSON_MEAN:
+            raise ValueError(f"traffic.queries_per_second: must be <= {MAX_POISSON_MEAN * 1000 / self.tick_ms:g}"
+                             f" at tick_ms {self.tick_ms}, got {self.traffic.queries_per_second}")
         if not self.bids:
             raise ValueError("bids: at least one advertiser is required")
         for adv, amount in self.bids.items():
@@ -530,7 +532,8 @@ class ScenarioResult:
 
 def simulate(cfg: ScenarioConfig) -> EventLog:
     """Drive the per-tick auction/traffic/fraud loop and return the event log."""
-    rng = np.random.default_rng(cfg.seed)
+    from numpy.random import default_rng  # numpy loads only where a stream is seeded
+    rng = default_rng(cfg.seed)
     advertisers = cfg.advertisers
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
     primary = cfg.estimators[0].build_cohort(advertisers)

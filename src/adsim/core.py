@@ -331,7 +331,8 @@ def read_log(path: str | Path) -> EventLog:
     its own, so a byte that is not UTF-8 is reported on its line. An event line
     as ``write_log`` writes it, with a plain ASCII advertiser, is matched, not
     parsed: its fields go straight to ``append``'s gate, with one ``str`` per
-    advertiser name, and no event object is built."""
+    advertiser name, and no event object is built. A ``t`` or query id (or
+    ref) equal to the previous matched line's shares that line's ``int``."""
     names = _Names()
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -345,16 +346,23 @@ def read_log(path: str | Path) -> EventLog:
         except ValueError as exc:
             raise MalformedRecordError(1, str(exc)) from exc
         add, impression, click = log._add, _IMPRESSION_RE.fullmatch, _CLICK_RE.fullmatch
+        t_raw = q_raw = None  # the last matched t and query id or ref, as bytes
         for line_no, raw in enumerate(fh, start=2):
             try:
                 if m := impression(raw):
-                    advertiser, query_id, slot, t = m.groups()
-                    add(int(t), names[advertiser], int(slot), int(query_id), IMPRESSION)
+                    advertiser, q_bytes, slot, t_bytes = m.groups()
+                    source = IMPRESSION
                 elif m := click(raw):
-                    advertiser, ref, slot, source, t = m.groups()
-                    add(int(t), names[advertiser], int(slot), int(ref), _SOURCE_OF[source])
+                    advertiser, q_bytes, slot, source, t_bytes = m.groups()
+                    source = _SOURCE_OF[source]
                 else:
                     log.append(_parse_event(_json_record(raw)))
+                    continue
+                if t_bytes != t_raw:  # equal bytes share the previous line's int
+                    t_raw, t = t_bytes, int(t_bytes)
+                if q_bytes != q_raw:
+                    q_raw, q = q_bytes, int(q_bytes)
+                add(t, names[advertiser], int(slot), q, source)
             except (AdsimError, ValueError) as exc:
                 raise MalformedRecordError(line_no, str(exc)) from exc
     return log

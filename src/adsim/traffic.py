@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     IMPRESSION,
     MAX_SEED,
@@ -41,6 +39,9 @@ PLAN_FIELDS = {
     SCRIPTED: {"interval_ms": (int, 1)},
     HUMAN: {"mean_gap_ms": (float, 1.0), "gap_sigma": (float, 0.0)},
 }
+
+# The largest tick mean query_times can draw: numpy's Poisson sampler rejects more.
+MAX_POISSON_MEAN = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 
 # Synthetic fraud impressions get query ids from here up, far above anything
 # the organic generator can mint in a sane scenario.
@@ -116,7 +117,7 @@ class FraudFlag:
 
 
 def query_times(
-    cfg: TrafficConfig, rng: np.random.Generator, t_lo: int, t_hi: int
+    cfg: TrafficConfig, rng: numpy.random.Generator, t_lo: int, t_hi: int
 ) -> list[int]:
     """Sorted query arrival times over ``[t_lo, t_hi)``: a Poisson count, then
     that many uniform milliseconds. Draws nothing for an empty span."""
@@ -126,13 +127,15 @@ def query_times(
     n_queries = int(rng.poisson(cfg.queries_per_second * span_ms / 1000.0))
     if n_queries == 0:
         return []
-    return np.sort(rng.integers(t_lo, t_hi, size=n_queries)).tolist()
+    times = rng.integers(t_lo, t_hi, size=n_queries)
+    times.sort()
+    return times.tolist()
 
 
 def organic_events(
     cfg: TrafficConfig,
     allocation: Sequence[SlotAllocation],
-    rng: np.random.Generator,
+    rng: numpy.random.Generator,
     times: Sequence[int],
     query_id_start: int,
 ) -> tuple[list[tuple], int]:
@@ -169,7 +172,8 @@ def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
     if plan.kind == SCRIPTED:
         times = [plan.start_ms + k * plan.interval_ms for k in range(plan.count)]
     else:
-        rng = np.random.default_rng(plan.seed)
+        from numpy.random import default_rng  # numpy loads only where a stream is seeded
+        rng = default_rng(plan.seed)
         sigma = plan.gap_sigma
         # Parameterized so the distribution mean equals mean_gap_ms.
         mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0

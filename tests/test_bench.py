@@ -4,6 +4,7 @@ import csv
 import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import adsim.bench
@@ -41,6 +42,7 @@ from adsim.estimators import RelativeCtr, WindowSpec
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
     HUMAN,
+    MAX_POISSON_MEAN,
     PLAN_FIELDS,
     SCRIPTED,
     FraudPlan,
@@ -414,6 +416,30 @@ def test_a_number_that_is_not_finite_is_a_config_error(tmp_path, capsys, example
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {key}: must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("qps, tick_ms", [("1e30", 1000), ("1e19", 1000), ("1e20", 100)])
+def test_a_rate_too_large_to_draw_is_a_config_error(tmp_path, capsys, example_ini, qps, tick_ms):
+    text = example_ini.read_text().replace("queries_per_second = 5.0", f"queries_per_second = {qps}")
+    path = write_ini(tmp_path, text.replace("tick_ms = 1000 ", f"tick_ms = {tick_ms} "))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    bound = MAX_POISSON_MEAN * 1000 / tick_ms
+    assert str(err.value) == (
+        f"traffic.queries_per_second: must be <= {bound:g} at tick_ms {tick_ms}, got {float(qps)}"
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: traffic.queries_per_second: must be <= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_rate_ceiling_is_the_largest_mean_a_poisson_draw_takes():
+    rng = np.random.default_rng(0)
+    rng.poisson(MAX_POISSON_MEAN)
+    with pytest.raises(ValueError):
+        rng.poisson(np.nextafter(MAX_POISSON_MEAN, np.inf))
+    # the check reads a tick's mean: 1e19 queries per second, too many for 1000 ms, fit 100 ms
+    assert tiny_config(tick_ms=100, traffic=TrafficConfig(1e19, {"a": 0.3, "b": 0.2}))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adsim
 from adsim.cli import main
 from adsim.core import ClickEvent, EventLog, read_log, write_log
 
@@ -191,6 +195,21 @@ def test_replay_with_specs_and_csv(tmp_path, ini, capsys):
     )
     assert code == 0
     assert dest.read_text().splitlines()[0].endswith("ctr_time,ctr_impr")
+
+
+def test_replay_loads_no_numpy(tmp_path, ini):
+    # in a fresh interpreter, since the test modules import numpy themselves
+    out = tmp_path / "out"
+    assert main(["run", str(ini), "--out", str(out)]) == 0
+    argv = ["replay", str(out / "events.jsonl"), "--csv", str(tmp_path / "replay.csv")]
+    code = f"import sys; from adsim.cli import main; assert main({argv!r}) == 0; print('numpy' in sys.modules)"
+    src = str(Path(adsim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "replay.csv").read_text().startswith("time,")
 
 
 def test_replay_of_the_example_reproduces_its_series(tmp_path, example_ini, capsys):

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from adsim.auction import AuctionConfig
+from adsim.bench import ScenarioConfig, simulate
 from adsim.core import (
     IMPRESSION,
     ClickEvent,
@@ -23,6 +25,8 @@ from adsim.core import (
     row_order,
     write_log,
 )
+from adsim.estimators import WindowSpec
+from adsim.traffic import TrafficConfig
 from helpers import event_sort_key, log_of, row_of
 from oracles import random_log
 
@@ -315,6 +319,30 @@ def test_read_log_keeps_no_event_objects(tmp_path):
     ]
     assert kept == []
     assert back == log
+
+
+def test_a_read_log_keeps_no_duplicate_ints(tmp_path):
+    # an organic log of three slots per query: each query's rows hold one t and
+    # one query id, and read_log shares them as simulate does
+    cfg = ScenarioConfig(
+        seed=5, horizon_ms=200_000, tick_ms=1_000, focus="a",
+        bids={"a": 900, "b": 600, "c": 300}, auction=AuctionConfig(3),
+        traffic=TrafficConfig(50.0, {"a": 0.05, "b": 0.04, "c": 0.03}),
+        estimators=(WindowSpec("relative"),),
+    )
+    log = simulate(cfg)
+    path = tmp_path / "events.jsonl"
+    write_log(log, path)
+    tracemalloc.start()
+    try:
+        back = read_log(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == log
+    assert len(log) > 30_000
+    # about 150 B/event with a fresh int per t and per query id, 114 shared
+    assert held / len(log) < 130
 
 
 def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
