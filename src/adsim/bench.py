@@ -4,7 +4,7 @@ A scenario ties the other modules together: each tick it draws the query
 arrivals and, when there are any, ranks the standing bids with current CTR
 estimates, allocates slots and draws organic traffic for the winners; then
 it merges any scheduled fraud and hands each row, ``(t, advertiser, slot,
-query id or ref, source)``, to the log's gate and to the estimators, as
+query id or ref, source)``, to ``EventLog.append`` and to the estimators, as
 ``build_series`` does too. Runs are fully determined by the configured seed.
 
 The module also ships a reconstructed 20-step reference dataset (a cohort
@@ -541,12 +541,18 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
 
     fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
     log = EventLog(cfg.horizon_ms)
-    add = log._add
+    add = log.append
     fraud_idx = 0
     next_qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
-        times = query_times(cfg.traffic, rng, tick_start, tick_end)
+        try:
+            times = query_times(cfg.traffic, rng, tick_start, tick_end)
+        except MemoryError:  # a rate below numpy's ceiling can still ask for too many
+            raise ConfigError(
+                f"traffic.queries_per_second: {cfg.traffic.queries_per_second:g} draws "
+                f"more queries in a {cfg.tick_ms} ms tick than memory can hold"
+            ) from None
         rows = []
         if times:  # a tick without queries shows no ad, so it runs no auction
             ctrs = {

@@ -2,11 +2,11 @@
 
 All timestamps are integer milliseconds from scenario start. Advertiser ids are
 opaque strings; their lexicographic order is the global tie-break everywhere.
-Inside the package an event is a row, ``(t, advertiser, slot, query id or
-ref, source)`` with ``IMPRESSION`` as an impression's source. ``ImpressionEvent``
-and ``ClickEvent`` are a row's public view, records that may hold any values;
-the gate behind ``EventLog.append`` checks every row, so every log it accepts
-round-trips through JSONL.
+An event is written as a row, ``(t, advertiser, slot, query id or ref,
+source)`` with ``IMPRESSION`` as an impression's source, and ``EventLog.append``
+is the one gate that checks a row into a log, so every log round-trips through
+JSONL. ``ImpressionEvent`` and ``ClickEvent`` are a row's read view, which
+iterating a log yields.
 """
 
 from __future__ import annotations
@@ -123,17 +123,17 @@ class EventLog:
     """Append-only, time-ordered stream of impressions and clicks.
 
     It holds its events' fields in parallel columns, which ``records()`` yields
-    as rows; ``events`` and iteration build event objects from the rows.
+    as rows; iteration builds event objects from the rows.
 
-    ``append`` is the one gate for an event, so any log it accepts round-trips
-    through ``write_log``/``read_log``. It wants ``t``, ``slot`` and the query
-    id to be ``int`` (not ``bool``), the advertiser a non-empty ``str``, a click
-    source a ``ClickSource`` or ``None``, ``slot >= 1``, time order within
-    ``[0, horizon)``, one impression per (advertiser, query id), and at most one
-    click on each, once it is in the log. The last two rules read per-advertiser
-    sets of the events' own query ids. Only the row gate behind ``append``,
-    which ``simulate``, ``read_log`` and ``stripped()`` call directly, adds to
-    the columns and those sets.
+    ``append(t, advertiser, slot, ref, source)`` is the one gate for a row,
+    and the only writer of the columns and sets, so any log it accepts
+    round-trips through ``write_log``/``read_log``. It wants ``t``, ``slot``
+    and the query id (``ref``) to be ``int`` (not ``bool``), the advertiser a
+    non-empty ``str``, a click source a ``ClickSource`` or ``None``,
+    ``slot >= 1``, time order within ``[0, horizon)``, one impression per
+    (advertiser, query id), and at most one click on each, once it is in the
+    log. The last two rules read per-advertiser sets of the events' own query
+    ids. ``simulate``, ``read_log`` and ``stripped()`` all add rows through it.
     """
 
     def __init__(self, horizon: int):
@@ -146,17 +146,8 @@ class EventLog:
         self._impressions: dict[AdvertiserId, set[int]] = {}
         self._clicked: dict[AdvertiserId, set[int]] = {}
 
-    def append(self, e: Event) -> None:
-        """Add ``e`` at the tail; raise ValueError or an AdsimError if it breaks a rule."""
-        if isinstance(e, ClickEvent):
-            if e.source is IMPRESSION:  # the gate would take it for an impression
-                raise ValueError(f"bad click source: {e.source!r}")
-            self._add(e.t, e.advertiser, e.slot, e.impression_ref, e.source)
-        else:
-            self._add(e.t, e.advertiser, e.slot, e.query_id, IMPRESSION)
-
-    def _add(self, t, advertiser, slot, ref, source) -> None:
-        """``append``'s checks, in order, and bookkeeping, on a row."""
+    def append(self, t, advertiser, slot, ref, source) -> None:
+        """Add the row at the tail; raise ValueError or an AdsimError if it breaks a rule."""
         is_click = source is not IMPRESSION  # any other source makes the row a click
         if (
             type(t) is not int or type(slot) is not int or type(ref) is not int
@@ -206,7 +197,7 @@ class EventLog:
         """A new log of the same events, each click's ``source`` set to None."""
         out = EventLog(self.horizon)
         for t, advertiser, slot, ref, source in self.records():
-            out._add(t, advertiser, slot, ref, source if source is IMPRESSION else None)
+            out.append(t, advertiser, slot, ref, source if source is IMPRESSION else None)
         return out
 
     def records(self) -> Iterator[tuple]:
@@ -218,11 +209,6 @@ class EventLog:
 
     def clicks(self) -> int:
         return sum(map(len, self._clicked.values()))
-
-    @property
-    def events(self) -> list[Event]:
-        """The events as objects, in a list built on each access."""
-        return list(self)
 
     def __iter__(self) -> Iterator[Event]:
         for t, advertiser, slot, ref, source in self.records():
@@ -251,10 +237,10 @@ class EventLog:
 # sorted and no spaces, so identical logs serialize to identical bytes. The
 # reader takes any JSON object with these keys, in any order or spacing. A line
 # that is exactly a template's output, with a plain ASCII advertiser, matches a
-# pattern built from that template and its fields go straight to the log's
-# field gate; any other line goes to ``json.loads``, which checks the JSON
-# shape of the record. Both paths give the same events and the same messages,
-# and the gate behind ``EventLog.append`` checks the values of every event.
+# pattern built from that template; any other line goes to ``json.loads``,
+# which checks the JSON shape of the record. Either way the line becomes a row
+# for ``EventLog.append``, which checks the values of every event, so both paths
+# give the same events and the same messages.
 
 _HEADER_LINE = '{"horizon":%d,"kind":"header"}\n'
 _IMPRESSION_LINE = '{"advertiser":%s,"kind":"impression","query_id":%d,"slot":%d,"t":%d}\n'
@@ -262,7 +248,7 @@ _CLICK_LINE = '{"advertiser":%s,"impression_ref":%d,"kind":"click","slot":%d,"so
 _SOURCE_JSON = {None: "null", **{s: json.dumps(s.value) for s in ClickSource}}
 
 _EVENT_KINDS = {"impression": ImpressionEvent, "click": ClickEvent}
-_RECORD_KEYS = {cls: {"kind", *cls.__slots__} for cls in _EVENT_KINDS.values()}
+_RECORD_KEYS = {kind: {"kind", *cls.__slots__} for kind, cls in _EVENT_KINDS.items()}
 
 _JSON_INT = rb"(-?(?:0|[1-9][0-9]*))"
 _PLAIN_ADVERTISER = rb'"([ !#-\[\]-~]*)"'  # printable ASCII but '"' and '\', its own JSON
@@ -330,9 +316,10 @@ def read_log(path: str | Path) -> EventLog:
     A line ends at a line feed alone, as JSON Lines defines, and is decoded on
     its own, so a byte that is not UTF-8 is reported on its line. An event line
     as ``write_log`` writes it, with a plain ASCII advertiser, is matched, not
-    parsed: its fields go straight to ``append``'s gate, with one ``str`` per
-    advertiser name, and no event object is built. A ``t`` or query id (or
-    ref) equal to the previous matched line's shares that line's ``int``."""
+    parsed: its fields go straight to ``append``, with one ``str`` per
+    advertiser name. A ``t`` or query id (or ref) equal to the previous matched
+    line's shares that line's ``int``. Any other line is decoded to the same
+    row; no path builds an event object."""
     names = _Names()
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -345,7 +332,7 @@ def read_log(path: str | Path) -> EventLog:
             log = EventLog(rec["horizon"])
         except ValueError as exc:
             raise MalformedRecordError(1, str(exc)) from exc
-        add, impression, click = log._add, _IMPRESSION_RE.fullmatch, _CLICK_RE.fullmatch
+        add, impression, click = log.append, _IMPRESSION_RE.fullmatch, _CLICK_RE.fullmatch
         t_raw = q_raw = None  # the last matched t and query id or ref, as bytes
         for line_no, raw in enumerate(fh, start=2):
             try:
@@ -356,7 +343,7 @@ def read_log(path: str | Path) -> EventLog:
                     advertiser, q_bytes, slot, source, t_bytes = m.groups()
                     source = _SOURCE_OF[source]
                 else:
-                    log.append(_parse_event(_json_record(raw)))
+                    add(*_parse_row(_json_record(raw)))
                     continue
                 if t_bytes != t_raw:  # equal bytes share the previous line's int
                     t_raw, t = t_bytes, int(t_bytes)
@@ -385,18 +372,20 @@ def _json_record(raw: bytes) -> dict:
     return rec
 
 
-def _parse_event(rec: dict) -> Event:
+def _parse_row(rec: dict) -> tuple:
+    """A JSON event record as the log's row; the gate checks its values."""
     kind = rec.get("kind")
-    cls = _EVENT_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
+    keys = _RECORD_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
         raise ValueError(f"unknown record kind {kind!r}")
-    if rec.keys() != _RECORD_KEYS[cls]:
+    if rec.keys() != keys:
         raise ValueError(f"bad {kind} fields: {sorted(rec)}")
-    del rec["kind"]
-    raw = rec.get("source")
-    if raw is not None:
+    if kind == "impression":
+        return rec["t"], rec["advertiser"], rec["slot"], rec["query_id"], IMPRESSION
+    source = rec["source"]
+    if source is not None:
         try:
-            rec["source"] = ClickSource(raw)
+            source = ClickSource(source)
         except ValueError:
-            raise ValueError(f"unknown click source {raw!r}") from None
-    return cls(**rec)
+            raise ValueError(f"unknown click source {source!r}") from None
+    return rec["t"], rec["advertiser"], rec["slot"], rec["impression_ref"], source

@@ -37,10 +37,10 @@ def event_of(row):
 
 
 def log_of(events, horizon: int) -> EventLog:
-    """A log of ``events`` in canonical order, each added through ``append``."""
+    """A log of ``events`` in canonical order, each row added through ``append``."""
     log = EventLog(horizon)
     for e in sorted(events, key=event_sort_key):
-        log.append(e)
+        log.append(*row_of(e))
     return log
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -210,6 +211,26 @@ def test_replay_loads_no_numpy(tmp_path, ini):
     )
     assert done.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "replay.csv").read_text().startswith("time,")
+
+
+def test_a_rate_whose_tick_cannot_be_held_exits_2(tmp_path, example_ini):
+    # under numpy's Poisson ceiling, but one 1 s tick's draw would need 7 PiB;
+    # the child's address space is capped so that no rate can really allocate
+    ini = tmp_path / "huge.ini"
+    rate = "queries_per_second = "
+    ini.write_text(example_ini.read_text().replace(rate + "5.0", rate + "1e15"))
+    cap = 2 * 2**30
+    src = str(Path(adsim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "adsim.cli", "run", str(ini), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: traffic.queries_per_second: 1e+15 draws more queries "
+        "in a 1000 ms tick than memory can hold\n"
+    )
 
 
 def test_replay_of_the_example_reproduces_its_series(tmp_path, example_ini, capsys):

@@ -59,22 +59,12 @@ def test_event_validation():
     for event, message in cases:
         log = log_of([imp(0)], 10)
         with pytest.raises(ValueError) as err:
-            log.append(event)
+            log.append(*row_of(event))
         assert str(err.value) == message
-        assert log.events == [imp(0)]
+        assert list(log) == [imp(0)]
     with pytest.raises(ValueError) as err:
         EventLog(10.5)
     assert str(err.value) == "field 'horizon' must be an integer, got 10.5"
-
-
-def test_append_never_takes_a_click_for_an_impression():
-    # the row gate reads an IMPRESSION source as an impression's, so a click
-    # carrying it must be rejected, not stored as an impression of its ref
-    log = log_of([imp(0)], 10)
-    with pytest.raises(ValueError) as err:
-        log.append(clk(1, ref=5, source=IMPRESSION))
-    assert str(err.value) == "bad click source: 'impression'"
-    assert log.events == [imp(0)]
 
 
 def test_click_source_defaults_to_organic():
@@ -108,97 +98,98 @@ def test_sort_key_is_total_on_distinct_events():
 
 def test_append_enforces_time_order():
     log = EventLog(100)
-    log.append(imp(10))
-    log.append(imp(10, "b", qid=1))  # equal times are fine
+    log.append(*row_of(imp(10)))
+    log.append(*row_of(imp(10, "b", qid=1)))  # equal times are fine
     with pytest.raises(OutOfOrderError):
-        log.append(imp(9, qid=2))
+        log.append(*row_of(imp(9, qid=2)))
 
 
 def test_clicks_must_reference_a_prior_impression_of_the_same_advertiser():
     log = EventLog(100)
-    log.append(imp(10, "a", qid=5))
+    log.append(*row_of(imp(10, "a", qid=5)))
     with pytest.raises(DanglingClickError):
-        log.append(clk(11, "a", ref=6))
+        log.append(*row_of(clk(11, "a", ref=6)))
     with pytest.raises(DanglingClickError):
-        log.append(clk(11, "b", ref=5))  # right id, wrong advertiser
-    log.append(clk(11, "a", ref=5))
+        log.append(*row_of(clk(11, "b", ref=5)))  # right id, wrong advertiser
+    log.append(*row_of(clk(11, "a", ref=5)))
     with pytest.raises(DuplicateClickError):
-        log.append(clk(12, "a", ref=5))
+        log.append(*row_of(clk(12, "a", ref=5)))
 
 
 def test_append_rejects_events_at_or_past_the_horizon():
     log = EventLog(100)
-    log.append(imp(99, qid=0))
+    log.append(*row_of(imp(99, qid=0)))
     with pytest.raises(HorizonExceededError):
-        log.append(clk(100, ref=0))
+        log.append(*row_of(clk(100, ref=0)))
     with pytest.raises(HorizonExceededError):
-        EventLog(0).append(imp(0))
+        EventLog(0).append(*row_of(imp(0)))
 
 
 def test_impressions_are_unique_per_advertiser_and_query_id():
     log = EventLog(100)
-    log.append(imp(10, "a", qid=5))
-    log.append(imp(10, "b", qid=5))  # same query, another advertiser
+    log.append(*row_of(imp(10, "a", qid=5)))
+    log.append(*row_of(imp(10, "b", qid=5)))  # same query, another advertiser
     with pytest.raises(DuplicateImpressionError):
-        log.append(imp(11, "a", qid=5))
+        log.append(*row_of(imp(11, "a", qid=5)))
 
 
 def test_stripped_erases_click_labels_only():
     log = EventLog(50)
-    log.append(imp(1, qid=0))
-    log.append(clk(1, ref=0, source=ClickSource.SCRIPTED_FRAUD))
+    log.append(*row_of(imp(1, qid=0)))
+    log.append(*row_of(clk(1, ref=0, source=ClickSource.SCRIPTED_FRAUD)))
     bare = log.stripped()
     assert bare.horizon == log.horizon
     assert len(bare) == 2
-    assert bare.events[0] == log.events[0]
-    assert bare.events[1].source is None
-    assert bare.events[1].t == log.events[1].t and bare.events[1].impression_ref == 0
+    (bare_imp, bare_clk), (log_imp, log_clk) = list(bare), list(log)
+    assert bare_imp == log_imp
+    assert bare_clk.source is None
+    assert bare_clk.t == log_clk.t and bare_clk.impression_ref == 0
     # the original is untouched
-    assert log.events[1].source is ClickSource.SCRIPTED_FRAUD
+    assert log_clk.source is ClickSource.SCRIPTED_FRAUD
 
 
 def test_appending_to_the_stripped_copy_leaves_the_original_unchanged():
     log = EventLog(50)
-    log.append(imp(1, qid=0))
-    log.append(clk(1, ref=0))
+    log.append(*row_of(imp(1, qid=0)))
+    log.append(*row_of(clk(1, ref=0)))
     bare = log.stripped()
-    bare.append(imp(2, qid=1))
-    bare.append(clk(2, ref=1))
+    bare.append(*row_of(imp(2, qid=1)))
+    bare.append(*row_of(clk(2, ref=1)))
     # the copy still knows what the original had shown and clicked
     with pytest.raises(DuplicateImpressionError):
-        bare.append(imp(3, qid=0))
+        bare.append(*row_of(imp(3, qid=0)))
     with pytest.raises(DuplicateClickError):
-        bare.append(clk(3, ref=0))
+        bare.append(*row_of(clk(3, ref=0)))
     assert len(bare) == 4
-    assert log.events == [imp(1, qid=0), clk(1, ref=0)]
-    log.append(imp(2, qid=1))  # qid 1 is still new to the original
-    log.append(clk(2, ref=1))
+    assert list(log) == [imp(1, qid=0), clk(1, ref=0)]
+    log.append(*row_of(imp(2, qid=1)))  # qid 1 is still new to the original
+    log.append(*row_of(clk(2, ref=1)))
 
 
 def test_log_introspection():
     log = EventLog(100)
     assert log.advertisers() == []
-    log.append(imp(1, "b", qid=7))
-    log.append(imp(2, "a", qid=3))
+    log.append(*row_of(imp(1, "b", qid=7)))
+    log.append(*row_of(imp(2, "a", qid=3)))
     assert log.advertisers() == ["a", "b"]
     assert len(log) == 2
-    assert list(log) == [log.events[0], log.events[1]]
-    log.append(clk(3, "b", ref=7))
-    log.append(imp(4, "c", qid=7))
-    log.append(clk(5, "c", ref=7))
+    assert list(log) == [imp(1, "b", qid=7), imp(2, "a", qid=3)]
+    log.append(*row_of(clk(3, "b", ref=7)))
+    log.append(*row_of(imp(4, "c", qid=7)))
+    log.append(*row_of(clk(5, "c", ref=7)))
     with pytest.raises(DanglingClickError):
-        log.append(clk(6, "d", ref=7))  # a rejected click names no advertiser
+        log.append(*row_of(clk(6, "d", ref=7)))  # a rejected click names no advertiser
     assert log.advertisers() == ["a", "b", "c"]
     copy = log.stripped()
     assert copy.advertisers() == ["a", "b", "c"]
     # the copy's index is its own: each log goes on taking and refusing alike
-    copy.append(clk(6, "a", ref=3))
+    copy.append(*row_of(clk(6, "a", ref=3)))
     with pytest.raises(DuplicateClickError):
-        copy.append(clk(7, "a", ref=3))
-    log.append(clk(7, "a", ref=3))
+        copy.append(*row_of(clk(7, "a", ref=3)))
+    log.append(*row_of(clk(7, "a", ref=3)))
     with pytest.raises(DuplicateImpressionError):
-        copy.append(imp(8, "b", qid=7))
-    copy.append(imp(8, "d", qid=7))
+        copy.append(*row_of(imp(8, "b", qid=7)))
+    copy.append(*row_of(imp(8, "d", qid=7)))
     assert copy.advertisers() == ["a", "b", "c", "d"]
     assert log.advertisers() == ["a", "b", "c"]
     assert len(log) == 6 and len(copy) == 7
@@ -212,10 +203,10 @@ def test_log_bookkeeping_per_event_is_small():
     try:
         for q in range(10_000):
             for slot, adv in enumerate(("a", "b", "c"), start=1):
-                log.append(imp(q, adv, slot, qid=1_000_000 + q))
+                log.append(*row_of(imp(q, adv, slot, qid=1_000_000 + q)))
             if q % 10 == 0:
                 for slot, adv in enumerate("abc", 1):
-                    log.append(clk(q, adv, slot, ref=1_000_000 + q))
+                    log.append(*row_of(clk(q, adv, slot, ref=1_000_000 + q)))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -296,8 +287,8 @@ def test_read_log_shares_one_str_per_matched_advertiser(tmp_path):
     log = EventLog(100)
     for q in range(10):
         for slot, adv in enumerate(("alpha", "beta"), start=1):
-            log.append(imp(q, adv, slot, qid=q))
-        log.append(clk(q, "beta", 2, ref=q))
+            log.append(*row_of(imp(q, adv, slot, qid=q)))
+        log.append(*row_of(clk(q, "beta", 2, ref=q)))
     path = tmp_path / "events.jsonl"
     write_log(log, path)
     back = read_log(path)
@@ -432,8 +423,8 @@ def test_a_record_append_rejects_fails_alike_on_both_paths(tmp_path, lines, mess
 
 def test_file_layout(tmp_path):
     log = EventLog(60)
-    log.append(imp(1, qid=0))
-    log.append(clk(1, ref=0))
+    log.append(*row_of(imp(1, qid=0)))
+    log.append(*row_of(clk(1, ref=0)))
     path = tmp_path / "events.jsonl"
     write_log(log, path)
     lines = path.read_text().splitlines()
@@ -444,12 +435,12 @@ def test_file_layout(tmp_path):
 
 def test_stripped_click_round_trips_as_null_source(tmp_path):
     log = EventLog(60)
-    log.append(imp(1, qid=0))
-    log.append(clk(1, ref=0))
+    log.append(*row_of(imp(1, qid=0)))
+    log.append(*row_of(clk(1, ref=0)))
     path = tmp_path / "events.jsonl"
     write_log(log.stripped(), path)
     back = read_log(path)
-    assert back.events[1].source is None
+    assert list(back)[1].source is None
 
 
 @pytest.mark.parametrize(
@@ -578,6 +569,16 @@ def test_stripped_click_round_trips_as_null_source(tmp_path):
             ],
             1,
             "invalid JSON",
+        ),
+        (  # an impression's row source is no click source, so a click cannot pass for one
+            [
+                '{"horizon":10,"kind":"header"}',
+                '{"advertiser":"a","kind":"impression","query_id":0,"slot":1,"t":1}',
+                '{"advertiser":"a","impression_ref":0,"kind":"click","slot":1,'
+                '"source":"impression","t":1}',
+            ],
+            3,
+            "unknown click source 'impression'",
         ),
     ],
 )

@@ -374,7 +374,7 @@ def test_cohort_estimates_match_one_fold_per_advertiser(kind):
         cohort = spec.build_cohort(advertisers)
         folds = {adv: one_fold(adv) for adv in advertisers}
         idx = 0
-        events = log.events
+        events = list(log)
         for now in range(0, 11_000, 500):
             while idx < len(events) and events[idx].t < now:
                 e = events[idx]

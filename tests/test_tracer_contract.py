@@ -1,18 +1,22 @@
-"""The benchmark's tracer wraps adsim names by attribute and reads their
-return values; both must keep working."""
+"""The benchmark's tracer wraps adsim names by attribute, counts their calls
+and reads their return values; all three must keep working."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import adsim.bench
-from adsim.auction import SlotAllocation
-from adsim.estimators import ESTIMATOR_KINDS, RelativeCtr
-from adsim.traffic import TrafficConfig, query_times
+import adsim.core
+from adsim.auction import AuctionConfig, SlotAllocation
+from adsim.bench import ScenarioConfig
+from adsim.core import write_log
+from adsim.estimators import ESTIMATOR_KINDS, RelativeCtr, WindowSpec
+from adsim.traffic import SCRIPTED, FraudPlan, TrafficConfig, query_times
 from helpers import row_of
 from oracles import random_log
 
@@ -74,3 +78,26 @@ def test_the_tracer_reads_work_from_what_the_wrapped_names_return(monkeypatch):
     estimates = [counts for (name, _), counts in work.items() if name == "estimators.estimate"]
     assert estimates == [[True, False]] * 4  # one undefined, one defined each
     assert work[("traffic.organic_events", "adsim.bench")][0] > 0
+
+
+def test_the_tracer_counts_every_row_the_log_takes(tmp_path, monkeypatch):
+    spans = load_spans(monkeypatch)
+    # a read log with one line for json.loads, not the canonical pattern
+    path = tmp_path / "events.jsonl"
+    write_log(random_log(5), path)
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    spaced = json.dumps(json.loads(first), separators=(", ", ": ")) + "\n"
+    path.write_text("".join([header, spaced, *rest]))
+    # a simulated log with organic traffic and a scripted run
+    cfg = ScenarioConfig(
+        seed=3, horizon_ms=10_000, tick_ms=1_000, focus="a",
+        bids={"a": 400, "b": 200}, auction=AuctionConfig(2),
+        traffic=TrafficConfig(4.0, {"a": 0.3, "b": 0.2}),
+        estimators=(WindowSpec("relative"),),
+        fraud_plans=(FraudPlan(SCRIPTED, "a", 2_000, 10, interval_ms=150),),
+    )
+    for fn, arg in ((adsim.core.read_log, path), (adsim.bench.simulate, cfg)):
+        tracer = spans.Tracer()
+        log = tracer.run("job", fn, arg)
+        assert len(log) > 20
+        assert tracer.counters["core.EventLog.append"].calls == len(log), fn.__name__
