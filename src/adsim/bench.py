@@ -20,6 +20,8 @@ import csv
 import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 from xml.etree import ElementTree as ET
@@ -37,7 +39,7 @@ from .core import (
     row_order,
     write_atomic,
 )
-from .estimators import ESTIMATOR_KINDS, WindowSpec, ctr_legacy, ctr_relative
+from .estimators import ESTIMATOR_KINDS, RelativeCtr, WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
     HUMAN,
     MAX_POISSON_MEAN,
@@ -54,6 +56,7 @@ from .traffic import (
 
 SHAPE_INCREASING = "increasing"
 SHAPE_RISE_THEN_FALL = "rise_then_fall"
+_RATE_QUANTUM = Decimal("0.0001")  # format_rate's four decimals
 
 
 class ConfigError(AdsimError):
@@ -578,43 +581,51 @@ def build_series(
     tick_ms: int,
     exclude: set[tuple[AdvertiserId, int]] | None = None,
 ) -> list[SeriesRow]:
-    """Stream a log through the estimators, one row per tick.
-
-    ``exclude`` drops clicks (keyed by advertiser and impression ref) from the
-    estimator view and the counts, which is how flagged fraud is discarded.
-    Counts are cumulative from the start of the log.
-    """
+    """Stream a log through the estimators, one row per tick, with one fold per
+    column for ``focus``: a focus row goes to every fold, another advertiser's
+    click only to the relative one. ``exclude`` drops clicks (keyed by
+    advertiser and impression ref) from the estimator view and the counts,
+    which is how flagged fraud is discarded. Counts are cumulative."""
     if tick_ms < 1:
         raise ValueError("tick_ms must be >= 1")
     if len({spec.kind for spec in specs}) != len(specs):
         raise ValueError("estimator kinds must be unique")
     # columns in ESTIMATOR_KINDS order, whatever the configured order
     ordered = [spec for kind in ESTIMATOR_KINDS for spec in specs if spec.kind == kind]
-    cohorts = [(spec.label, spec.build_cohort([focus])) for spec in ordered]
-    observers = [cohort.observe for _, cohort in cohorts]
+    folds = {spec.label: ESTIMATOR_KINDS[spec.kind][1](spec.param) for spec in ordered}
+    relative = next((fold for fold in folds.values() if isinstance(fold, RelativeCtr)), None)
+    estimates = {  # the relative fold answers for one advertiser of its cohort
+        label: partial(fold.estimate, focus) if fold is relative else fold.estimate
+        for label, fold in folds.items()
+    }
+    observers = [fold.observe for fold in folds.values()]
     rows: list[SeriesRow] = []
-    records = log.records()
-    pending = next(records, None)
     impressions = clicks = total_clicks = 0
-    for time_index, tick_start in enumerate(range(0, log.horizon, tick_ms), start=1):
-        tick_end = min(tick_start + tick_ms, log.horizon)
-        while pending is not None and pending[0] < tick_end:
-            row, pending = pending, next(records, None)
-            _, advertiser, _, ref, source = row
-            if source is not IMPRESSION:
-                if exclude and (advertiser, ref) in exclude:
-                    continue
-                total_clicks += 1
-                if advertiser == focus:
-                    clicks += 1
-            elif advertiser == focus:
-                impressions += 1
-            else:  # another advertiser's impression: no [focus] cohort reads it
+    tick_end = tick_ms  # unclamped: every t in the log is below the horizon
+    # after the log, an impression of no advertiser at the last tick's end closes the ticks left
+    closing = (-(-log.horizon // tick_ms) * tick_ms, None, 1, 0, IMPRESSION)
+    for row in chain(log.records(), [closing]):
+        t, advertiser, _, ref, source = row
+        while t >= tick_end:
+            rates = {label: est.value if (est := estimate(min(tick_end, log.horizon))).defined
+                     else None for label, estimate in estimates.items()}
+            rows.append(SeriesRow(len(rows) + 1, impressions, clicks, total_clicks, rates))
+            tick_end += tick_ms
+        if source is IMPRESSION:
+            if advertiser != focus:  # no fold reads another advertiser's impression
                 continue
-            for observe in observers:
-                observe(*row)
-        rates = {label: cohort.rates(tick_end)[focus] for label, cohort in cohorts}
-        rows.append(SeriesRow(time_index, impressions, clicks, total_clicks, rates))
+            impressions += 1
+        else:
+            if exclude and (advertiser, ref) in exclude:
+                continue
+            total_clicks += 1
+            if advertiser != focus:
+                if relative:
+                    relative.observe(*row)
+                continue
+            clicks += 1
+        for observe in observers:
+            observe(*row)
     return rows
 
 
@@ -642,7 +653,7 @@ def run_scenario(cfg: ScenarioConfig, drop_flagged: bool = False) -> ScenarioRes
 
 def format_rate(x: float) -> str:
     """Rates are printed with exactly four decimals, rounding halves up."""
-    return str(Decimal(repr(x)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(x)).quantize(_RATE_QUANTUM, rounding=ROUND_HALF_UP))
 
 
 def series_columns(series: Sequence[SeriesRow]) -> list[str]:

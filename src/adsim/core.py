@@ -16,6 +16,7 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -246,6 +247,7 @@ _HEADER_LINE = '{"horizon":%d,"kind":"header"}\n'
 _IMPRESSION_LINE = '{"advertiser":%s,"kind":"impression","query_id":%d,"slot":%d,"t":%d}\n'
 _CLICK_LINE = '{"advertiser":%s,"impression_ref":%d,"kind":"click","slot":%d,"source":%s,"t":%d}\n'
 _SOURCE_JSON = {None: "null", **{s: json.dumps(s.value) for s in ClickSource}}
+_WRITE_BLOCK = 1024  # records per string that write_log hands the file
 
 _EVENT_KINDS = {"impression": ImpressionEvent, "click": ClickEvent}
 _RECORD_KEYS = {kind: {"kind", *cls.__slots__} for kind, cls in _EVENT_KINDS.items()}
@@ -295,19 +297,19 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
 
 
 def write_log(log: EventLog, path: str | Path) -> None:
-    """Serialize to JSONL, atomically. ``append`` admits only ``int`` fields and
-    ``str`` advertisers, so each record fills its line template as it is."""
-    names = {adv: json.dumps(adv) for adv in log.advertisers()}
-
-    def lines() -> Iterator[str]:
-        yield _HEADER_LINE % log.horizon
-        for t, advertiser, slot, ref, source in log.records():
-            if source is IMPRESSION:
-                yield _IMPRESSION_LINE % (names[advertiser], ref, slot, t)
-            else:
-                yield _CLICK_LINE % (names[advertiser], ref, slot, _SOURCE_JSON[source], t)
-
-    write_atomic(path, lines())
+    """Serialize to JSONL, atomically, ``_WRITE_BLOCK`` lines per write. ``append``
+    admits only ``int`` fields and ``str`` advertisers, so each record fills its
+    line template as it is, spelt out as an f-string per kind."""
+    names, sources = {adv: json.dumps(adv) for adv in log.advertisers()}, _SOURCE_JSON
+    records = log.records()
+    blocks = iter(lambda: "".join([  # the next _WRITE_BLOCK lines, then "" at the end
+        f'{{"advertiser":{names[adv]},"kind":"impression","query_id":{ref},"slot":{slot},"t":{t}}}\n'
+        if source is IMPRESSION else
+        f'{{"advertiser":{names[adv]},"impression_ref":{ref},"kind":"click","slot":{slot},'
+        f'"source":{sources[source]},"t":{t}}}\n'
+        for t, adv, slot, ref, source in islice(records, _WRITE_BLOCK)
+    ]), "")
+    write_atomic(path, chain([_HEADER_LINE % log.horizon], blocks))
 
 
 def read_log(path: str | Path) -> EventLog:

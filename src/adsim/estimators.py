@@ -5,21 +5,21 @@ clicks) plus a cohort-relative estimator that scores an advertiser by its
 share of all clicks. Each is a streaming fold that consumes events in log
 order and answers ``estimate(now)`` with a ``CtrEstimate``: the window's two
 counts, clicks over impressions for the windowed kinds and #clicks_i over
-#clicks_t for the relative one. ``WindowSpec(kind, param).build_cohort(
-advertisers)`` is how the simulator runs one kind for a whole cohort:
-``observe`` each event once, and ``rates(now)`` maps every advertiser to its
-rate, or to None while the estimate is undefined. ``ctr_relative`` and
-``ctr_legacy`` score the reference tables from their counts.
+#clicks_t for the relative one. ``build_series`` runs one fold per kind for its
+focus advertiser. ``WindowSpec(kind, param).build_cohort(advertisers)`` runs
+one kind for the simulator's whole cohort: ``observe`` each event once, and
+``rates(now)`` maps every advertiser to its rate, or to None while undefined.
+``ctr_relative`` and ``ctr_legacy`` score the reference tables from their counts.
 
 Feeding rule for the folds and cohorts: ``observe(*row)`` takes an event as
 the log's row, ``(t, advertiser, slot, ref, source)``. Feed a windowed fold
-one advertiser's events, and ``RelativeCtr`` the whole cohort's, in log order;
-feed exactly the events with ``t < now`` before calling ``estimate(now)``, and
-query with non-decreasing ``now``. An estimate covers what the fold was fed:
-``now`` only sets the trailing edge ``now - T`` of the time window and of the
-sliding relative one. Both drop what falls below ``t - T`` as each event at
-``t`` is fed (every later ``now`` exceeds ``t``). Routing events to their
-advertiser's fold is the cohort's job.
+one advertiser's events, and ``RelativeCtr`` the whole cohort's clicks, in log
+order; feed exactly the events with ``t < now`` before calling
+``estimate(now)``, and query with non-decreasing ``now``. An estimate covers
+what the fold was fed: ``now`` only sets the trailing edge ``now - T`` of the
+time window and of the sliding relative one. As an event at ``t`` is fed, the
+queue it joins drops what falls below ``t - T`` (every later ``now`` exceeds
+``t``); ``estimate`` prunes the time fold's other queue.
 """
 
 from __future__ import annotations
@@ -66,19 +66,18 @@ class TimeWindowCtr:
         self._clk: deque[int] = deque()
 
     def observe(self, t, advertiser, slot, ref, source) -> None:
-        (self._imp if source is IMPRESSION else self._clk).append(t)
-        self._evict(t)
+        fed = self._imp if source is IMPRESSION else self._clk
+        fed.append(t)
+        while fed[0] < t - self.window_ms:  # stops at t itself; the other deque waits for estimate
+            fed.popleft()
 
     def estimate(self, now: int) -> CtrEstimate:
-        self._evict(now)
-        y = len(self._imp)
-        return CtrEstimate(len(self._clk), y) if y else CtrEstimate(0, 0)
-
-    def _evict(self, now: int) -> None:
         lo = now - self.window_ms
         for dq in (self._imp, self._clk):
             while dq and dq[0] < lo:
                 dq.popleft()
+        y = len(self._imp)
+        return CtrEstimate(len(self._clk), y) if y else CtrEstimate(0, 0)
 
 
 class ImpressionWindowCtr:

@@ -10,6 +10,10 @@ import pytest
 from adsim.auction import AuctionConfig
 from adsim.bench import ScenarioConfig, simulate
 from adsim.core import (
+    _CLICK_LINE,
+    _HEADER_LINE,
+    _IMPRESSION_LINE,
+    _WRITE_BLOCK,
     IMPRESSION,
     ClickEvent,
     ClickSource,
@@ -281,6 +285,40 @@ def test_every_accepted_log_round_trips(tmp_path, log):
     assert back == log
     write_log(back, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _rendered(log: EventLog) -> str:
+    """The log as its line templates, each filled with ``%`` for one record."""
+    def source_json(source):
+        return "null" if source is None else json.dumps(source.value)
+
+    return _HEADER_LINE % log.horizon + "".join(
+        _IMPRESSION_LINE % (json.dumps(adv), ref, slot, t) if source is IMPRESSION
+        else _CLICK_LINE % (json.dumps(adv), ref, slot, source_json(source), t)
+        for t, adv, slot, ref, source in log.records()
+    )
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, _WRITE_BLOCK + 1], ids=["N-1", "N", "N+1", "2N+1"])
+def test_the_writer_renders_the_line_templates(tmp_path, extra):
+    # a row count on each side of the writer's block size, every click source,
+    # and advertisers that JSON escapes or that a format string could misread
+    advertisers = ['q"uote', "back\\slash", "100%d", "{}{0}", "广告", "plain"]
+    sources = list(ClickSource)
+    rows = []
+    for q in range(_WRITE_BLOCK + extra):
+        adv = advertisers[q % len(advertisers)]
+        rows.append((q, adv, 1 + q % 3, q, IMPRESSION))
+        rows.append((q, adv, 1 + q % 3, q, sources[q % len(sources)]))
+    log = EventLog(2 * _WRITE_BLOCK)
+    for row in rows[: _WRITE_BLOCK + extra]:
+        log.append(*row)
+    assert len(log) == _WRITE_BLOCK + extra
+    for i, written in enumerate((log, log.stripped())):
+        path = tmp_path / f"{i}.jsonl"
+        write_log(written, path)
+        assert path.read_bytes().decode("utf-8") == _rendered(written)
+        assert read_log(path) == written
 
 
 def test_read_log_shares_one_str_per_matched_advertiser(tmp_path):

@@ -9,12 +9,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import adsim.bench
 import adsim.core
 from adsim.auction import AuctionConfig, SlotAllocation
 from adsim.bench import ScenarioConfig
-from adsim.core import write_log
+from adsim.core import IMPRESSION, write_log
 from adsim.estimators import ESTIMATOR_KINDS, RelativeCtr, WindowSpec
 from adsim.traffic import SCRIPTED, FraudPlan, TrafficConfig, query_times
 from helpers import row_of
@@ -101,3 +102,32 @@ def test_the_tracer_counts_every_row_the_log_takes(tmp_path, monkeypatch):
         log = tracer.run("job", fn, arg)
         assert len(log) > 20
         assert tracer.counters["core.EventLog.append"].calls == len(log), fn.__name__
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all clicks", "exclude"])
+def test_the_series_pass_feeds_each_fold_only_the_rows_it_reads(monkeypatch, drop):
+    spans = load_spans(monkeypatch)
+    log = random_log(7, max_queries=400)
+    specs = [WindowSpec("time", 1_000), WindowSpec("impressions", 5), WindowSpec("clicks", 3),
+             WindowSpec("relative")]
+    clicks = [(adv, ref) for _, adv, _, ref, source in log.records() if source is not IMPRESSION]
+    exclude = set(clicks[::3]) if drop else None
+    tracer = spans.Tracer()
+    series = tracer.run("job", adsim.bench.build_series, log, "a", specs, 1_000, exclude)
+    ticks = len(series)
+    assert ticks == 10
+    kept = [
+        row for row in log.records()
+        if row[4] is IMPRESSION or not exclude or (row[1], row[3]) not in exclude
+    ]
+    focus = [row for row in kept if row[1] == "a"]
+    kept_clicks = [row for row in kept if row[4] is not IMPRESSION]
+    focus_impressions = [row for row in focus if row[4] is IMPRESSION]
+    assert len(kept_clicks) > len(focus) - len(focus_impressions) > 10
+    # one estimate per column per tick, the relative column's included
+    assert tracer.counters["estimators.estimate"].calls == 4 * ticks
+    # the three windowed folds read the focus's rows, the relative fold every
+    # kept click and the focus's impressions, which it skips
+    assert tracer.counters["estimators.observe"].calls == (
+        3 * len(focus) + len(kept_clicks) + len(focus_impressions)
+    )
