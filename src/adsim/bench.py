@@ -153,10 +153,21 @@ def reconstructed_clicks(t: int) -> int:
     return 2 if t == 1 else 6 * (t - 1)
 
 
-RECONSTRUCTED_TOTAL_CLICKS = (
-    22, 50, 84, 124, 170, 222, 280, 344, 414, 490,
-    572, 660, 754, 854, 960, 1072, 1190, 1314, 1444, 1580,
+RECONSTRUCTED_TOTAL_CLICKS = tuple(
+    22 + 28 * (t - 1) + 3 * (t - 1) * (t - 2) for t in range(1, REFERENCE_STEPS + 1)
 )
+
+# The ledgered cells of each printed column, by (table, column): the rows a
+# note covers, and the note. A cell that disagrees with the reconstruction and
+# has no note is a bug in the reconstruction itself, so it fails loudly.
+_ERRATA_NOTES = {
+    (1, "ctr"): ({9}, "printed 3.0 is a misplaced decimal point; the reconstruction gives "
+                 "48/(112+48) = 0.300, continuing the otherwise smooth column."),
+    (2, "total_clicks"): ({19, 20}, "the totals column follows the quadratic 22 + 28(t-1) + "
+                          "3(t-1)(t-2) for rows 1-18 and the CTR column keeps following it "
+                          "here; the last two printed cells are a stray rate and the "
+                          "previous row's total."),
+}
 
 
 @dataclass(frozen=True)
@@ -185,66 +196,34 @@ def replay_reference_tables() -> ReferenceReplay:
 
 def _build_errata(legacy_rows, relative_rows) -> list[Erratum]:
     errata = []
-    shift_rows = [
-        t for t in range(1, REFERENCE_STEPS + 1)
-        if PRINTED_CLICKS[t - 1] != reconstructed_clicks(t)
-    ]
-    if shift_rows:
-        first = shift_rows[0]
-        errata.append(
-            Erratum(
-                table=1,
-                row=first,
-                column="clicks",
-                printed_value=float(PRINTED_CLICKS[first - 1]),
-                reconstructed_value=float(reconstructed_clicks(first)),
-                justification=(
-                    f"rows {first}-{REFERENCE_STEPS} print the reconstruction's value "
-                    "for the following row (one-row shift); the CTR columns of both "
-                    "tables track the unshifted clicks series. The identical printed "
-                    "clicks column appears in table 2."
-                ),
-            )
-        )
-    for t, row in enumerate(legacy_rows, start=1):
-        if abs(row.ctr["ctr_old"] - PRINTED_LEGACY_CTR[t - 1]) > 0.001:
-            errata.append(
-                Erratum(
-                    table=1,
-                    row=t,
-                    column="ctr",
-                    printed_value=PRINTED_LEGACY_CTR[t - 1],
-                    reconstructed_value=row.ctr["ctr_old"],
-                    justification=(
-                        "printed 3.0 is a misplaced decimal point; the reconstruction "
-                        "gives 48/(112+48) = 0.300, continuing the otherwise smooth column."
-                    ),
-                )
-            )
-    for t in range(1, REFERENCE_STEPS + 1):
-        printed = PRINTED_TOTAL_CLICKS[t - 1]
-        recon = RECONSTRUCTED_TOTAL_CLICKS[t - 1]
-        if printed != recon:
-            errata.append(
-                Erratum(
-                    table=2,
-                    row=t,
-                    column="total_clicks",
-                    printed_value=float(printed),
-                    reconstructed_value=float(recon),
-                    justification=(
-                        "the totals column follows the quadratic 22 + 28(t-1) + 3(t-1)(t-2) "
-                        "for rows 1-18 and the CTR column keeps following it here; the last "
-                        "two printed cells are a stray rate and the previous row's total."
-                    ),
-                )
-            )
-    # The relative-CTR column should carry no errata; any mismatch is a bug in
-    # the reconstruction itself, so fail loudly rather than ledger it.
-    for t, row in enumerate(relative_rows, start=1):
-        drift = abs(row.ctr["ctr_new"] - PRINTED_RELATIVE_CTR[t - 1])
-        if drift > 0.001:
-            raise AssertionError(f"reconstruction drifted from printed table 2 at t={t}")
+    steps = range(1, REFERENCE_STEPS + 1)
+    # The clicks column is one erratum, at its first bad row: from there on
+    # each printed cell is the reconstruction of the following row.
+    first = next((t for t in steps if PRINTED_CLICKS[t - 1] != reconstructed_clicks(t)), None)
+    if first is not None:
+        for t in range(first, REFERENCE_STEPS + 1):
+            if PRINTED_CLICKS[t - 1] != reconstructed_clicks(t + 1):
+                raise AssertionError(f"printed clicks stop the one-row shift at t={t}")
+        cell, value = PRINTED_CLICKS[first - 1], reconstructed_clicks(first)
+        errata.append(Erratum(
+            1, first, "clicks", float(cell), float(value),
+            f"rows {first}-{REFERENCE_STEPS} print the reconstruction's value for the following "
+            "row (one-row shift); the CTR columns of both tables track the unshifted clicks "
+            "series. The identical printed clicks column appears in table 2.",
+        ))
+    for table, column, printed, reconstructed, tolerance in (
+        (1, "ctr", PRINTED_LEGACY_CTR, [row.ctr["ctr_old"] for row in legacy_rows], 0.001),
+        (2, "total_clicks", PRINTED_TOTAL_CLICKS, RECONSTRUCTED_TOTAL_CLICKS, 0),
+        (2, "ctr", PRINTED_RELATIVE_CTR, [row.ctr["ctr_new"] for row in relative_rows], 0.001),
+    ):
+        rows, note = _ERRATA_NOTES.get((table, column), ((), ""))
+        for t, cell, value in zip(steps, printed, reconstructed):
+            if abs(cell - value) > tolerance:
+                if t not in rows:
+                    raise AssertionError(
+                        f"reconstruction drifted from printed table {table} at t={t}"
+                    )
+                errata.append(Erratum(table, t, column, float(cell), float(value), note))
     return errata
 
 
@@ -265,32 +244,22 @@ def curve_shape_check(
         if v is None:
             raise ShapeViolation(row.time_index, f"column {column!r} undefined")
         values.append(v)
-    if shape == SHAPE_INCREASING:
-        for i in range(1, len(values)):
-            if values[i] <= values[i - 1]:
-                raise ShapeViolation(
-                    series[i].time_index,
-                    f"{column} stopped increasing: {values[i - 1]:.6f} -> {values[i]:.6f}",
-                )
-        return ShapeReport(column, shape, len(values))
-    peak = max(range(len(values)), key=lambda i: values[i])
-    if peak == 0 or peak == len(values) - 1:
-        raise ShapeViolation(
-            series[peak].time_index, f"{column} has no interior peak"
-        )
-    for i in range(1, peak + 1):
-        if values[i] <= values[i - 1]:
-            raise ShapeViolation(
-                series[i].time_index,
-                f"{column} dipped before its peak: {values[i - 1]:.6f} -> {values[i]:.6f}",
-            )
-    for i in range(peak + 1, len(values)):
-        if values[i] >= values[i - 1]:
-            raise ShapeViolation(
-                series[i].time_index,
-                f"{column} rose after its peak: {values[i - 1]:.6f} -> {values[i]:.6f}",
-            )
-    return ShapeReport(column, shape, len(values), peak_index=series[peak].time_index)
+    increasing = shape == SHAPE_INCREASING
+    # an increasing curve is one that rises to a peak at its last tick
+    peak = len(values) - 1 if increasing else max(range(len(values)), key=values.__getitem__)
+    if not increasing and peak in (0, len(values) - 1):
+        raise ShapeViolation(series[peak].time_index, f"{column} has no interior peak")
+    for i in range(1, len(values)):
+        before, after = values[i - 1], values[i]
+        if i <= peak and after <= before:
+            broke = "stopped increasing" if increasing else "dipped before its peak"
+        elif i > peak and after >= before:
+            broke = "rose after its peak"
+        else:
+            continue
+        raise ShapeViolation(series[i].time_index, f"{column} {broke}: {before:.6f} -> {after:.6f}")
+    peak_index = None if increasing else series[peak].time_index
+    return ShapeReport(column, shape, len(values), peak_index)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +551,8 @@ def build_series(
     exclude: set[tuple[AdvertiserId, int]] | None = None,
 ) -> list[SeriesRow]:
     """Stream a log through the estimators, one row per tick, with one fold per
-    column for ``focus``: a focus row goes to every fold, another advertiser's
-    click only to the relative one. ``exclude`` drops clicks (keyed by
+    column for ``focus``: a focus row goes to every windowed fold, and every
+    click to the relative one, which reads no impression. ``exclude`` drops clicks (keyed by
     advertiser and impression ref) from the estimator view and the counts,
     which is how flagged fraud is discarded. Counts are cumulative."""
     if tick_ms < 1:
@@ -598,7 +567,7 @@ def build_series(
         label: partial(fold.estimate, focus) if fold is relative else fold.estimate
         for label, fold in folds.items()
     }
-    observers = [fold.observe for fold in folds.values()]
+    windowed = [fold.observe for fold in folds.values() if fold is not relative]
     rows: list[SeriesRow] = []
     impressions = clicks = total_clicks = 0
     tick_end = tick_ms  # unclamped: every t in the log is below the horizon
@@ -619,12 +588,12 @@ def build_series(
             if exclude and (advertiser, ref) in exclude:
                 continue
             total_clicks += 1
+            if relative:
+                relative.observe(*row)
             if advertiser != focus:
-                if relative:
-                    relative.observe(*row)
                 continue
             clicks += 1
-        for observe in observers:
+        for observe in windowed:
             observe(*row)
     return rows
 

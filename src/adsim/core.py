@@ -369,6 +369,8 @@ def _json_record(raw: bytes) -> dict:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(rec, dict):
         raise ValueError("record is not an object")
     return rec

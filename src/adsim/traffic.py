@@ -169,9 +169,11 @@ def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
     Raises HorizonExceededError if the last click falls at or past
     ``horizon_ms``.
     """
-    if plan.kind == SCRIPTED:
+    # the earliest the last click can fall: a plan that passes the horizon anyway draws nothing
+    last = plan.start_ms + (plan.count - 1) * (plan.interval_ms or 1)
+    if last < horizon_ms and plan.kind == SCRIPTED:
         times = [plan.start_ms + k * plan.interval_ms for k in range(plan.count)]
-    else:
+    elif last < horizon_ms:
         from numpy.random import default_rng  # numpy loads only where a stream is seeded
         rng = default_rng(plan.seed)
         sigma = plan.gap_sigma
@@ -179,11 +181,11 @@ def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
         mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0
         times = [plan.start_ms]
         for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
-            times.append(times[-1] + max(1, round(gap)))
-    if times[-1] >= horizon_ms:
-        raise HorizonExceededError(
-            f"clicks reach t={times[-1]}, beyond horizon_ms={horizon_ms}"
-        )
+            # a gap as long as the horizon already fails the plan; capped, infinity never rounds
+            times.append(times[-1] + max(1, round(min(gap, horizon_ms))))
+        last = times[-1]
+    if last >= horizon_ms:
+        raise HorizonExceededError(f"clicks reach t={last}, beyond horizon_ms={horizon_ms}")
     return times
 
 

@@ -137,6 +137,23 @@ def test_replay_row_bookkeeping():
         assert old.total_clicks == RECONSTRUCTED_TOTAL_CLICKS[t - 1]
 
 
+@pytest.mark.parametrize(
+    "name, row, cell",
+    [
+        ("PRINTED_CLICKS", 12, 66),  # the row's own value, not the next row's 72
+        ("PRINTED_LEGACY_CTR", 3, 0.3),  # a row the column's note does not cover
+        ("PRINTED_TOTAL_CLICKS", 5, 171),  # counts compare exactly
+        ("PRINTED_RELATIVE_CTR", 5, 0.2),  # a column with no note
+    ],
+)
+def test_a_printed_cell_no_note_explains_fails_the_replay(monkeypatch, name, row, cell):
+    cells = list(getattr(adsim.bench, name))
+    cells[row - 1] = cell
+    monkeypatch.setattr(adsim.bench, name, tuple(cells))
+    with pytest.raises(AssertionError, match=f"t={row}$"):
+        replay_reference_tables()
+
+
 # ---------------------------------------------------------------------------
 # Shape checks.
 
@@ -178,6 +195,33 @@ def test_shape_check_rejects_gaps_and_bad_arguments():
         curve_shape_check([row(1, 0.1)], "x", "sideways")
     with pytest.raises(ValueError):
         curve_shape_check([], "x", SHAPE_INCREASING)
+
+
+@pytest.mark.parametrize(
+    "values, shape, message",
+    [
+        ((0.1, 0.2, 0.2), SHAPE_INCREASING, "t=3: x stopped increasing: 0.200000 -> 0.200000"),
+        (
+            (0.1, 0.3, 0.2, 0.5, 0.4), SHAPE_RISE_THEN_FALL,
+            "t=3: x dipped before its peak: 0.300000 -> 0.200000",
+        ),
+        (
+            (0.1, 0.3, 0.25, 0.26), SHAPE_RISE_THEN_FALL,
+            "t=4: x rose after its peak: 0.250000 -> 0.260000",
+        ),
+        (  # a flat step after the peak breaks the strict fall
+            (0.1, 0.3, 0.2, 0.2), SHAPE_RISE_THEN_FALL,
+            "t=4: x rose after its peak: 0.200000 -> 0.200000",
+        ),
+        ((0.3, 0.2, 0.1), SHAPE_RISE_THEN_FALL, "t=1: x has no interior peak"),
+        ((0.1, 0.2, 0.3), SHAPE_RISE_THEN_FALL, "t=3: x has no interior peak"),
+    ],
+)
+def test_shape_violations_name_the_tick_and_the_step(values, shape, message):
+    with pytest.raises(ShapeViolation) as err:
+        curve_shape_check([row(t, v) for t, v in enumerate(values, start=1)], "x", shape)
+    assert str(err.value) == message
+    assert message.startswith(f"t={err.value.time_index}: ")
 
 
 def test_replayed_curves_have_the_expected_shapes():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import resource
 import stat
@@ -145,6 +146,22 @@ def test_tables_csv_output(tmp_path, capsys):
     assert relative[1] == "1,16,2,22,0.0909"
 
 
+def test_the_tables_command_prints_and_writes_the_pinned_bytes(tmp_path, capsys):
+    # sha256 of the stdout and of the two CSV files; this module loads no numpy
+    assert main(["tables"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3f8d49328695457acc89a7f6969de0b7bf0420f776936bc56239b86eac8dd01d"
+    )
+    assert main(["tables", "--csv", str(tmp_path)]) == 0
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("reference_legacy.csv", "reference_relative.csv")
+    } == {
+        "reference_legacy.csv": "c0bd385ce3213f49356a908e4faa6e5e4807449ee6db1bb7b404d5c89c14fb2b",
+        "reference_relative.csv": "9333ef8dd5e754c320390f4c6332c91ac2c9b29a267bf1b9665ae13bd76044cc",
+    }
+
+
 def test_compare_runs_all_four_estimators(tmp_path, ini, capsys):
     out = tmp_path / "cmp"
     assert main(["compare", str(ini), "--out", str(out)]) == 0
@@ -231,6 +248,37 @@ def test_a_rate_whose_tick_cannot_be_held_exits_2(tmp_path, example_ini):
         "error: traffic.queries_per_second: 1e+15 draws more queries "
         "in a 1000 ms tick than memory can hold\n"
     )
+
+
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        (  # ten billion clicks 100 ms apart: too many to list, and past the horizon
+            {"count = 50": "count = 10000000000"},
+            "fraud:burst.start_ms: clicks reach t=1000000019900, beyond horizon_ms=60000",
+        ),
+        (  # a log-normal gap this wide draws infinity; every gap stops at the horizon
+            {"mean_gap_ms = 1500": "mean_gap_ms = 1e308", "gap_sigma = 0.8": "gap_sigma = 2"},
+            "fraud:crew.start_ms: clicks reach t=1750000, beyond horizon_ms=60000",
+        ),
+    ],
+    ids=["scripted-count", "human-gap"],
+)
+def test_a_fraud_plan_past_the_horizon_exits_2_before_it_draws(tmp_path, example_ini, edits, error):
+    text = example_ini.read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    ini = tmp_path / "plan.ini"
+    ini.write_text(text)
+    cap = 2**30  # a plan that lists its clicks first fails fast instead of filling memory
+    src = str(Path(adsim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "adsim.cli", "run", str(ini), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
 
 
 def test_replay_of_the_example_reproduces_its_series(tmp_path, example_ini, capsys):

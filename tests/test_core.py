@@ -618,6 +618,11 @@ def test_stripped_click_round_trips_as_null_source(tmp_path):
             3,
             "unknown click source 'impression'",
         ),
+        (  # nesting deeper than the decoder can recurse is bad JSON, not a crash
+            ['{"horizon":10,"kind":"header"}', "[" * 100_000],
+            2,
+            "invalid JSON: nested too deeply",
+        ),
     ],
 )
 def test_malformed_files_report_the_offending_line(tmp_path, lines, bad_line, fragment):

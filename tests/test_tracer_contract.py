@@ -127,7 +127,5 @@ def test_the_series_pass_feeds_each_fold_only_the_rows_it_reads(monkeypatch, dro
     # one estimate per column per tick, the relative column's included
     assert tracer.counters["estimators.estimate"].calls == 4 * ticks
     # the three windowed folds read the focus's rows, the relative fold every
-    # kept click and the focus's impressions, which it skips
-    assert tracer.counters["estimators.observe"].calls == (
-        3 * len(focus) + len(kept_clicks) + len(focus_impressions)
-    )
+    # kept click and no impression
+    assert tracer.counters["estimators.observe"].calls == 3 * len(focus) + len(kept_clicks)
