@@ -168,11 +168,9 @@ def gfp_best_response_step(
         raise ValueError(f"epsilon must be >= 1 cent, got {epsilon}")
     value = values[mover]
     others = sorted((amt for adv, amt in bids.items() if adv != mover), reverse=True)
-    for j in range(1, cfg.num_slots + 1):
-        if j <= len(others):
-            required = others[j - 1] + epsilon
-        else:
-            required = cfg.reserve_price + epsilon
+    # the price of each slot from the top; every slot past the last competitor costs the same
+    prices = [amt + epsilon for amt in others] + [cfg.reserve_price + epsilon]
+    for required in prices[: cfg.num_slots]:
         if required <= value:
             return max(cfg.reserve_price, required)
     return cfg.reserve_price

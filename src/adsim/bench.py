@@ -341,48 +341,48 @@ def parse_spec(token: str, where: str) -> WindowSpec:
         raise ConfigError(f"{where}: {exc} in {token!r} (expected {SPEC_SYNTAX})") from None
 
 
-_REQUIRED = object()
-
-
-class _Section:
-    """One config section; ``get`` raises ConfigError on a missing or bad value."""
-
-    def __init__(self, name: str, items: Mapping[str, str]):
-        self.name = name
-        self._items = dict(items)
-
-    def get(self, key: str, convert=str, default=_REQUIRED):
-        """Pop ``key`` through ``convert``; without a ``default`` it is required."""
-        if key not in self._items:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self.name}.{key}: missing")
-            return default
-        raw = self._items.pop(key)
-        try:
-            return convert(raw)
-        except ValueError:
-            what = "an integer" if convert is int else "a number"
-            raise ConfigError(f"{self.name}.{key}: expected {what}, got {raw!r}") from None
-
-    def optional(self, convert, *keys: str) -> dict:
-        """``{key: value}`` for each given key, so absent ones keep the dataclass default."""
-        return {key: self.get(key, convert) for key in keys if key in self._items}
-
-    def finish(self) -> None:
-        if self._items:
-            key = sorted(self._items)[0]
-            raise ConfigError(f"{self.name}.{key}: unknown key")
-
-
-_KNOWN_SECTIONS = {
-    "scenario", "auction", "bids", "traffic", "base_ctr", "estimators", "detector",
+# Every section the loader reads, in reading order, with its keys as {key: (type, required)}.
+# ``bids`` and ``base_ctr`` hold one required key per advertiser, all of one type. An
+# optional key that is absent keeps its dataclass default.
+_KEYS = {
+    "bids": int,
+    "base_ctr": float,
+    "scenario": {"seed": (int, True), "horizon_ms": (int, True), "tick_ms": (int, True),
+                 "focus": (str, False), "default_ctr": (float, False)},
+    "auction": {"num_slots": (int, True), "reserve_price": (int, False), "ranking": (str, False)},
+    "traffic": {"queries_per_second": (float, True), "position_decay": (float, False)},
+    "estimators": {"specs": (str, True)},
+    "detector": {"min_run": (int, False), "tolerance_ms": (int, False)},  # the one optional section
 }
+# The keys of every fraud section; ``PLAN_FIELDS`` adds those of its kind.
+_PLAN_KEYS = {"kind": (str, True), "target": (str, True), "start_ms": (int, True), "count": (int, True)}
 
 
-def _located(prefix: str, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``; its ValueError becomes a ConfigError behind ``prefix``."""
+def _read(name: str, items: Mapping[str, str], keys: Mapping[str, tuple]) -> dict:
+    """``{key: value}`` for each key of ``keys`` that ``items`` holds, converted by its
+    type; a missing required key, a value its type rejects or a key not in ``keys``
+    raises ConfigError."""
+    items = dict(items)
+    values = {}
+    for key, (convert, required) in keys.items():
+        if key in items:
+            raw = items.pop(key)
+            try:
+                values[key] = convert(raw)
+            except ValueError:
+                what = "an integer" if convert is int else "a number"
+                raise ConfigError(f"{name}.{key}: expected {what}, got {raw!r}") from None
+        elif required:
+            raise ConfigError(f"{name}.{key}: missing")
+    if items:
+        raise ConfigError(f"{name}.{min(items)}: unknown key")
+    return values
+
+
+def _located(prefix: str, cls, **kwargs):
+    """``cls(**kwargs)``; its ValueError becomes a ConfigError behind ``prefix``."""
     try:
-        return cls(*args, **kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
@@ -390,8 +390,9 @@ def _located(prefix: str, cls, *args, **kwargs):
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse the INI-style scenario format (see the annotated example file).
 
-    Only types, section and key names, fraud targets and the fraud horizon are
-    checked here; every other bound belongs to the dataclasses.
+    Section and key names and value types are checked first, for every
+    section; then fraud targets and, through the dataclasses, every other
+    bound; then the fraud horizon.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
@@ -406,85 +407,55 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for name in parser.sections():
-        if name not in _KNOWN_SECTIONS and not name.startswith("fraud:"):
+        if name not in _KEYS and not name.startswith("fraud:"):
             raise ConfigError(f"{name}: unknown section")
-    for name in ("scenario", "auction", "bids", "traffic", "base_ctr", "estimators"):
-        if name not in parser:
+    for name in _KEYS:
+        if name not in parser and name != "detector":
             raise ConfigError(f"{name}: missing section")
 
-    bids_sec = _Section("bids", parser["bids"])
-    bids = {adv: bids_sec.get(adv, int) for adv in parser["bids"]}
-    base_sec = _Section("base_ctr", parser["base_ctr"])
-    base_ctr = {adv: base_sec.get(adv, float) for adv in parser["base_ctr"]}
-
-    sc = _Section("scenario", parser["scenario"])
-    seed = sc.get("seed", int)
-    horizon_ms = sc.get("horizon_ms", int)
-    tick_ms = sc.get("tick_ms", int)
-    focus = sc.get("focus", default=min(bids, default=""))
-    defaulted = sc.optional(float, "default_ctr")
-    sc.finish()
-
-    au = _Section("auction", parser["auction"])
-    auction_cfg = _located(
-        "auction.", AuctionConfig,
-        au.get("num_slots", int),
-        **au.optional(int, "reserve_price"),
-        **au.optional(str, "ranking"),
-    )
-    au.finish()
-
-    tr = _Section("traffic", parser["traffic"])
-    traffic_cfg = _located(
-        "", TrafficConfig,
-        tr.get("queries_per_second", float),
-        base_ctr,
-        **tr.optional(float, "position_decay"),
-    )
-    tr.finish()
-
-    est = _Section("estimators", parser["estimators"])
-    specs = tuple(parse_spec(tok, "estimators.specs") for tok in est.get("specs").split())
-    est.finish()
-
-    det = _Section("detector", parser["detector"] if "detector" in parser else {})
-    for key, value in det.optional(int, "min_run", "tolerance_ms").items():
-        defaulted[f"detector_{key}"] = value
-    det.finish()
-
+    read = {}
+    for name, keys in _KEYS.items():
+        items = parser[name] if name in parser else {}
+        if not isinstance(keys, dict):  # one key per advertiser
+            keys = dict.fromkeys(items, (keys, True))
+        read[name] = _read(name, items, keys)
     plans = {}
     for name in parser.sections():
         if not name.startswith("fraud:"):
             continue
-        fr = _Section(name, parser[name])
-        kind = fr.get("kind")
-        target = fr.get("target")
-        if target not in bids:
-            raise ConfigError(f"{name}.target: {target!r} has no bid")
-        start_ms = fr.get("start_ms", int)
-        count = fr.get("count", int)
-        extra = {key: fr.get(key, conv) for key, (conv, _) in PLAN_FIELDS.get(kind, {}).items()}
+        kind = parser[name].get("kind")
+        if kind is not None and kind not in PLAN_FIELDS:  # the kind decides the other keys
+            raise ConfigError(f"{name}.kind: expected scripted or human, got {kind!r}")
+        fields = {key: (convert, True) for key, (convert, _) in PLAN_FIELDS.get(kind, {}).items()}
         if kind == HUMAN:
-            extra["seed"] = fr.get("seed", int, (seed + len(plans) + 1) % (MAX_SEED + 1))
-        plans[name] = _located(f"{name}.", FraudPlan, kind, target, start_ms, count, **extra)
-        fr.finish()
+            fields["seed"] = (int, False)
+        plans[name] = _read(name, parser[name], {**_PLAN_KEYS, **fields})
+
+    scenario, bids = read["scenario"], read["bids"]
+    scenario.setdefault("focus", min(bids, default=""))
+    auction_cfg = _located("auction.", AuctionConfig, **read["auction"])
+    traffic_cfg = _located("", TrafficConfig, base_ctr=read["base_ctr"], **read["traffic"])
+    specs = tuple(parse_spec(tok, "estimators.specs") for tok in read["estimators"]["specs"].split())
+    for i, (name, plan) in enumerate(plans.items()):
+        if plan["target"] not in bids:
+            raise ConfigError(f"{name}.target: {plan['target']!r} has no bid")
+        if plan["kind"] == HUMAN:
+            plan.setdefault("seed", (scenario["seed"] + i + 1) % (MAX_SEED + 1))
+        plans[name] = _located(f"{name}.", FraudPlan, **plan)
 
     cfg = _located(
         "", ScenarioConfig,
-        seed=seed,
-        horizon_ms=horizon_ms,
-        tick_ms=tick_ms,
-        focus=focus,
+        **scenario,
         bids=bids,
         auction=auction_cfg,
         traffic=traffic_cfg,
         estimators=specs,
         fraud_plans=tuple(plans.values()),
-        **defaulted,
+        **{f"detector_{key}": value for key, value in read["detector"].items()},
     )
     for name, plan in plans.items():
         try:
-            checked_click_times(plan, horizon_ms)
+            checked_click_times(plan, cfg.horizon_ms)
         except HorizonExceededError as exc:
             raise ConfigError(f"{name}.start_ms: {exc}") from None
     return cfg

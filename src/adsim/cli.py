@@ -195,7 +195,7 @@ def _cmd_replay(args) -> int:
     except MalformedRecordError as exc:
         raise ConfigError(f"{args.log}: {exc}") from exc
     advertisers = log.advertisers()
-    focus = args.advertiser or (advertisers[0] if advertisers else None)
+    focus = args.advertiser if args.advertiser is not None else next(iter(advertisers), None)
     if focus is None:
         raise ConfigError("advertiser: the log is empty, specify one explicitly")
     if advertisers and focus not in advertisers:

@@ -195,6 +195,14 @@ def test_free_slot_costs_reserve_plus_epsilon():
     assert new == 75
 
 
+def test_a_huge_slot_count_prices_only_the_slots_down_to_the_first_free_one():
+    cfg = by_bid(10**20, reserve=50)
+    bids = {"a": 1000, "b": 300}
+    assert gfp_best_response_step(bids, {"a": 500, "b": 0}, "a", 100, cfg) == 400
+    assert gfp_best_response_step(bids, {"a": 200, "b": 0}, "a", 100, cfg) == 150
+    assert gfp_best_response_step(bids, {"a": 0, "b": 0}, "a", 100, cfg) == 50
+
+
 def test_unknown_mover_is_rejected():
     with pytest.raises(UnknownMoverError):
         gfp_best_response_step({"a": 10}, {"a": 100}, "zzz", 1, by_bid())

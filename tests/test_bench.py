@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import configparser
 import csv
 import random
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 import adsim.bench
 from adsim.auction import BY_CTR_WEIGHTED, AuctionConfig, rank
 from adsim.bench import (
+    _KEYS,
+    _PLAN_KEYS,
     PRINTED_CLICKS,
     PRINTED_IMPRESSIONS,
     PRINTED_LEGACY_CTR,
@@ -429,6 +434,48 @@ def test_each_plan_field_is_required_typed_and_kept_to_its_kind(tmp_path, kind, 
     with pytest.raises(ValueError) as err:  # the dataclass reads the same table
         FraudPlan(kind, "a", 0, 5, **{k: float(v) for k, v in good.items() if k != key})
     assert str(err.value) == f"{key}: required by a {kind} plan"
+
+
+EXAMPLE_INI = Path(__file__).resolve().parent.parent / "scenario.example.ini"
+
+
+def _example_key_lines() -> list[tuple[str, str, int]]:
+    """``(section, key, line index)`` for each ``key = value`` line of the annotated example."""
+    section, found = None, []
+    for i, line in enumerate(EXAMPLE_INI.read_text().splitlines()):
+        if line.startswith("["):
+            section = line[1 : line.index("]")]
+        elif match := re.match(r"(\w+) *=", line):
+            found.append((section, match.group(1), i))
+    return found
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+@pytest.mark.parametrize(
+    "section, key, index",
+    [pytest.param(*line, id=f"{line[0]}.{line[1]}") for line in _example_key_lines()],
+)
+def test_a_bad_value_on_any_example_line_is_reported_at_its_key(tmp_path, section, key, index, value):
+    # one bad value is named before anything its key decides, such as a fraud kind's other keys
+    lines = EXAMPLE_INI.read_text().splitlines()
+    lines[index] = f"{key} = {value}"
+    with pytest.raises(ConfigError) as err:
+        load_config(write_ini(tmp_path, "\n".join(lines) + "\n"))
+    assert str(err.value).startswith(f"{section}.{key}: ")
+
+
+def test_the_example_sets_every_key_the_loader_reads():
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    parser.optionxform = str
+    parser.read(EXAMPLE_INI, encoding="utf-8")
+    for section, keys in _KEYS.items():
+        if isinstance(keys, dict):
+            assert set(parser[section]) == set(keys), section
+        else:  # one key per advertiser
+            assert parser[section], section
+    fraud_keys = {key for name in parser.sections() if name.startswith("fraud:") for key in parser[name]}
+    plan_keys = {key for fields in PLAN_FIELDS.values() for key in fields}
+    assert fraud_keys == {*_PLAN_KEYS, *plan_keys, "seed"}
 
 
 def test_missing_config_file():

@@ -309,6 +309,9 @@ def test_replay_rejects_bad_flags_before_reading_the_log(tmp_path, ini, capsys):
     capsys.readouterr()
     assert main(["replay", str(out / "events.jsonl"), "--advertiser", "nobody"]) == 2
     assert "advertiser: 'nobody' is not in the log" in capsys.readouterr().err
+    # only an absent flag defaults to the first advertiser
+    assert main(["replay", str(out / "events.jsonl"), "--advertiser", ""]) == 2
+    assert capsys.readouterr().err == "error: advertiser: '' is not in the log\n"
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
     assert main(["replay", str(bad), "--tick-ms", "0"]) == 2
@@ -389,6 +392,18 @@ def test_demo_gfp_detects_the_textbook_cycle(capsys):
 def test_demo_gfp_without_enough_steps_reports_no_cycle(capsys):
     assert main(["demo-gfp", "--steps", "3"]) == 3
     assert "no cycle" in capsys.readouterr().out
+
+
+def test_demo_gfp_with_a_huge_slot_count_returns_at_once():
+    # in a child with a timeout, so that a walk over every slot fails instead of hanging
+    argv = ["demo-gfp", "--values", "0,0", "--slots", "100000000000000000000", "--steps", "1"]
+    src = str(Path(adsim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "adsim.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 3  # no cycle in one step
+    assert "step   1 (a moves): a=0  b=300" in done.stdout
 
 
 def test_demo_gfp_argument_validation(capsys):
