@@ -479,8 +479,26 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     rng = default_rng(cfg.seed)
     advertisers = cfg.advertisers
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
-    primary = cfg.estimators[0].build_cohort(advertisers)
-    observe = primary.observe
+    spec = cfg.estimators[0]
+    if spec.kind == "relative":  # one tally for the cohort: every row, read once per auction
+        shared = RelativeCtr(spec.param)
+        observe = shared.observe
+
+        def ctrs_at(now: int) -> dict[AdvertiserId, float]:
+            counts = shared.tally(now)
+            total = sum(counts.values())
+            if not total:
+                return dict.fromkeys(advertisers, cfg.default_ctr)
+            return {adv: counts.get(adv, 0) / total for adv in advertisers}
+    else:  # one fold per advertiser, fed only its own rows
+        folds = {adv: ESTIMATOR_KINDS[spec.kind][1](spec.param) for adv in advertisers}
+
+        def observe(t, advertiser, slot, ref, source) -> None:
+            folds[advertiser].observe(t, advertiser, slot, ref, source)
+
+        def ctrs_at(now: int) -> dict[AdvertiserId, float]:
+            return {adv: est.value if (est := fold.estimate(now)).defined else cfg.default_ctr
+                    for adv, fold in folds.items()}
 
     fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
     log = EventLog(cfg.horizon_ms)
@@ -498,11 +516,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
             ) from None
         rows = []
         if times:  # a tick without queries shows no ad, so it runs no auction
-            ctrs = {
-                adv: cfg.default_ctr if rate is None else rate
-                for adv, rate in primary.rates(tick_start).items()
-            }
-            allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
+            allocation = gsp_allocate(rank(bid_list, ctrs_at(tick_start), cfg.auction), cfg.auction)
             rows, next_qid = organic_events(cfg.traffic, allocation, rng, times, next_qid)
         while fraud_idx < len(fraud) and fraud[fraud_idx][0] < tick_end:
             rows.append(fraud[fraud_idx])

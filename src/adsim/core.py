@@ -249,8 +249,8 @@ _CLICK_LINE = '{"advertiser":%s,"impression_ref":%d,"kind":"click","slot":%d,"so
 _SOURCE_JSON = {None: "null", **{s: json.dumps(s.value) for s in ClickSource}}
 _WRITE_BLOCK = 1024  # records per string that write_log hands the file
 
-_EVENT_KINDS = {"impression": ImpressionEvent, "click": ClickEvent}
-_RECORD_KEYS = {kind: {"kind", *cls.__slots__} for kind, cls in _EVENT_KINDS.items()}
+_RECORD_KEYS = {kind: set(re.findall(r'"(\w+)":', line))  # the keys its template writes
+                for kind, line in (("impression", _IMPRESSION_LINE), ("click", _CLICK_LINE))}
 
 _JSON_INT = rb"(-?(?:0|[1-9][0-9]*))"
 _PLAIN_ADVERTISER = rb'"([ !#-\[\]-~]*)"'  # printable ASCII but '"' and '\', its own JSON

@@ -6,12 +6,12 @@ share of all clicks. Each is a streaming fold that consumes events in log
 order and answers ``estimate(now)`` with a ``CtrEstimate``: the window's two
 counts, clicks over impressions for the windowed kinds and #clicks_i over
 #clicks_t for the relative one. ``build_series`` runs one fold per kind for its
-focus advertiser. ``WindowSpec(kind, param).build_cohort(advertisers)`` runs
-one kind for the simulator's whole cohort: ``observe`` each event once, and
-``rates(now)`` maps every advertiser to its rate, or to None while undefined.
-``ctr_relative`` and ``ctr_legacy`` score the reference tables from their counts.
+focus advertiser; ``simulate`` ranks the whole cohort with its primary kind,
+from one ``RelativeCtr.tally`` per auction or from one windowed fold per
+advertiser. ``ctr_relative`` and ``ctr_legacy`` score the reference tables
+from their counts.
 
-Feeding rule for the folds and cohorts: ``observe(*row)`` takes an event as
+Feeding rule for the folds: ``observe(*row)`` takes an event as
 the log's row, ``(t, advertiser, slot, ref, source)``. Feed a windowed fold
 one advertiser's events, and ``RelativeCtr`` the whole cohort's clicks, in log
 order; feed exactly the events with ``t < now`` before calling
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import IMPRESSION, AdvertiserId
 
@@ -216,54 +215,6 @@ class WindowSpec:
     def label(self) -> str:
         """Column name used in CSV output and reports."""
         return ESTIMATOR_KINDS[self.kind][0]
-
-    def build_cohort(self, advertisers: Sequence[AdvertiserId]):
-        """One estimator for the whole cohort, with ``observe(t, advertiser,
-        slot, ref, source)`` and ``rates(now) -> {advertiser: rate, or None
-        while undefined}``.
-
-        The relative kind keeps one tally for everyone; the windowed kinds
-        keep one fold per advertiser and hand each event only to its own.
-        Feed ``observe`` the events with ``t < now`` before ``rates(now)``.
-        """
-        fold = ESTIMATOR_KINDS[self.kind][1]
-        if fold is RelativeCtr:
-            return _RelativeCohort(advertisers, RelativeCtr(self.param))
-        return _FoldCohort({adv: fold(self.param) for adv in advertisers})
-
-
-class _RelativeCohort:
-    """Every advertiser's share, from one tally per ``rates`` call."""
-
-    def __init__(self, advertisers: Sequence[AdvertiserId], shared: RelativeCtr):
-        self.cohort = list(advertisers)
-        self.shared = shared
-        self.observe = shared.observe  # the one tally sees every event itself
-
-    def rates(self, now: int) -> dict[AdvertiserId, float | None]:
-        counts = self.shared.tally(now)
-        total = sum(counts.values())
-        if total == 0:
-            return dict.fromkeys(self.cohort)
-        return {adv: counts.get(adv, 0) / total for adv in self.cohort}
-
-
-class _FoldCohort:
-    """One windowed fold per advertiser; an event reaches only its own."""
-
-    def __init__(self, folds: dict[AdvertiserId, object]):
-        self.folds = folds
-
-    def observe(self, t, advertiser, slot, ref, source) -> None:
-        fold = self.folds.get(advertiser)
-        if fold is not None:
-            fold.observe(t, advertiser, slot, ref, source)
-
-    def rates(self, now: int) -> dict[AdvertiserId, float | None]:
-        return {
-            adv: est.value if (est := fold.estimate(now)).defined else None
-            for adv, fold in self.folds.items()
-        }
 
 
 def ctr_relative(clicks: int, total_clicks: int) -> CtrEstimate:

@@ -19,7 +19,7 @@ import numpy as np
 
 from adsim.auction import Bid, gsp_allocate, rank
 from adsim.core import ClickEvent, ClickSource, Event, EventLog, ImpressionEvent
-from adsim.estimators import CtrEstimate
+from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
 from adsim.traffic import FraudFlag, fraud_events
 from helpers import event_of, event_sort_key, log_of, row_of
 
@@ -71,33 +71,41 @@ def organic_events_one_draw_at_a_time(cfg, allocation, rng, t_lo, t_hi, query_id
     return events, qid
 
 
-def simulate_every_tick(cfg) -> tuple[list, list[int]]:
-    """``bench.simulate`` running the auction on every tick: the primary
-    cohort's rates at the tick start, ``rank`` and ``gsp_allocate``, whether
-    or not the tick then draws a query, with the traffic drawn by
-    ``organic_events_one_draw_at_a_time``. Returns the events in log order
-    and the starts of the ticks that drew at least one query."""
+def simulate_every_tick(cfg) -> tuple[list, dict[int, dict[str, float]]]:
+    """``bench.simulate`` running the auction on every tick: each advertiser's
+    own fold of the primary kind read at the tick start, ``rank`` and
+    ``gsp_allocate``, whether or not the tick then draws a query, with the
+    traffic drawn by ``organic_events_one_draw_at_a_time``. A windowed fold is
+    fed its advertiser's events; a relative one is fed every event and read
+    for its advertiser. Returns the events in log order and, for each tick
+    that drew at least one query, its start and the CTRs it ranked with."""
     rng = np.random.default_rng(cfg.seed)
     bid_list = [Bid(a, cfg.bids[a]) for a in cfg.advertisers]
-    primary = cfg.estimators[0].build_cohort(cfg.advertisers)
+    spec = cfg.estimators[0]
+    relative = spec.kind == "relative"
+    folds = {adv: ESTIMATOR_KINDS[spec.kind][1](spec.param) for adv in cfg.advertisers}
     fraud = [event_of(row) for row in fraud_events(cfg.fraud_plans, cfg.horizon_ms)]
-    events, query_ticks = [], []
+    events, query_ticks = [], {}
     qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
-        rates = primary.rates(tick_start)
-        ctrs = {adv: cfg.default_ctr if r is None else r for adv, r in rates.items()}
+        ctrs = {}
+        for adv, fold in folds.items():
+            est = fold.estimate(adv, tick_start) if relative else fold.estimate(tick_start)
+            ctrs[adv] = est.value if est.defined else cfg.default_ctr
         allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
         tick, next_qid = organic_events_one_draw_at_a_time(
             cfg.traffic, allocation, rng, tick_start, tick_end, qid
         )
         if next_qid > qid:
-            query_ticks.append(tick_start)
+            query_ticks[tick_start] = ctrs
         qid = next_qid
         tick += [e for e in fraud if tick_start <= e.t < tick_end]
         tick.sort(key=event_sort_key)
         for e in tick:
-            primary.observe(*row_of(e))
+            for adv, fold in folds.items():
+                if relative or e.advertiser == adv:
+                    fold.observe(*row_of(e))
         events += tick
     return events, query_ticks
 

@@ -627,6 +627,7 @@ def test_simulate_feeds_the_primary_every_row_in_log_order(interval, monkeypatch
 
 PRIMARY_KINDS = (
     WindowSpec("relative"),
+    WindowSpec("relative", 40),
     WindowSpec("relative", 1_500),
     WindowSpec("time", 2_000),
     WindowSpec("impressions", 20),
@@ -651,9 +652,10 @@ def test_simulate_equals_the_auction_run_on_every_tick(primary, qps, tick_ms, mo
         cfg = tiny_config(
             seed=seed,
             tick_ms=tick_ms,
-            bids={"a": 400, "b": 500, "c": 600, "d": 900},
+            # "e" bids nothing, so it ranks last and never takes one of the 3 slots
+            bids={"a": 400, "b": 500, "c": 600, "d": 900, "e": 0},
             auction=AuctionConfig(3, ranking=BY_CTR_WEIGHTED),
-            traffic=TrafficConfig(qps, {"a": 0.5, "b": 0.35, "c": 0.3, "d": 0.1}),
+            traffic=TrafficConfig(qps, {"a": 0.5, "b": 0.35, "c": 0.3, "d": 0.1, "e": 0.2}),
             estimators=(primary,),
             fraud_plans=(
                 FraudPlan(kind=SCRIPTED, target="a", start_ms=3_000, count=25, interval_ms=150),
@@ -665,8 +667,11 @@ def test_simulate_equals_the_auction_run_on_every_tick(primary, qps, tick_ms, mo
         )
         ranked.clear()
         want, query_ticks = simulate_every_tick(cfg)
-        assert list(simulate(cfg)) == want
+        log = simulate(cfg)
+        assert list(log) == want
         assert len(ranked) == len(query_ticks)
+        assert [ctrs for _, ctrs, _ in ranked] == list(query_ticks.values())
+        assert "e" not in {row[1] for row in log.records()}
         if qps * tick_ms < 1_000:  # under one query per tick on average
             assert len(query_ticks) < cfg.horizon_ms // tick_ms  # so ticks are skipped
 

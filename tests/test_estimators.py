@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -113,14 +114,6 @@ def test_time_window_half_open_bounds():
 
 def test_time_window_cold_start():
     assert not estimate_at("time", EventLog(10), "a", 5, 1).defined
-
-
-def test_time_window_ignores_other_advertisers():
-    # the cohort, not the fold, hands each advertiser's fold only its own events
-    cohort = WindowSpec("time", 1_000).build_cohort(["a", "b"])
-    for e in small_log():
-        cohort.observe(*row_of(e))
-    assert cohort.rates(31) == {"a": 0.5, "b": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +312,31 @@ _STATE_SPECS = [
 
 
 def _retained_bytes(spec: str, run_ms: int, rates_every: int | None) -> int:
-    """Bytes a cohort keeps after one impression and one click per ms over
-    ``run_ms``, with ``rates`` called every ``rates_every`` ms and once at the
-    end, or, given None, never."""
-    cohort = parse_spec(spec, "spec").build_cohort(["a", "b", "c"])
+    """Bytes the folds of one kind keep after one impression and one click
+    per ms over ``run_ms``, fed as ``simulate`` feeds them (one fold per
+    advertiser, or one ``RelativeCtr`` for the cohort), with an estimate for
+    each advertiser every ``rates_every`` ms and once at the end, or, given
+    None, never."""
+    spec = parse_spec(spec, "spec")
+    if spec.kind == "relative":  # one tally takes every row and answers for each advertiser
+        shared = RelativeCtr(spec.param)
+        folds = dict.fromkeys("abc", shared)
+        estimates = [partial(shared.estimate, adv) for adv in "abc"]
+    else:
+        folds = {adv: ESTIMATOR_KINDS[spec.kind][1](spec.param) for adv in "abc"}
+        estimates = [fold.estimate for fold in folds.values()]
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
     for t in range(run_ms):
         if rates_every and t % rates_every == 0:
-            cohort.rates(t)
+            for estimate in estimates:
+                estimate(t)
         adv = "abc"[t % 3]
-        cohort.observe(*row_of(imp(t, adv, t)))
-        cohort.observe(*row_of(clk(t, adv, t)))
+        folds[adv].observe(*row_of(imp(t, adv, t)))
+        folds[adv].observe(*row_of(clk(t, adv, t)))
     if rates_every:
-        cohort.rates(run_ms)
+        for estimate in estimates:
+            estimate(run_ms)
     after = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     return after - before
@@ -351,43 +355,6 @@ def test_estimator_state_does_not_grow_between_queries(spec):
     # must drop what it no longer covers as it is fed, not only when queried
     short = _retained_bytes(spec, 3_000, None)
     assert _retained_bytes(spec, 30_000, None) - short < 10_000
-
-
-@pytest.mark.parametrize(
-    "kind", ["time", "impressions", "clicks", "relative", "relative:40", "relative:1500"]
-)
-def test_cohort_estimates_match_one_fold_per_advertiser(kind):
-    kind, _, interval = kind.partition(":")
-    relative = kind == "relative"
-    spec = WindowSpec(kind, int(interval) if interval else None if relative else 25)
-
-    def one_fold(adv):
-        if relative:  # a tally of its own per advertiser, read for that one
-            fold = RelativeCtr(spec.param)
-            return fold, lambda now: fold.estimate(adv, now)
-        fold = ESTIMATOR_KINDS[kind][1](spec.param)
-        return fold, fold.estimate
-
-    for seed in range(10):
-        log = random_log(seed + 2_000)
-        advertisers = ["a", "b", "c", "d", "e"]  # "e" never appears in the log
-        cohort = spec.build_cohort(advertisers)
-        folds = {adv: one_fold(adv) for adv in advertisers}
-        idx = 0
-        events = list(log)
-        for now in range(0, 11_000, 500):
-            while idx < len(events) and events[idx].t < now:
-                e = events[idx]
-                cohort.observe(*row_of(e))
-                for adv, (fold, _) in folds.items():
-                    if relative or e.advertiser == adv:
-                        fold.observe(*row_of(e))
-                idx += 1
-            expected = {}
-            for adv, (_, estimate) in folds.items():
-                est = estimate(now)
-                expected[adv] = est.value if est.defined else None
-            assert cohort.rates(now) == expected
 
 
 @given(seed=st.integers(0, 10**9), param=st.integers(1, 30), now=st.integers(0, 12_000))

@@ -47,5 +47,5 @@ def test_readme_library_example_returns_what_it_shows(monkeypatch):
     assert checked == [
         "result.rows[-1]",
         "gsp_allocate(ranked, auction)[0]",
-        "cohort.rates(60000)['alpha']",
+        "alpha.estimate(60000)",
     ]
