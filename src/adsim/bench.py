@@ -561,8 +561,9 @@ def build_series(
     for row in chain(log.records(), [closing]):
         t, advertiser, _, ref, source = row
         while t >= tick_end:
-            rates = {label: est.value if (est := estimate(min(tick_end, log.horizon))).defined
-                     else None for label, estimate in estimates.items()}
+            now = min(tick_end, log.horizon)
+            rates = {label: est.value if (est := estimate(now)).defined else None
+                     for label, estimate in estimates.items()}
             rows.append(SeriesRow(len(rows) + 1, impressions, clicks, total_clicks, rates))
             tick_end += tick_ms
         if source is IMPRESSION:
@@ -615,12 +616,21 @@ def series_columns(series: Sequence[SeriesRow]) -> list[str]:
 
 
 def series_cells(series: Sequence[SeriesRow]) -> Iterator[list[str]]:
-    """The header, then one row of string cells per tick; undefined rates are empty."""
+    """The header, then one row of string cells per tick; undefined rates are empty.
+
+    Each column keeps its previous rate's ``repr`` and text, so a rate that
+    repeats its column's previous tick is formatted once. Keyed on the
+    ``repr``, ``0.0`` and ``-0.0`` keep their own text."""
     cols = series_columns(series)
     yield ["time", "impressions", "clicks", "total_clicks", *cols]
+    last = {c: (None, "") for c in cols}  # column -> (repr, text) of its previous rate
     for row in series:
         cells = [str(row.time_index), str(row.impressions), str(row.clicks), str(row.total_clicks)]
-        yield cells + ["" if (v := row.ctr.get(c)) is None else format_rate(v) for c in cols]
+        for c in cols:
+            if (v := row.ctr.get(c)) is not None and (key := repr(v)) != last[c][0]:
+                last[c] = (key, format_rate(v))
+            cells.append("" if v is None else last[c][1])
+        yield cells
 
 
 def emit_csv(series: Sequence[SeriesRow], path: str | Path) -> None:
@@ -682,11 +692,14 @@ def emit_plot(series: Sequence[SeriesRow], path: str | Path, title: str = "") ->
     _text(svg, 18, mt + plot_h / 2, "CTR", anchor="middle")
     for i, col in enumerate(cols):
         color = _PALETTE[i % len(_PALETTE)]
-        points = [
-            f"{sx(r.time_index):.2f},{sy(v):.2f}"
-            for r in series
-            if (v := r.ctr.get(col)) is not None
-        ]
+        points = []
+        last = y = None  # an equal rate has the same sy, signed zeros included
+        for r in series:
+            if (v := r.ctr.get(col)) is None:
+                continue
+            if v != last:
+                last, y = v, f"{sy(v):.2f}"
+            points.append(f"{sx(r.time_index):.2f},{y}")
         ET.SubElement(
             svg,
             "polyline",

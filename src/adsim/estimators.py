@@ -175,8 +175,9 @@ class RelativeCtr:
                 del self._counts[adv]
 
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
-        counts = self.tally(now)
-        return ctr_relative(counts.get(advertiser, 0), sum(counts.values()))
+        if self.interval_ms is not None:  # read the counts in place, not a tally's copy
+            self._evict(now)
+        return ctr_relative(self._counts.get(advertiser, 0), sum(self._counts.values()))
 
 
 # The estimator kinds in CSV column order: kind -> (column label, streaming fold).

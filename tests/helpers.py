@@ -7,8 +7,6 @@ canonical order written on event objects, independently of ``row_order``.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from adsim.core import IMPRESSION, ClickEvent, EventLog, ImpressionEvent
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
 from adsim.traffic import fraud_events, organic_events, query_times
@@ -46,6 +44,8 @@ def log_of(events, horizon: int) -> EventLog:
 
 def organic_log(cfg, allocation, horizon_ms: int, seed: int) -> EventLog:
     """Organic-only log over ``[0, horizon_ms)`` for a fixed slot allocation."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rows, _ = organic_events(cfg, allocation, rng, query_times(cfg, rng, 0, horizon_ms), 0)
     return log_of(map(event_of, rows), horizon_ms)

@@ -7,17 +7,21 @@ scan their events several times per call, so they take a list of event
 objects (``list(log)``, taken once per log) rather than the log, whose
 iteration builds the objects anew each time. The traffic and
 simulator oracles take numpy's generator, since they must reproduce its
-draws, and make them one call at a time.
+draws, and make them one call at a time; they import numpy themselves, so the
+other oracles load none. The output references format every cell of a series
+anew, with no text carried over from the tick before.
 """
 from __future__ import annotations
 
+import csv
+import io
 import random
 import statistics
+import xml.etree.ElementTree as ET
 from typing import Sequence
 
-import numpy as np
-
 from adsim.auction import Bid, gsp_allocate, rank
+from adsim.bench import format_rate
 from adsim.core import ClickEvent, ClickSource, Event, EventLog, ImpressionEvent
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
 from adsim.traffic import FraudFlag, fraud_events
@@ -79,6 +83,8 @@ def simulate_every_tick(cfg) -> tuple[list, dict[int, dict[str, float]]]:
     fed its advertiser's events; a relative one is fed every event and read
     for its advertiser. Returns the events in log order and, for each tick
     that drew at least one query, its start and the CTRs it ranked with."""
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     bid_list = [Bid(a, cfg.bids[a]) for a in cfg.advertisers]
     spec = cfg.estimators[0]
@@ -237,3 +243,70 @@ def _flag(adv: str, run: list[ClickEvent]) -> FraudFlag:
         advertiser=adv,
         flagged_click_ids=tuple(c.impression_ref for c in run),
     )
+
+
+def series_csv_each(series) -> str:
+    """``emit_csv``'s text, with ``format_rate`` called on every defined cell."""
+    cols = list(series[0].ctr) if series else []
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["time", "impressions", "clicks", "total_clicks", *cols])
+    for r in series:
+        rates = ["" if (v := r.ctr.get(c)) is None else format_rate(v) for c in cols]
+        out.writerow([str(r.time_index), str(r.impressions), str(r.clicks), str(r.total_clicks), *rates])
+    return buf.getvalue()
+
+
+def series_svg_each(series, title: str = "") -> str:
+    """``emit_plot``'s text, with ``sx`` and ``sy`` called on every defined cell."""
+    width, height, ml, mr, mt, mb = 720, 440, 60, 160, 30, 50
+    plot_w, plot_h = width - ml - mr, height - mt - mb
+    cols = list(series[0].ctr) if series else []
+    times = [r.time_index for r in series]
+    t_lo, t_hi = (times[0], times[-1]) if times else (0, 1)
+    y_hi = max((v for r in series for v in r.ctr.values() if v is not None), default=1.0)
+    y_hi = (y_hi or 1.0) * 1.05
+
+    def sx(t):
+        return ml + (t - t_lo) / max(t_hi - t_lo, 1) * plot_w
+
+    def sy(v):
+        return mt + plot_h - v / y_hi * plot_h
+
+    svg = ET.Element("svg", {"xmlns": "http://www.w3.org/2000/svg", "version": "1.1",
+                             "width": str(width), "height": str(height),
+                             "viewBox": f"0 0 {width} {height}"})
+
+    def line(x1, y1, x2, y2, attrs):
+        xy = {"x1": f"{x1:.2f}", "y1": f"{y1:.2f}", "x2": f"{x2:.2f}", "y2": f"{y2:.2f}"}
+        ET.SubElement(svg, "line", {**xy, **attrs})
+
+    def text(x, y, s, anchor="start", size=11):
+        ET.SubElement(svg, "text", {"x": f"{x:.2f}", "y": f"{y:.2f}", "font-family": "sans-serif",
+                                    "font-size": str(size), "text-anchor": anchor,
+                                    "fill": "#222222"}).text = s
+
+    if title:
+        text(ml, mt - 10, title, size=14)
+    axis = {"stroke": "#333333", "stroke-width": "1"}
+    line(ml, mt + plot_h, ml + plot_w, mt + plot_h, axis)
+    line(ml, mt, ml, mt + plot_h, axis)
+    for i in range(5):
+        line(ml - 4, sy(y_hi * i / 4), ml, sy(y_hi * i / 4), axis)
+        text(ml - 8, sy(y_hi * i / 4) + 4, f"{y_hi * i / 4:.3f}", anchor="end")
+    for t in times[::max(1, (len(times) + 9) // 10)]:
+        line(sx(t), mt + plot_h, sx(t), mt + plot_h + 4, axis)
+        text(sx(t), mt + plot_h + 18, str(t), anchor="middle")
+    text(ml + plot_w / 2, height - 12, "time", anchor="middle")
+    text(18, mt + plot_h / 2, "CTR", anchor="middle")
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+    for i, col in enumerate(cols):
+        color = palette[i % len(palette)]
+        points = [f"{sx(r.time_index):.2f},{sy(v):.2f}" for r in series
+                  if (v := r.ctr.get(col)) is not None]
+        ET.SubElement(svg, "polyline", {"points": " ".join(points), "fill": "none",
+                                        "stroke": color, "stroke-width": "2"})
+        ly = mt + 16 + 20 * i
+        line(width - mr + 12, ly - 4, width - mr + 36, ly - 4, {"stroke": color, "stroke-width": "2"})
+        text(width - mr + 42, ly, col)
+    return ET.tostring(svg, encoding="unicode") + "\n"

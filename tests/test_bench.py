@@ -247,6 +247,11 @@ def test_format_rate_rounds_half_up_to_four_decimals():
     assert format_rate(0.3) == "0.3000"
     assert format_rate(1.0) == "1.0000"
     assert format_rate(2 / 18) == "0.1111"
+    # the sign of a zero, an exponent repr and an int, as the series reuses them
+    assert format_rate(-0.0) == "-0.0000"
+    assert format_rate(1e-05) == "0.0000"
+    assert format_rate(5e-05) == "0.0001"
+    assert format_rate(1) == "1.0000"
 
 
 # ---------------------------------------------------------------------------
