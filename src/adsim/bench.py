@@ -104,8 +104,6 @@ class Erratum:
 
 @dataclass(frozen=True)
 class ShapeReport:
-    column: str
-    shape: str
     checked: int
     peak_index: int | None = None
 
@@ -259,7 +257,7 @@ def curve_shape_check(
             continue
         raise ShapeViolation(series[i].time_index, f"{column} {broke}: {before:.6f} -> {after:.6f}")
     peak_index = None if increasing else series[peak].time_index
-    return ShapeReport(column, shape, len(values), peak_index)
+    return ShapeReport(len(values), peak_index)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,6 @@ class ScenarioResult:
     log: EventLog
     rows: list[SeriesRow]
     flags: list[FraudFlag]
-    dropped_flagged: bool
 
 
 def simulate(cfg: ScenarioConfig) -> EventLog:
@@ -599,7 +596,7 @@ def run_scenario(cfg: ScenarioConfig, drop_flagged: bool = False) -> ScenarioRes
     if drop_flagged:
         exclude = {(f.advertiser, ref) for f in flags for ref in f.flagged_click_ids}
     rows = build_series(log, cfg.focus, cfg.estimators, cfg.tick_ms, exclude)
-    return ScenarioResult(log, rows, flags, drop_flagged)
+    return ScenarioResult(log, rows, flags)
 
 
 # ---------------------------------------------------------------------------

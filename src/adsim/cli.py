@@ -157,21 +157,12 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-_COMPARE_DEFAULTS = {
-    "time": lambda cfg: WindowSpec("time", 10 * cfg.tick_ms),
-    "impressions": lambda cfg: WindowSpec("impressions", 100),
-    "clicks": lambda cfg: WindowSpec("clicks", 10),
-    "relative": lambda cfg: WindowSpec("relative"),
-}
-
-
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     # the configured primary still prices the auction; defaults fill the rest
     configured = {spec.kind for spec in cfg.estimators}
-    missing = (
-        default(cfg) for kind, default in _COMPARE_DEFAULTS.items() if kind not in configured
-    )
+    defaults = {"time": 10 * cfg.tick_ms, "impressions": 100, "clicks": 10, "relative": None}
+    missing = (WindowSpec(kind, param) for kind, param in defaults.items() if kind not in configured)
     cfg = dataclasses.replace(cfg, estimators=(*cfg.estimators, *missing))
     out = _out_dir(args.out) if args.out else None
     result = run_scenario(cfg)

@@ -72,7 +72,6 @@ class MalformedRecordError(AdsimError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-        self.reason = reason
 
 
 class ClickSource(Enum):

@@ -149,7 +149,8 @@ class RelativeCtr:
             raise ValueError("interval_ms must be >= 1")
         self.interval_ms = interval_ms
         self._counts: dict[str, int] = {}
-        self._window: deque[tuple[int, AdvertiserId]] = deque()  # sliding mode only
+        # fed in sliding mode only, so _evict never reads a None interval_ms
+        self._window: deque[tuple[int, AdvertiserId]] = deque()
 
     def observe(self, t, advertiser, slot, ref, source) -> None:
         if source is IMPRESSION:
@@ -162,21 +163,18 @@ class RelativeCtr:
     def tally(self, now: int) -> dict[AdvertiserId, int]:
         """Clicks per advertiser in the window ending at ``now``; only
         advertisers with clicks there appear."""
-        if self.interval_ms is not None:
-            self._evict(now)
+        self._evict(now)
         return dict(self._counts)
 
     def _evict(self, now: int) -> None:
-        lo = now - self.interval_ms
-        while self._window and self._window[0][0] < lo:
+        while self._window and self._window[0][0] < now - self.interval_ms:
             adv = self._window.popleft()[1]
             self._counts[adv] -= 1
             if not self._counts[adv]:
                 del self._counts[adv]
 
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
-        if self.interval_ms is not None:  # read the counts in place, not a tally's copy
-            self._evict(now)
+        self._evict(now)  # read the counts in place, not a tally's copy
         return ctr_relative(self._counts.get(advertiser, 0), sum(self._counts.values()))
 
 

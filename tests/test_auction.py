@@ -12,6 +12,7 @@ from adsim.auction import (
     AuctionConfig,
     Bid,
     MissingCtrError,
+    SlotAllocation,
     UnknownMoverError,
     best_response_run,
     detect_cycle,
@@ -28,6 +29,26 @@ def by_bid(n_slots=2, reserve=0):
 
 def prices(allocs):
     return [(a.advertiser, a.price_per_click) for a in allocs]
+
+
+# ---------------------------------------------------------------------------
+# Records.
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Bid("", 1), "empty advertiser id"),
+        (lambda: Bid("a", -1), "negative bid: -1"),
+        (lambda: SlotAllocation(0, "a", 0, 0.0), "slot must be >= 1, got 0"),
+        (lambda: SlotAllocation(1, "a", -1, 0.0), "negative price: -1"),
+        (lambda: SlotAllocation(1, "a", 0, -0.5), "negative rank score: -0.5"),
+    ],
+    ids=["bid:empty_id", "bid:negative", "slot:0", "slot:price", "slot:score"],
+)
+def test_auction_records_reject_impossible_fields(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------

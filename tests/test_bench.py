@@ -167,6 +167,20 @@ def row(t, value, column="x"):
     return SeriesRow(t, 0, 0, 0, {column: value})
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((0, 0, 0, 0), "time_index must be >= 1, got 0"),
+        ((1, -1, 0, 0), "negative counts"),
+        ((1, 0, -1, 0), "negative counts"),
+        ((1, 0, 0, -1), "negative counts"),
+    ],
+)
+def test_a_series_row_starts_at_tick_1_and_counts_nothing_negative(counts, message):
+    with pytest.raises(ValueError, match=message):
+        SeriesRow(*counts, {})
+
+
 def test_shape_check_increasing():
     report = curve_shape_check([row(t, t / 10) for t in range(1, 6)], "x", SHAPE_INCREASING)
     assert report.checked == 5
@@ -359,6 +373,7 @@ def test_absent_optional_keys_take_the_dataclass_defaults(tmp_path):
         (lambda s: s + "\n[scenario2]\nx = 1\n", "scenario2: unknown section"),
         (lambda s: s.replace("seed = 1", "seed = 1\nwhat = no"), "scenario.what: unknown key"),
         (lambda s: s.replace("a = 100", "a = -5"), "bids.a"),
+        (lambda s: s.replace("[bids]\na = 100\n", "[bids]\n"), "bids: at least one advertiser"),
         (lambda s: s.replace("a = 0.2", "a = 1.2"), "base_ctr.a"),
         (lambda s: s.replace("[base_ctr]\na = 0.2", "[base_ctr]\nzz = 0.2"), "base_ctr"),
         (lambda s: s.replace("a = 100", "a = 100\nb = 50"), "base_ctr.b: missing"),
@@ -744,6 +759,13 @@ def test_build_series_rejects_duplicate_kinds():
         build_series(log, "alpha", specs, 1_000)
 
 
+@pytest.mark.parametrize("tick_ms", [0, -1_000])
+def test_build_series_rejects_a_tick_below_one_ms(tick_ms):
+    log = log_of([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
+    with pytest.raises(ValueError, match="tick_ms must be >= 1"):
+        build_series(log, "alpha", [WindowSpec("relative")], tick_ms)
+
+
 def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
     events = [
         ImpressionEvent(100, "a", 1, 0),
@@ -822,7 +844,6 @@ def test_drop_flagged_removes_scripted_clicks_from_the_series():
     kept = run_scenario(cfg, drop_flagged=False)
     dropped = run_scenario(cfg, drop_flagged=True)
     assert kept.flags and kept.flags == dropped.flags
-    assert not kept.dropped_flagged and dropped.dropped_flagged
     flagged_for_focus = {
         ref
         for f in kept.flags

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import resource
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import adsim
+from adsim.bench import ShapeViolation
 from adsim.cli import main
 from adsim.core import ClickEvent, EventLog, read_log, write_log
 
@@ -421,12 +423,36 @@ def test_demo_gfp_argument_validation(capsys):
         (["--reserve", "-5"], "error: --reserve: must be >= 0, got -5"),
         (["--epsilon", "0"], "error: --epsilon: must be >= 1"),
         (["--bids", "1,2", "--values", "1"], "error: --values: need exactly one value per bid"),
+        (["--bids", "5", "--values", "9"], "error: --bids: need at least two bidders"),
+        (["--steps", "0"], "error: --steps: must be >= 1"),
+        (["--bids=-1,5"], "error: --bids: amounts must be >= 0"),
     ],
-    ids=["slots", "reserve", "epsilon", "values"],
+    ids=["slots", "reserve", "epsilon", "values", "one_bidder", "steps", "negative_bid"],
 )
 def test_demo_gfp_errors_name_the_flag(capsys, argv, message):
     assert main(["demo-gfp", *argv]) == 2
     assert capsys.readouterr().err.strip() == message
+
+
+def test_an_os_error_that_names_no_path_is_not_hidden(monkeypatch):
+    # only a path the user gave becomes exit 2; any other OSError keeps its traceback
+    def full(*_):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("adsim.cli.replay_reference_tables", full)
+    with pytest.raises(OSError, match="No space left on device"):
+        main(["tables"])
+
+
+def test_a_shape_violation_exits_3(monkeypatch, capsys):
+    def broken(*_):
+        raise ShapeViolation(7, "ctr_old stopped increasing: 0.300000 -> 0.290000")
+
+    monkeypatch.setattr("adsim.cli.curve_shape_check", broken)
+    assert main(["tables"]) == 3
+    assert capsys.readouterr().err == (
+        "shape violation: t=7: ctr_old stopped increasing: 0.300000 -> 0.290000\n"
+    )
 
 
 def test_help_and_unknown_commands_use_argparse_conventions(capsys):

@@ -197,6 +197,7 @@ def test_log_introspection():
     assert copy.advertisers() == ["a", "b", "c", "d"]
     assert log.advertisers() == ["a", "b", "c"]
     assert len(log) == 6 and len(copy) == 7
+    assert repr(log) == "EventLog(horizon=100, events=6)"
 
 
 def test_log_bookkeeping_per_event_is_small():

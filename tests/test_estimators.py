@@ -99,6 +99,20 @@ def test_spec_validation():
         WindowSpec("relative", 0)
 
 
+@pytest.mark.parametrize(
+    "fold, message",
+    [
+        (TimeWindowCtr, "window_ms must be >= 1"),
+        (ImpressionWindowCtr, "size must be >= 1"),
+        (ClickWindowCtr, "size must be >= 1"),
+        (RelativeCtr, "interval_ms must be >= 1"),
+    ],
+)
+def test_a_fold_rejects_a_window_below_one(fold, message):
+    with pytest.raises(ValueError, match=message):
+        fold(0)
+
+
 # ---------------------------------------------------------------------------
 # Time window: [now - T, now), both numerator and denominator.
 
