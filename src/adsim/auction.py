@@ -189,6 +189,7 @@ def best_response_run(
     (advertisers in sorted id order) including the initial state, so the
     result has ``steps + 1`` entries.
     """
+    check_min("steps", steps, 0)
     advertisers = sorted(bids)
     current = dict(bids)
     history = [tuple(current[a] for a in advertisers)]

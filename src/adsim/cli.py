@@ -177,10 +177,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_replay(args) -> int:
     if args.tick_ms < 1:
-        raise ConfigError("tick-ms: must be >= 1")
-    specs = [parse_spec(tok, "spec") for tok in args.spec or ["relative"]]
+        raise ConfigError("--tick-ms: must be >= 1")
+    specs = [parse_spec(tok, "--spec") for tok in args.spec or ["relative"]]
     if len({s.label for s in specs}) != len(specs):
-        raise ConfigError("spec: estimator kinds must be unique")
+        raise ConfigError("--spec: estimator kinds must be unique")
     try:
         log = read_log(args.log)
     except MalformedRecordError as exc:
@@ -188,9 +188,9 @@ def _cmd_replay(args) -> int:
     advertisers = log.advertisers()
     focus = args.advertiser if args.advertiser is not None else next(iter(advertisers), None)
     if focus is None:
-        raise ConfigError("advertiser: the log is empty, specify one explicitly")
+        raise ConfigError("--advertiser: the log is empty, specify one explicitly")
     if advertisers and focus not in advertisers:
-        raise ConfigError(f"advertiser: {focus!r} is not in the log")
+        raise ConfigError(f"--advertiser: {focus!r} is not in the log")
     rows = build_series(log, focus, specs, args.tick_ms)
     if args.csv:
         emit_csv(rows, args.csv)

@@ -11,6 +11,7 @@ iterating a log yields.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -236,8 +237,8 @@ class EventLog:
 # per impression or click. The writer emits exactly these canonical lines, keys
 # sorted and no spaces, so identical logs serialize to identical bytes. The
 # reader takes any JSON object with these keys, in any order or spacing. A line
-# that is exactly a template's output, with a plain ASCII advertiser, matches a
-# pattern built from that template; any other line goes to ``json.loads``,
+# that is exactly a template's output, with a plain ASCII advertiser, matches the
+# pattern built from the two templates; any other line goes to ``json.loads``,
 # which checks the JSON shape of the record. Either way the line becomes a row
 # for ``EventLog.append``, which checks the values of every event, so both paths
 # give the same events and the same messages.
@@ -257,21 +258,27 @@ _SOURCE_OF = {v.encode(): k for k, v in _SOURCE_JSON.items()}
 _SOURCE = b"(%s)" % b"|".join(map(re.escape, _SOURCE_OF))
 
 
-def _line_pattern(template: str, *fields: bytes) -> re.Pattern[bytes]:
-    """Compile a line template, with ``fields`` as the patterns of its slots in order."""
-    return re.compile(re.escape(template.encode()).replace(b"%d", b"%s") % fields)
+def _line_pattern(template: str, *fields: bytes) -> bytes:
+    """A line template as a pattern, with ``fields`` as the patterns of its slots in order."""
+    return re.escape(template.encode()).replace(b"%d", b"%s") % fields
 
 
-_IMPRESSION_RE = _line_pattern(_IMPRESSION_LINE, _PLAIN_ADVERTISER, *[_JSON_INT] * 3)
-_CLICK_RE = _line_pattern(_CLICK_LINE, _PLAIN_ADVERTISER, _JSON_INT, _JSON_INT, _SOURCE, _JSON_INT)
+# Either template's line, anchored at a line start so that findall matches whole lines.
+_EVENT_RE = re.compile(b"(?m)^(?:%s|%s)" % (
+    _line_pattern(_IMPRESSION_LINE, _PLAIN_ADVERTISER, *[_JSON_INT] * 3),
+    _line_pattern(_CLICK_LINE, _PLAIN_ADVERTISER, _JSON_INT, _JSON_INT, _SOURCE, _JSON_INT)))
+_READ_BLOCK = 16384  # bytes per read_log block, before it runs on to the next line feed
 
 
-class _Names(dict):
-    """Advertiser bytes to one shared ``str`` each, decoded on first sight."""
+class _Shared(dict):
+    """Field bytes to one shared value each, ``make(raw)`` on first sight."""
 
-    def __missing__(self, raw: bytes) -> str:
-        name = self[raw] = raw.decode()
-        return name
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, raw: bytes):
+        value = self[raw] = self.make(raw)
+        return value
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -317,11 +324,12 @@ def read_log(path: str | Path) -> EventLog:
     A line ends at a line feed alone, as JSON Lines defines, and is decoded on
     its own, so a byte that is not UTF-8 is reported on its line. An event line
     as ``write_log`` writes it, with a plain ASCII advertiser, is matched, not
-    parsed: its fields go straight to ``append``, with one ``str`` per
-    advertiser name. A ``t`` or query id (or ref) equal to the previous matched
-    line's shares that line's ``int``. Any other line is decoded to the same
-    row; no path builds an event object."""
-    names = _Names()
+    parsed, one ``findall`` per block of lines: its fields go straight to
+    ``append``, with one ``str`` per advertiser and one ``int`` per slot. A
+    ``t`` or query id (or ref) equal to the previous matched line's shares that
+    line's ``int``. A block with any other line is taken line by line, and each
+    other line is decoded to the same row; no path builds an event object."""
+    names, slots = _Shared(bytes.decode), _Shared(int)
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
@@ -333,26 +341,33 @@ def read_log(path: str | Path) -> EventLog:
             log = EventLog(rec["horizon"])
         except ValueError as exc:
             raise MalformedRecordError(1, str(exc)) from exc
-        add, impression, click = log.append, _IMPRESSION_RE.fullmatch, _CLICK_RE.fullmatch
+        add, findall, fullmatch = log.append, _EVENT_RE.findall, _EVENT_RE.fullmatch
         t_raw = q_raw = None  # the last matched t and query id or ref, as bytes
-        for line_no, raw in enumerate(fh, start=2):
-            try:
-                if m := impression(raw):
-                    advertiser, q_bytes, slot, t_bytes = m.groups()
-                    source = IMPRESSION
-                elif m := click(raw):
-                    advertiser, q_bytes, slot, source, t_bytes = m.groups()
-                    source = _SOURCE_OF[source]
-                else:
-                    add(*_parse_row(_json_record(raw)))
-                    continue
-                if t_bytes != t_raw:  # equal bytes share the previous line's int
-                    t_raw, t = t_bytes, int(t_bytes)
-                if q_bytes != q_raw:
-                    q_raw, q = q_bytes, int(q_bytes)
-                add(t, names[advertiser], int(slot), q, source)
-            except (AdsimError, ValueError) as exc:
-                raise MalformedRecordError(line_no, str(exc)) from exc
+        line_no, no_fields = 1, (b"",) * 8
+        for block in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), b""):
+            rows = findall(block)
+            # a match is one whole line, so equal counts and a final line feed mean all matched
+            if block[-1:] != b"\n" or len(rows) != block.count(b"\n"):
+                rows = [m.groups(b"") if (m := fullmatch(raw)) else (raw, *no_fields)
+                        for raw in io.BytesIO(block)]  # lines end at a line feed alone
+            for line_no, row in enumerate(rows, line_no + 1):
+                advertiser, q_bytes, slot, t_bytes, c_adv, c_q, c_slot, source, c_t = row
+                try:
+                    if t_bytes:  # an impression line
+                        source = IMPRESSION
+                    elif c_t:  # a click line
+                        advertiser, q_bytes, slot, t_bytes = c_adv, c_q, c_slot, c_t
+                        source = _SOURCE_OF[source]
+                    else:  # any other line, as bytes in the first field
+                        add(*_parse_row(_json_record(advertiser)))
+                        continue
+                    if t_bytes != t_raw:  # equal bytes share the previous line's int
+                        t_raw, t = t_bytes, int(t_bytes)
+                    if q_bytes != q_raw:
+                        q_raw, q = q_bytes, int(q_bytes)
+                    add(t, names[advertiser], slots[slot], q, source)
+                except (AdsimError, ValueError) as exc:
+                    raise MalformedRecordError(line_no, str(exc)) from exc
     return log
 
 

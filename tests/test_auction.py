@@ -260,6 +260,12 @@ def test_run_length_and_mover_order():
     assert history[2:] == [(0, 0), (0, 0), (0, 0)]
 
 
+def test_a_run_of_no_steps_is_its_start_and_negative_steps_are_named():
+    assert best_response_run({"a": 3, "b": 2}, {"a": 5, "b": 5}, by_bid(2), 1, steps=0) == [(3, 2)]
+    with pytest.raises(ValueError, match=r"^steps: must be >= 0, got -1$"):
+        best_response_run({"a": 1, "b": 2}, {"a": 5, "b": 5}, by_bid(2), 1, steps=-1)
+
+
 # ---------------------------------------------------------------------------
 # Cycle detection on bid histories.
 

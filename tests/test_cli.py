@@ -313,7 +313,7 @@ def test_replay_rejects_bad_flags_before_reading_the_log(tmp_path, ini, capsys):
     assert "advertiser: 'nobody' is not in the log" in capsys.readouterr().err
     # only an absent flag defaults to the first advertiser
     assert main(["replay", str(out / "events.jsonl"), "--advertiser", ""]) == 2
-    assert capsys.readouterr().err == "error: advertiser: '' is not in the log\n"
+    assert capsys.readouterr().err == "error: --advertiser: '' is not in the log\n"
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
     assert main(["replay", str(bad), "--tick-ms", "0"]) == 2
@@ -381,6 +381,7 @@ def test_replay_of_an_empty_log_needs_an_explicit_advertiser(tmp_path, capsys):
     path = tmp_path / "empty.jsonl"
     write_log(EventLog(1_000), path)
     assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == "error: --advertiser: the log is empty, specify one explicitly\n"
     assert main(["replay", str(path), "--advertiser", "a"]) == 0
 
 
@@ -431,6 +432,23 @@ def test_demo_gfp_argument_validation(capsys):
 )
 def test_demo_gfp_errors_name_the_flag(capsys, argv, message):
     assert main(["demo-gfp", *argv]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tick-ms", "0"], "error: --tick-ms: must be >= 1"),
+        (["--spec", "time:1", "--spec", "time:2"], "error: --spec: estimator kinds must be unique"),
+        (["--spec", "time:x"], "error: --spec: bad window parameter in 'time:x'"),
+    ],
+    ids=["tick_ms", "duplicate_kinds", "bad_param"],
+)
+def test_replay_errors_name_the_flag(tmp_path, capsys, argv, message):
+    # like demo-gfp's, with its dashes, and before the log is read
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    assert main(["replay", str(bad), *argv]) == 2
     assert capsys.readouterr().err.strip() == message
 
 

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from adsim import core
 from adsim.auction import AuctionConfig
 from adsim.bench import ScenarioConfig, simulate
 from adsim.core import (
@@ -432,6 +434,71 @@ def test_matched_and_parsed_lines_read_the_same(tmp_path, monkeypatch, form):
     assert parsed == expected
     if form == "canonical":
         assert len(parsed) < len(lines)  # so some lines were matched
+
+
+# read_log block sizes: one line a block, sizes that cut a line (a canonical
+# line here is 60-80 bytes), and the default
+_BLOCK_SIZES = [1, 29, 70, 150, core._READ_BLOCK]
+
+
+def _canonical_lines(tmp_path, log: EventLog) -> list[bytes]:
+    path = tmp_path / "canonical.jsonl"
+    write_log(log, path)
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES)
+def test_a_log_reads_the_same_across_block_edges(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(core, "_READ_BLOCK", block)
+    log = random_log(2, max_queries=20)
+    lines = _canonical_lines(tmp_path, log)
+    assert sum(map(len, lines)) > 4 * 150  # many blocks but at the default size
+    path = tmp_path / "events.jsonl"
+    for tail in (b"\n", b""):  # a last line with no line feed still reads
+        path.write_bytes(b"\n".join(lines) + tail)
+        assert read_log(path) == log
+    write_log(_EDGE_LOG, path)  # blocks of matched and parsed lines
+    assert read_log(path) == _EDGE_LOG
+    # a non-canonical line in the middle, and the unterminated last line, alone
+    # go to json.loads, besides the header
+    middle = len(lines) // 2
+    spaced = [*lines]
+    spaced[middle] = json.dumps(json.loads(lines[middle]), separators=(", ", ": ")).encode()
+    path.write_bytes(b"\n".join(spaced))
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: parsed.append(s) or loads(s))
+    assert read_log(path) == log
+    assert parsed == [lines[0].decode(), spaced[middle].decode(), lines[-1].decode()]
+
+
+@pytest.mark.parametrize(
+    "corrupt, fragment",
+    [
+        (lambda line: b"not json", "invalid JSON"),  # read line by line
+        (lambda line: re.sub(rb'"slot":\d+', b'"slot":0', line), "slot must be >= 1, got 0"),  # matched
+        (lambda line: b"x" + line, "invalid JSON"),  # a canonical line hides at its end
+        (lambda line: line + b"\r" + line, "invalid JSON"),  # a CR does not end a line
+    ],
+    ids=["unparsable", "matched", "prefixed", "cr"],
+)
+def test_a_bad_line_at_any_block_edge_names_its_own_line(tmp_path, monkeypatch, corrupt, fragment):
+    lines = _canonical_lines(tmp_path, random_log(1, max_queries=6))
+    assert len(lines) > 10
+    path = tmp_path / "bad.jsonl"
+    for line_no in range(2, len(lines) + 1):
+        bad = [*lines]
+        bad[line_no - 1] = corrupt(bad[line_no - 1])
+        path.write_bytes(b"\n".join(bad) + b"\n")
+        messages = set()
+        for block in _BLOCK_SIZES:
+            monkeypatch.setattr(core, "_READ_BLOCK", block)
+            with pytest.raises(MalformedRecordError) as err:
+                read_log(path)
+            assert err.value.line_no == line_no
+            assert fragment in str(err.value)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 _HEADER = '{"horizon":10,"kind":"header"}\n'
