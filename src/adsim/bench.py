@@ -42,7 +42,7 @@ from .core import (
 from .estimators import ESTIMATOR_KINDS, RelativeCtr, WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
     HUMAN,
-    MAX_POISSON_MEAN,
+    MAX_EVENTS,
     PLAN_FIELDS,
     FraudFlag,
     FraudPlan,
@@ -57,6 +57,7 @@ from .traffic import (
 SHAPE_INCREASING = "increasing"
 SHAPE_RISE_THEN_FALL = "rise_then_fall"
 _RATE_QUANTUM = Decimal("0.0001")  # format_rate's four decimals
+MAX_TICKS = 1_000_000  # the most ticks a run may have: even an empty one costs (sized in the README)
 
 
 class ConfigError(AdsimError):
@@ -210,6 +211,7 @@ def _build_errata(legacy_rows, relative_rows) -> list[Erratum]:
             "series. The identical printed clicks column appears in table 2.",
         ))
     for table, column, printed, reconstructed, tolerance in (
+        (1, "impressions", PRINTED_IMPRESSIONS, [reconstructed_impressions(t) for t in steps], 0),
         (1, "ctr", PRINTED_LEGACY_CTR, [row.ctr["ctr_old"] for row in legacy_rows], 0.001),
         (2, "total_clicks", PRINTED_TOTAL_CLICKS, RECONSTRUCTED_TOTAL_CLICKS, 0),
         (2, "ctr", PRINTED_RELATIVE_CTR, [row.ctr["ctr_new"] for row in relative_rows], 0.001),
@@ -291,12 +293,14 @@ class ScenarioConfig:
         check_range("scenario.seed", self.seed, 0, MAX_SEED)
         check_min("scenario.horizon_ms", self.horizon_ms, 1)
         check_range("scenario.tick_ms", self.tick_ms, 1, self.horizon_ms)
+        check_range("scenario.horizon_ms", self.horizon_ms, 1, MAX_TICKS * self.tick_ms)
         check_range("scenario.default_ctr", self.default_ctr, 0.0, 1.0)
-        if self.traffic.queries_per_second * self.tick_ms / 1000.0 > MAX_POISSON_MEAN:
-            raise ValueError(f"traffic.queries_per_second: must be <= {MAX_POISSON_MEAN * 1000 / self.tick_ms:g}"
-                             f" at tick_ms {self.tick_ms}, got {self.traffic.queries_per_second}")
         if not self.bids:
             raise ValueError("bids: at least one advertiser is required")
+        shown = min(self.auction.num_slots, len(self.bids))  # the most impressions a query makes
+        if (qps := self.traffic.queries_per_second) * self.horizon_ms / 1000 * shown > MAX_EVENTS:
+            raise ValueError(f"traffic.queries_per_second: must be <= {MAX_EVENTS * 1000 / self.horizon_ms / shown:g}"
+                             f" ({MAX_EVENTS} impressions in {shown} slots), got {qps}")
         for adv, amount in self.bids.items():
             check_min(f"bids.{adv}", amount, 0)
         if self.focus not in self.bids:
@@ -504,13 +508,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     next_qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
-        try:
-            times = query_times(cfg.traffic, rng, tick_start, tick_end)
-        except MemoryError:  # a rate below numpy's ceiling can still ask for too many
-            raise ConfigError(
-                f"traffic.queries_per_second: {cfg.traffic.queries_per_second:g} draws "
-                f"more queries in a {cfg.tick_ms} ms tick than memory can hold"
-            ) from None
+        times = query_times(cfg.traffic, rng, tick_start, tick_end)
         rows = []
         if times:  # a tick without queries shows no ad, so it runs no auction
             allocation = gsp_allocate(rank(bid_list, ctrs_at(tick_start), cfg.auction), cfg.auction)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .auction import AuctionConfig, best_response_run, detect_cycle
 from .bench import (
+    MAX_TICKS,
     SHAPE_INCREASING,
     SHAPE_RISE_THEN_FALL,
     SPEC_SYNTAX,
@@ -185,6 +186,9 @@ def _cmd_replay(args) -> int:
         log = read_log(args.log)
     except MalformedRecordError as exc:
         raise ConfigError(f"{args.log}: {exc}") from exc
+    if log.horizon > MAX_TICKS * args.tick_ms:  # one row per tick
+        raise ConfigError(f"--tick-ms: must be >= {-(-log.horizon // MAX_TICKS)} for the log's horizon "
+                          f"{log.horizon}, got {args.tick_ms}")
     advertisers = log.advertisers()
     focus = args.advertiser if args.advertiser is not None else next(iter(advertisers), None)
     if focus is None:

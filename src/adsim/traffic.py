@@ -40,11 +40,12 @@ PLAN_FIELDS = {
     HUMAN: {"mean_gap_ms": (float, 1.0), "gap_sigma": (float, 0.0)},
 }
 
-# The largest tick mean query_times can draw: numpy's Poisson sampler rejects more.
-MAX_POISSON_MEAN = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
+# The most events one source may add to a run: a plan's clicks, or the organic impressions
+# ``ScenarioConfig`` expects. Sized in the README.
+MAX_EVENTS = 1_000_000
 
-# Synthetic fraud impressions get query ids from here up, far above anything
-# the organic generator can mint in a sane scenario.
+# Synthetic fraud impressions get query ids from here up, far above the organic
+# ids: a run expects at most MAX_EVENTS organic impressions, so fewer queries.
 FRAUD_QUERY_ID_BASE = 1_000_000_000
 
 
@@ -94,7 +95,7 @@ class FraudPlan:
         if not self.target:
             raise ValueError("target: empty advertiser id")
         check_min("start_ms", self.start_ms, 0)
-        check_min("count", self.count, 1)
+        check_range("count", self.count, 1, MAX_EVENTS)
         for key, (_, lo) in PLAN_FIELDS[self.kind].items():
             if getattr(self, key) is None:
                 raise ValueError(f"{key}: required by a {self.kind} plan")
@@ -169,11 +170,9 @@ def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
     Raises HorizonExceededError if the last click falls at or past
     ``horizon_ms``.
     """
-    # the earliest the last click can fall: a plan that passes the horizon anyway draws nothing
-    last = plan.start_ms + (plan.count - 1) * (plan.interval_ms or 1)
-    if last < horizon_ms and plan.kind == SCRIPTED:
+    if plan.kind == SCRIPTED:
         times = [plan.start_ms + k * plan.interval_ms for k in range(plan.count)]
-    elif last < horizon_ms:
+    else:
         from numpy.random import default_rng  # numpy loads only where a stream is seeded
         rng = default_rng(plan.seed)
         sigma = plan.gap_sigma
@@ -183,9 +182,8 @@ def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
         for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
             # a gap as long as the horizon already fails the plan; capped, infinity never rounds
             times.append(times[-1] + max(1, round(min(gap, horizon_ms))))
-        last = times[-1]
-    if last >= horizon_ms:
-        raise HorizonExceededError(f"clicks reach t={last}, beyond horizon_ms={horizon_ms}")
+    if times[-1] >= horizon_ms:
+        raise HorizonExceededError(f"clicks reach t={times[-1]}, beyond horizon_ms={horizon_ms}")
     return times
 
 

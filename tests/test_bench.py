@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -15,6 +16,7 @@ from adsim.auction import BY_CTR_WEIGHTED, AuctionConfig, rank
 from adsim.bench import (
     _KEYS,
     _PLAN_KEYS,
+    MAX_TICKS,
     PRINTED_CLICKS,
     PRINTED_IMPRESSIONS,
     PRINTED_LEGACY_CTR,
@@ -47,7 +49,7 @@ from adsim.estimators import RelativeCtr, WindowSpec
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
     HUMAN,
-    MAX_POISSON_MEAN,
+    MAX_EVENTS,
     PLAN_FIELDS,
     SCRIPTED,
     FraudPlan,
@@ -535,22 +537,58 @@ def test_a_rate_too_large_to_draw_is_a_config_error(tmp_path, capsys, example_in
     path = write_ini(tmp_path, text.replace("tick_ms = 1000 ", f"tick_ms = {tick_ms} "))
     with pytest.raises(ConfigError) as err:
         load_config(path)
-    bound = MAX_POISSON_MEAN * 1000 / tick_ms
+    # the bound is on the whole run, whatever the tick: 60 s of queries, each shown in 2 slots
+    bound = MAX_EVENTS * 1000 / 60_000 / 2
     assert str(err.value) == (
-        f"traffic.queries_per_second: must be <= {bound:g} at tick_ms {tick_ms}, got {float(qps)}"
+        f"traffic.queries_per_second: must be <= {bound:g} ({MAX_EVENTS} impressions in 2 slots), "
+        f"got {float(qps)}"
     )
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "error: traffic.queries_per_second: must be <= " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_the_rate_ceiling_is_the_largest_mean_a_poisson_draw_takes():
-    rng = np.random.default_rng(0)
-    rng.poisson(MAX_POISSON_MEAN)
-    with pytest.raises(ValueError):
-        rng.poisson(np.nextafter(MAX_POISSON_MEAN, np.inf))
-    # the check reads a tick's mean: 1e19 queries per second, too many for 1000 ms, fit 100 ms
-    assert tiny_config(tick_ms=100, traffic=TrafficConfig(1e19, {"a": 0.3, "b": 0.2}))
+def test_a_poisson_draw_takes_every_tick_mean_the_event_bound_allows():
+    # a tick's mean is at most the run's expected impressions, so at most MAX_EVENTS
+    np.random.default_rng(0).poisson(MAX_EVENTS)
+
+
+@pytest.mark.parametrize(
+    "at_bound, past, error",
+    [
+        (
+            {"horizon_ms = 60000": f"horizon_ms = {MAX_TICKS * 1000}",
+             "queries_per_second = 5.0": "queries_per_second = 0.0"},
+            {f"horizon_ms = {MAX_TICKS * 1000}": f"horizon_ms = {MAX_TICKS * 1000 + 1}"},
+            f"scenario.horizon_ms: must be <= {MAX_TICKS * 1000}, got {MAX_TICKS * 1000 + 1}",
+        ),
+        (  # 100 s of queries, each shown in 2 slots
+            {"horizon_ms = 60000": "horizon_ms = 100000",
+             "queries_per_second = 5.0": f"queries_per_second = {MAX_EVENTS / 200:.1f}"},
+            {f"queries_per_second = {MAX_EVENTS / 200:.1f}":
+             f"queries_per_second = {math.nextafter(MAX_EVENTS / 200, math.inf)!r}"},
+            f"traffic.queries_per_second: must be <= {MAX_EVENTS / 200:g} ({MAX_EVENTS} impressions "
+            f"in 2 slots), got {math.nextafter(MAX_EVENTS / 200, math.inf)!r}",
+        ),
+        (  # clicks 1 ms apart from 20 s, the last one inside the horizon
+            {"count = 50": f"count = {MAX_EVENTS}", "interval_ms = 100": "interval_ms = 1",
+             "horizon_ms = 60000": f"horizon_ms = {20_000 + MAX_EVENTS}"},
+            {f"count = {MAX_EVENTS}": f"count = {MAX_EVENTS + 1}"},
+            f"fraud:burst.count: must be <= {MAX_EVENTS}, got {MAX_EVENTS + 1}",
+        ),
+    ],
+    ids=["ticks", "organic", "plan"],
+)
+def test_a_run_at_its_size_bounds_loads_and_one_step_past_fails(tmp_path, example_ini, at_bound, past, error):
+    text = example_ini.read_text()
+    for edits in (at_bound, past):
+        assert load_config(write_ini(tmp_path, text))
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+    with pytest.raises(ConfigError) as err:
+        load_config(write_ini(tmp_path, text))
+    assert str(err.value) == error
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,8 @@ def test_replay_loads_no_numpy(tmp_path, ini):
 
 
 def test_a_rate_whose_tick_cannot_be_held_exits_2(tmp_path, example_ini):
-    # under numpy's Poisson ceiling, but one 1 s tick's draw would need 7 PiB;
-    # the child's address space is capped so that no rate can really allocate
+    # one 1 s tick's draw would need 7 PiB; the rate fails at load, and the
+    # child's address space is capped so that no rate can really allocate
     ini = tmp_path / "huge.ini"
     rate = "queries_per_second = "
     ini.write_text(example_ini.read_text().replace(rate + "5.0", rate + "1e15"))
@@ -247,24 +247,66 @@ def test_a_rate_whose_tick_cannot_be_held_exits_2(tmp_path, example_ini):
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (
-        "error: traffic.queries_per_second: 1e+15 draws more queries "
-        "in a 1000 ms tick than memory can hold\n"
+        "error: traffic.queries_per_second: must be <= 8333.33 (1000000 impressions in 2 slots), "
+        "got 1000000000000000.0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("run", "scenario.horizon_ms: must be <= 1000000000, got 99999999999999999999999"),
+        (
+            "replay",
+            "--tick-ms: must be >= 100000000000000000 for the log's horizon "
+            "99999999999999999999999, got 1000",
+        ),
+    ],
+)
+def test_a_horizon_of_too_many_ticks_exits_2_at_once(tmp_path, example_ini, command, error):
+    vast = "99999999999999999999999"  # 10^20 ticks of 1000 ms
+    if command == "run":
+        ini = tmp_path / "vast.ini"
+        ini.write_text(example_ini.read_text().replace("horizon_ms = 60000", f"horizon_ms = {vast}"))
+        argv = ["run", str(ini), "--out", str(tmp_path / "out")]
+    else:
+        log = tmp_path / "events.jsonl"
+        log.write_text(f'{{"horizon":{vast},"kind":"header"}}\n')
+        argv = ["replay", str(log), "--advertiser", "alpha"]
+    # in a child with a timeout and a capped address space, so that a walk over every tick fails
+    cap = 2**30
+    src = str(Path(adsim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "adsim.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize(
     "edits, error",
     [
-        (  # ten billion clicks 100 ms apart: too many to list, and past the horizon
+        (  # ten billion clicks: too many to list
             {"count = 50": "count = 10000000000"},
-            "fraud:burst.start_ms: clicks reach t=1000000019900, beyond horizon_ms=60000",
+            "fraud:burst.count: must be <= 1000000, got 10000000000",
+        ),
+        (  # a billion clicks 1 ms apart, inside a 10^12 ms horizon of one tick
+            {"count = 50": "count = 1000000000", "interval_ms = 100": "interval_ms = 1",
+             "horizon_ms = 60000": "horizon_ms = 1000000000000",
+             "tick_ms = 1000 ": "tick_ms = 1000000000000 "},
+            "fraud:burst.count: must be <= 1000000, got 1000000000",
+        ),
+        (  # a thousand clicks 100 ms apart: past the horizon
+            {"count = 50": "count = 1000"},
+            "fraud:burst.start_ms: clicks reach t=119900, beyond horizon_ms=60000",
         ),
         (  # a log-normal gap this wide draws infinity; every gap stops at the horizon
             {"mean_gap_ms = 1500": "mean_gap_ms = 1e308", "gap_sigma = 0.8": "gap_sigma = 2"},
             "fraud:crew.start_ms: clicks reach t=1750000, beyond horizon_ms=60000",
         ),
     ],
-    ids=["scripted-count", "human-gap"],
+    ids=["scripted-count", "huge-plan", "scripted-late", "human-gap"],
 )
 def test_a_fraud_plan_past_the_horizon_exits_2_before_it_draws(tmp_path, example_ini, edits, error):
     text = example_ini.read_text()
@@ -273,11 +315,11 @@ def test_a_fraud_plan_past_the_horizon_exits_2_before_it_draws(tmp_path, example
         text = text.replace(old, new)
     ini = tmp_path / "plan.ini"
     ini.write_text(text)
-    cap = 2**30  # a plan that lists its clicks first fails fast instead of filling memory
+    cap = 2**30  # a plan lists its clicks, at most MAX_EVENTS of them, before it checks the horizon
     src = str(Path(adsim.__file__).parent.parent)
     done = subprocess.run(
         [sys.executable, "-m", "adsim.cli", "run", str(ini), "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {error}\n")
