@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
@@ -33,7 +34,6 @@ from .core import (
     AdsimError,
     AdvertiserId,
     EventLog,
-    HorizonExceededError,
     check_min,
     check_range,
     row_order,
@@ -47,7 +47,7 @@ from .traffic import (
     FraudFlag,
     FraudPlan,
     TrafficConfig,
-    checked_click_times,
+    click_times,
     detect_scripted,
     fraud_events,
     organic_events,
@@ -101,12 +101,6 @@ class Erratum:
     printed_value: float
     reconstructed_value: float
     justification: str
-
-
-@dataclass(frozen=True)
-class ShapeReport:
-    checked: int
-    peak_index: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +221,11 @@ def _build_errata(legacy_rows, relative_rows) -> list[Erratum]:
     return errata
 
 
-def curve_shape_check(
-    series: Sequence[SeriesRow], column: str, shape: str
-) -> ShapeReport:
+def curve_shape_check(series: Sequence[SeriesRow], column: str, shape: str) -> int | None:
     """Assert a CTR column is strictly increasing, or rises to one peak then falls.
 
-    Raises :class:`ShapeViolation` naming the first offending tick.
+    Returns the peak's tick for a rise-then-fall curve, None for an increasing
+    one. Raises :class:`ShapeViolation` naming the first offending tick.
     """
     if shape not in (SHAPE_INCREASING, SHAPE_RISE_THEN_FALL):
         raise ValueError(f"unknown shape {shape!r}")
@@ -258,8 +251,7 @@ def curve_shape_check(
         else:
             continue
         raise ShapeViolation(series[i].time_index, f"{column} {broke}: {before:.6f} -> {after:.6f}")
-    peak_index = None if increasing else series[peak].time_index
-    return ShapeReport(len(values), peak_index)
+    return None if increasing else series[peak].time_index
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +263,10 @@ class ScenarioConfig:
     """A whole scenario.
 
     Its checks and those of the configs it holds are the only scenario
-    bounds. Messages start with the offending value's INI path; those of
-    ``AuctionConfig`` and ``FraudPlan`` start with the key alone, and
-    :func:`load_config` adds the section.
+    bounds, each fraud plan's target and horizon included. Messages start
+    with the offending value's INI path. Those of ``AuctionConfig`` and
+    ``FraudPlan`` start with the key alone, and those about a plan with
+    ``fraud_plans[i]``; :func:`load_config` names the section instead.
     """
 
     seed: int
@@ -321,6 +314,9 @@ class ScenarioConfig:
         for i, plan in enumerate(self.fraud_plans):
             if plan.target not in self.bids:
                 raise ValueError(f"fraud_plans[{i}].target: {plan.target!r} has no bid")
+            if (last := click_times(plan, self.horizon_ms)[-1]) >= self.horizon_ms:
+                raise ValueError(f"fraud_plans[{i}].start_ms: clicks reach t={last}, "
+                                 f"beyond horizon_ms={self.horizon_ms}")
 
     @property
     def advertisers(self) -> list[AdvertiserId]:
@@ -393,8 +389,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Parse the INI-style scenario format (see the annotated example file).
 
     Section and key names and value types are checked first, for every
-    section; then fraud targets and, through the dataclasses, every other
-    bound; then the fraud horizon.
+    section; then, through the dataclasses, every bound.
     """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
@@ -439,28 +434,23 @@ def load_config(path: str | Path) -> ScenarioConfig:
     traffic_cfg = _located("", TrafficConfig, base_ctr=read["base_ctr"], **read["traffic"])
     specs = tuple(parse_spec(tok, "estimators.specs") for tok in read["estimators"]["specs"].split())
     for i, (name, plan) in enumerate(plans.items()):
-        if plan["target"] not in bids:
-            raise ConfigError(f"{name}.target: {plan['target']!r} has no bid")
         if plan["kind"] == HUMAN:
             plan.setdefault("seed", (scenario["seed"] + i + 1) % (MAX_SEED + 1))
         plans[name] = _located(f"{name}.", FraudPlan, **plan)
 
-    cfg = _located(
-        "", ScenarioConfig,
-        **scenario,
-        bids=bids,
-        auction=auction_cfg,
-        traffic=traffic_cfg,
-        estimators=specs,
-        fraud_plans=tuple(plans.values()),
-        **{f"detector_{key}": value for key, value in read["detector"].items()},
-    )
-    for name, plan in plans.items():
-        try:
-            checked_click_times(plan, cfg.horizon_ms)
-        except HorizonExceededError as exc:
-            raise ConfigError(f"{name}.start_ms: {exc}") from None
-    return cfg
+    try:
+        return ScenarioConfig(
+            **scenario,
+            bids=bids,
+            auction=auction_cfg,
+            traffic=traffic_cfg,
+            estimators=specs,
+            fraud_plans=tuple(plans.values()),
+            **{f"detector_{key}": value for key, value in read["detector"].items()},
+        )
+    except ValueError as exc:  # a plan's message names its section
+        names = list(plans)
+        raise ConfigError(re.sub(r"^fraud_plans\[(\d+)\]", lambda m: names[int(m[1])], str(exc))) from exc
 
 
 # ---------------------------------------------------------------------------

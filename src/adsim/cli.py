@@ -30,7 +30,7 @@ from .bench import (
     run_scenario,
     series_cells,
 )
-from .core import HorizonExceededError, MalformedRecordError, read_log, write_log
+from .core import MalformedRecordError, read_log, write_log
 from .estimators import WindowSpec
 
 
@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MalformedRecordError, HorizonExceededError) as exc:
+    except (ConfigError, MalformedRecordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a path the user gave cannot be read or written
@@ -144,12 +144,12 @@ def _cmd_tables(args) -> int:
             f"reconstructed {e.reconstructed_value:g}"
         )
         print(f"    {e.justification}")
-    r1 = curve_shape_check(replay.legacy_rows, "ctr_old", SHAPE_INCREASING)
-    print(f"shape check ctr_old: strictly increasing over {r1.checked} steps: PASS")
-    r2 = curve_shape_check(replay.relative_rows, "ctr_new", SHAPE_RISE_THEN_FALL)
+    curve_shape_check(replay.legacy_rows, "ctr_old", SHAPE_INCREASING)
+    print(f"shape check ctr_old: strictly increasing over {len(replay.legacy_rows)} steps: PASS")
+    peak = curve_shape_check(replay.relative_rows, "ctr_new", SHAPE_RISE_THEN_FALL)
     print(
-        f"shape check ctr_new: rise to t={r2.peak_index} then strictly "
-        f"decreasing over {r2.checked} steps: PASS"
+        f"shape check ctr_new: rise to t={peak} then strictly "
+        f"decreasing over {len(replay.relative_rows)} steps: PASS"
     )
     if out:
         emit_csv(replay.legacy_rows, out / "reference_legacy.csv")
@@ -225,7 +225,10 @@ def _cmd_demo_gfp(args) -> int:
         field, _, reason = str(exc).partition(": ")
         flag = {"num_slots": "--slots", "reserve_price": "--reserve"}[field]
         raise ConfigError(f"{flag}: {reason}") from exc
-    history = best_response_run(bids, vals, cfg, args.epsilon, args.steps)
+    try:
+        history = best_response_run(bids, vals, cfg, args.epsilon, args.steps)
+    except ValueError as exc:  # the history bound; every other argument is checked above
+        raise ConfigError(f"--steps: {str(exc).partition(': ')[2]}") from exc
     print(f"first-price bid war, epsilon={args.epsilon}, reserve={args.reserve}:")
     print(f"  start: {_fmt_state(names, history[0])}")
     for step, state in enumerate(history[1:], start=1):

@@ -64,7 +64,7 @@ class DuplicateImpressionError(AdsimError):
 
 
 class HorizonExceededError(AdsimError):
-    """An event, or a fraud plan's click, falls at or past the log horizon."""
+    """An event appended to a log falls at or past its horizon."""
 
 
 class MalformedRecordError(AdsimError):

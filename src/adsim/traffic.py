@@ -24,7 +24,6 @@ from .core import (
     AdvertiserId,
     ClickSource,
     EventLog,
-    HorizonExceededError,
     Seed,
     check_min,
     check_range,
@@ -110,7 +109,6 @@ class FraudFlag:
     span: tuple[int, int]  # [first click t, last click t]
     advertiser: AdvertiserId
     flagged_click_ids: tuple[int, ...]  # impression_refs of the flagged clicks
-    reason: str = "fixed_interval_run"
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +162,11 @@ def organic_events(
 # Fraud schedules.
 
 
-def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
+def click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
     """Millisecond timestamps of the plan's clicks, in increasing order.
 
-    Raises HorizonExceededError if the last click falls at or past
-    ``horizon_ms``.
+    A human plan's drawn gap is capped at ``horizon_ms``; whether the last
+    click falls before it is ``ScenarioConfig``'s check.
     """
     if plan.kind == SCRIPTED:
         times = [plan.start_ms + k * plan.interval_ms for k in range(plan.count)]
@@ -182,8 +180,6 @@ def checked_click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
         for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
             # a gap as long as the horizon already fails the plan; capped, infinity never rounds
             times.append(times[-1] + max(1, round(min(gap, horizon_ms))))
-    if times[-1] >= horizon_ms:
-        raise HorizonExceededError(f"clicks reach t={times[-1]}, beyond horizon_ms={horizon_ms}")
     return times
 
 
@@ -191,13 +187,15 @@ def fraud_events(plans: Sequence[FraudPlan], horizon_ms: int) -> list[tuple]:
     """Impression/click row pairs for every plan, in ``row_order``.
 
     Each click gets its own synthetic impression in slot 1. Their query ids
-    run from FRAUD_QUERY_ID_BASE through the plans in order.
+    run from FRAUD_QUERY_ID_BASE through the plans in order. ``ScenarioConfig``
+    checks each plan against the horizon; ``EventLog.append`` rejects any row
+    at or past a log's.
     """
     rows = []
     qid = FRAUD_QUERY_ID_BASE
     for plan in plans:
         source = ClickSource.SCRIPTED_FRAUD if plan.kind == SCRIPTED else ClickSource.HUMAN_FRAUD
-        for t in checked_click_times(plan, horizon_ms):
+        for t in click_times(plan, horizon_ms):
             rows.append((t, plan.target, 1, qid, IMPRESSION))
             rows.append((t, plan.target, 1, qid, source))
             qid += 1

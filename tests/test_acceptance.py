@@ -245,9 +245,9 @@ def test_criterion_4_curve_shapes():
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         problems.append(f"ctr_old shape: {exc}")
     try:
-        hump = curve_shape_check(replay.relative_rows, "ctr_new", SHAPE_RISE_THEN_FALL)
-        if hump.peak_index != 4:
-            problems.append(f"ctr_new peaks at t={hump.peak_index}, not 4")
+        peak = curve_shape_check(replay.relative_rows, "ctr_new", SHAPE_RISE_THEN_FALL)
+        if peak != 4:
+            problems.append(f"ctr_new peaks at t={peak}, not 4")
     except Exception as exc:  # noqa: BLE001
         problems.append(f"ctr_new shape: {exc}")
 

@@ -266,6 +266,14 @@ def test_a_run_of_no_steps_is_its_start_and_negative_steps_are_named():
         best_response_run({"a": 1, "b": 2}, {"a": 5, "b": 5}, by_bid(2), 1, steps=-1)
 
 
+def test_a_run_holds_at_most_max_history_bids(monkeypatch):
+    monkeypatch.setattr("adsim.auction.MAX_HISTORY", 12)
+    bids, values = {"a": 3, "b": 2, "c": 1}, {"a": 5, "b": 5, "c": 5}
+    assert len(best_response_run(bids, values, by_bid(2), 1, steps=3)) == 4  # 4 x 3 bids
+    with pytest.raises(ValueError, match=r"^steps: must be <= 3, got 4$"):
+        best_response_run(bids, values, by_bid(2), 1, steps=4)
+
+
 # ---------------------------------------------------------------------------
 # Cycle detection on bid histories.
 

@@ -184,9 +184,7 @@ def test_a_series_row_starts_at_tick_1_and_counts_nothing_negative(counts, messa
 
 
 def test_shape_check_increasing():
-    report = curve_shape_check([row(t, t / 10) for t in range(1, 6)], "x", SHAPE_INCREASING)
-    assert report.checked == 5
-    assert report.peak_index is None
+    assert curve_shape_check([row(t, t / 10) for t in range(1, 6)], "x", SHAPE_INCREASING) is None
     with pytest.raises(ShapeViolation) as err:
         curve_shape_check(
             [row(1, 0.1), row(2, 0.2), row(3, 0.2)], "x", SHAPE_INCREASING
@@ -196,8 +194,7 @@ def test_shape_check_increasing():
 
 def test_shape_check_rise_then_fall():
     series = [row(1, 0.1), row(2, 0.3), row(3, 0.25), row(4, 0.2)]
-    report = curve_shape_check(series, "x", SHAPE_RISE_THEN_FALL)
-    assert report.peak_index == 2
+    assert curve_shape_check(series, "x", SHAPE_RISE_THEN_FALL) == 2
     # a rebound after the peak is a violation at the offending tick
     bad = [row(1, 0.1), row(2, 0.3), row(3, 0.25), row(4, 0.26)]
     with pytest.raises(ShapeViolation) as err:
@@ -247,10 +244,8 @@ def test_shape_violations_name_the_tick_and_the_step(values, shape, message):
 
 def test_replayed_curves_have_the_expected_shapes():
     replay = replay_reference_tables()
-    inc = curve_shape_check(replay.legacy_rows, "ctr_old", SHAPE_INCREASING)
-    assert inc.checked == 20
-    hump = curve_shape_check(replay.relative_rows, "ctr_new", SHAPE_RISE_THEN_FALL)
-    assert hump.peak_index == 4
+    assert curve_shape_check(replay.legacy_rows, "ctr_old", SHAPE_INCREASING) is None
+    assert curve_shape_check(replay.relative_rows, "ctr_new", SHAPE_RISE_THEN_FALL) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +287,42 @@ def test_scenario_config_cross_checks():
             )
         )
     assert tiny_config().advertisers == ["a", "b"]
+
+
+_EARLY = FraudPlan(kind=HUMAN, target="b", start_ms=0, count=3, mean_gap_ms=5.0, gap_sigma=0.2)
+
+
+@pytest.mark.parametrize(
+    "horizon_ms, plan, message",
+    [
+        (
+            20_000,
+            FraudPlan(kind=SCRIPTED, target="z", start_ms=0, count=5, interval_ms=10),
+            "fraud_plans[1].target: 'z' has no bid",
+        ),
+        (  # the last click lands on the horizon itself
+            1_250,
+            FraudPlan(kind=SCRIPTED, target="a", start_ms=500, count=4, interval_ms=250),
+            "fraud_plans[1].start_ms: clicks reach t=1250, beyond horizon_ms=1250",
+        ),
+        (
+            60,
+            FraudPlan(kind=SCRIPTED, target="a", start_ms=50, count=2, interval_ms=10),
+            "fraud_plans[1].start_ms: clicks reach t=60, beyond horizon_ms=60",
+        ),
+        (  # every drawn gap is capped at the horizon, infinity included
+            20_000,
+            FraudPlan(kind=HUMAN, target="a", start_ms=100, count=3, mean_gap_ms=1e308, gap_sigma=2.0),
+            "fraud_plans[1].start_ms: clicks reach t=40100, beyond horizon_ms=20000",
+        ),
+    ],
+    ids=["unknown-target", "scripted-late", "second-plan-late", "human-gap"],
+)
+def test_scenario_config_checks_each_fraud_plan_by_index(horizon_ms, plan, message):
+    with pytest.raises(ValueError) as err:
+        tiny_config(horizon_ms=horizon_ms, tick_ms=10, fraud_plans=(_EARLY, plan))
+    assert str(err.value) == message
+    assert tiny_config(horizon_ms=horizon_ms, tick_ms=10, fraud_plans=(_EARLY,)).fraud_plans == (_EARLY,)
 
 
 def test_load_config_reads_the_annotated_example(example_ini):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import adsim
+from adsim.auction import MAX_HISTORY
 from adsim.bench import ShapeViolation
 from adsim.cli import main
 from adsim.core import ClickEvent, EventLog, read_log, write_log
@@ -449,6 +450,17 @@ def test_demo_gfp_with_a_huge_slot_count_returns_at_once():
     )
     assert done.returncode == 3  # no cycle in one step
     assert "step   1 (a moves): a=0  b=300" in done.stdout
+
+
+def test_demo_gfp_past_the_history_bound_exits_2_at_once():
+    # in a child with a timeout, so that a run of 10^8 steps fails instead of hanging
+    src = str(Path(adsim.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "adsim.cli", "demo-gfp", "--steps", "100000000"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: --steps: must be <= {MAX_HISTORY // 2 - 1}, got 100000000\n"
 
 
 def test_demo_gfp_argument_validation(capsys):
