@@ -7,7 +7,6 @@ curve-shape or cycle expectation failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .bench import (
     replay_reference_tables,
     run_scenario,
     series_cells,
+    simulate,
 )
 from .core import MalformedRecordError, read_log, write_log
 from .estimators import WindowSpec
@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MalformedRecordError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a path the user gave cannot be read or written
@@ -164,14 +164,13 @@ def _cmd_compare(args) -> int:
     configured = {spec.kind for spec in cfg.estimators}
     defaults = {"time": 10 * cfg.tick_ms, "impressions": 100, "clicks": 10, "relative": None}
     missing = (WindowSpec(kind, param) for kind, param in defaults.items() if kind not in configured)
-    cfg = dataclasses.replace(cfg, estimators=(*cfg.estimators, *missing))
     out = _out_dir(args.out) if args.out else None
-    result = run_scenario(cfg)
+    rows = build_series(simulate(cfg), cfg.focus, (*cfg.estimators, *missing), cfg.tick_ms)
     print(f"all-estimator comparison for {cfg.focus!r}:")
-    print(_render_series(result.rows))
+    print(_render_series(rows))
     if out:
-        emit_csv(result.rows, out / "compare.csv")
-        emit_plot(result.rows, out / "compare.svg", title=f"focus: {cfg.focus}")
+        emit_csv(rows, out / "compare.csv")
+        emit_plot(rows, out / "compare.svg", title=f"focus: {cfg.focus}")
         print(f"wrote {out / 'compare.csv'}, {out / 'compare.svg'}")
     return 0
 
@@ -221,14 +220,11 @@ def _cmd_demo_gfp(args) -> int:
     vals = dict(zip(names, values))
     try:
         cfg = AuctionConfig(num_slots=args.slots, reserve_price=args.reserve)
+        history = best_response_run(bids, vals, cfg, args.epsilon, args.steps)
     except ValueError as exc:
         field, _, reason = str(exc).partition(": ")
-        flag = {"num_slots": "--slots", "reserve_price": "--reserve"}[field]
+        flag = {"num_slots": "--slots", "reserve_price": "--reserve", "steps": "--steps"}[field]
         raise ConfigError(f"{flag}: {reason}") from exc
-    try:
-        history = best_response_run(bids, vals, cfg, args.epsilon, args.steps)
-    except ValueError as exc:  # the history bound; every other argument is checked above
-        raise ConfigError(f"--steps: {str(exc).partition(': ')[2]}") from exc
     print(f"first-price bid war, epsilon={args.epsilon}, reserve={args.reserve}:")
     print(f"  start: {_fmt_state(names, history[0])}")
     for step, state in enumerate(history[1:], start=1):

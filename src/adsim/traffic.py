@@ -162,24 +162,23 @@ def organic_events(
 # Fraud schedules.
 
 
-def click_times(plan: FraudPlan, horizon_ms: int) -> list[int]:
-    """Millisecond timestamps of the plan's clicks, in increasing order.
-
-    A human plan's drawn gap is capped at ``horizon_ms``; whether the last
-    click falls before it is ``ScenarioConfig``'s check.
+def click_times(plan: FraudPlan, horizon_ms: int) -> Sequence[int]:
+    """Millisecond timestamps of the plan's clicks, in increasing order: a
+    ``range`` for a scripted plan, a drawn list for a human one, whose gaps
+    are capped at ``horizon_ms``. Whether the last click falls before it is
+    ``ScenarioConfig``'s check.
     """
     if plan.kind == SCRIPTED:
-        times = [plan.start_ms + k * plan.interval_ms for k in range(plan.count)]
-    else:
-        from numpy.random import default_rng  # numpy loads only where a stream is seeded
-        rng = default_rng(plan.seed)
-        sigma = plan.gap_sigma
-        # Parameterized so the distribution mean equals mean_gap_ms.
-        mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0
-        times = [plan.start_ms]
-        for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
-            # a gap as long as the horizon already fails the plan; capped, infinity never rounds
-            times.append(times[-1] + max(1, round(min(gap, horizon_ms))))
+        return range(plan.start_ms, plan.start_ms + plan.count * plan.interval_ms, plan.interval_ms)
+    from numpy.random import default_rng  # numpy loads only where a stream is seeded
+    rng = default_rng(plan.seed)
+    sigma = plan.gap_sigma
+    # Parameterized so the distribution mean equals mean_gap_ms.
+    mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0
+    times = [plan.start_ms]
+    for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
+        # a gap as long as the horizon already fails the plan; capped, infinity never rounds
+        times.append(times[-1] + max(1, round(min(gap, horizon_ms))))
     return times
 
 

@@ -5,6 +5,7 @@ import csv
 import math
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -323,6 +324,18 @@ def test_scenario_config_checks_each_fraud_plan_by_index(horizon_ms, plan, messa
         tiny_config(horizon_ms=horizon_ms, tick_ms=10, fraud_plans=(_EARLY, plan))
     assert str(err.value) == message
     assert tiny_config(horizon_ms=horizon_ms, tick_ms=10, fraud_plans=(_EARLY,)).fraud_plans == (_EARLY,)
+
+
+def test_a_scripted_plan_is_checked_without_listing_its_clicks():
+    # a scripted plan's clicks are a range, so its last one costs no list of MAX_EVENTS ints
+    plan = FraudPlan(kind=SCRIPTED, target="a", start_ms=0, count=MAX_EVENTS, interval_ms=1)
+    tracemalloc.start()
+    try:
+        tiny_config(horizon_ms=MAX_EVENTS + 1, fraud_plans=(plan,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_load_config_reads_the_annotated_example(example_ini):

@@ -13,7 +13,7 @@ import pytest
 
 import adsim
 from adsim.auction import MAX_HISTORY
-from adsim.bench import ShapeViolation
+from adsim.bench import ScenarioConfig, ShapeViolation
 from adsim.cli import main
 from adsim.core import ClickEvent, EventLog, read_log, write_log
 
@@ -191,6 +191,20 @@ def test_compare_ranks_with_the_configured_primary_estimator(tmp_path, example_i
     capsys.readouterr()
     series = (tmp_path / "run" / "series.csv").read_bytes()
     assert (tmp_path / "cmp" / "compare.csv").read_bytes() == series
+
+
+def test_compare_checks_its_scenario_once_and_runs_no_detector(tmp_path, ini, capsys, monkeypatch):
+    checks = []
+    check = ScenarioConfig.__post_init__
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", lambda cfg: checks.append(check(cfg)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("compare prints no detector flags")
+
+    monkeypatch.setattr("adsim.bench.detect_scripted", never)
+    assert main(["compare", str(ini)]) == 0
+    assert "ctr_relative" in capsys.readouterr().out
+    assert len(checks) == 1
 
 
 def test_replay_round_trips_a_run_log(tmp_path, ini, capsys):
@@ -408,6 +422,7 @@ def test_an_unusable_out_path_is_reported_before_simulating(
         raise AssertionError("simulated before checking --out")
 
     monkeypatch.setattr("adsim.cli.run_scenario", never)
+    monkeypatch.setattr("adsim.cli.simulate", never)
     assert main([command, str(ini), "--out", str(taken)]) == 2
     assert capsys.readouterr().err == f"error: {taken}: File exists\n"
 

@@ -176,7 +176,7 @@ def test_query_times_on_a_tick_without_queries_make_the_count_draw_only():
 
 def test_scripted_times_are_an_exact_arithmetic_progression():
     plan = FraudPlan(kind=SCRIPTED, target="z", start_ms=500, count=4, interval_ms=250)
-    assert click_times(plan, 1251) == [500, 750, 1000, 1250]
+    assert list(click_times(plan, 1251)) == [500, 750, 1000, 1250]
 
 
 def test_human_times_are_seeded_and_increasing():
