@@ -314,7 +314,8 @@ class ScenarioConfig:
         for i, plan in enumerate(self.fraud_plans):
             if plan.target not in self.bids:
                 raise ValueError(f"fraud_plans[{i}].target: {plan.target!r} has no bid")
-            if (last := click_times(plan, self.horizon_ms)[-1]) >= self.horizon_ms:
+            times = click_times(plan, self.horizon_ms)  # a range reads its last click in O(1)
+            if (last := times[-1] if isinstance(times, range) else max(times)) >= self.horizon_ms:
                 raise ValueError(f"fraud_plans[{i}].start_ms: clicks reach t={last}, "
                                  f"beyond horizon_ms={self.horizon_ms}")
 
@@ -492,9 +493,9 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
                     for adv, fold in folds.items()}
 
     fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
+    pending = next(fraud, None)  # the next fraud row, merged by the tick it falls in
     log = EventLog(cfg.horizon_ms)
     add = log.append
-    fraud_idx = 0
     next_qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
@@ -503,9 +504,9 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
         if times:  # a tick without queries shows no ad, so it runs no auction
             allocation = gsp_allocate(rank(bid_list, ctrs_at(tick_start), cfg.auction), cfg.auction)
             rows, next_qid = organic_events(cfg.traffic, allocation, rng, times, next_qid)
-        while fraud_idx < len(fraud) and fraud[fraud_idx][0] < tick_end:
-            rows.append(fraud[fraud_idx])
-            fraud_idx += 1
+        while pending and pending[0] < tick_end:
+            rows.append(pending)
+            pending = next(fraud, None)
         rows.sort(key=row_order)
         for row in rows:
             add(*row)

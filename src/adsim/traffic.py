@@ -4,8 +4,8 @@ Query arrivals are Poisson; organic click probability is the advertiser's base
 CTR damped by slot position. Clicks land at the same millisecond as their
 impression. Traffic comes out as the log's rows, ``(t, advertiser, slot,
 query id or ref, source)``. ``fraud_events`` is the one source of fraud
-clicks, and ``simulate``, which merges them tick by tick, the one place they
-enter a log.
+clicks, a lazy stream of rows drawn as they are read, and ``simulate``, which
+merges them tick by tick, the one place they enter a log.
 ``PLAN_FIELDS`` holds the fields each plan kind needs, for ``FraudPlan`` and
 the config loader alike. With a fixed seed every function here is fully
 deterministic.
@@ -16,7 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     IMPRESSION,
@@ -162,11 +163,11 @@ def organic_events(
 # Fraud schedules.
 
 
-def click_times(plan: FraudPlan, horizon_ms: int) -> Sequence[int]:
+def click_times(plan: FraudPlan, horizon_ms: int) -> Iterable[int]:
     """Millisecond timestamps of the plan's clicks, in increasing order: a
-    ``range`` for a scripted plan, a drawn list for a human one, whose gaps
-    are capped at ``horizon_ms``. Whether the last click falls before it is
-    ``ScenarioConfig``'s check.
+    ``range`` for a scripted plan, an iterator over one draw of gaps for a
+    human one, each gap capped at ``horizon_ms``. Whether the last click falls
+    before it is ``ScenarioConfig``'s check.
     """
     if plan.kind == SCRIPTED:
         return range(plan.start_ms, plan.start_ms + plan.count * plan.interval_ms, plan.interval_ms)
@@ -175,31 +176,28 @@ def click_times(plan: FraudPlan, horizon_ms: int) -> Sequence[int]:
     sigma = plan.gap_sigma
     # Parameterized so the distribution mean equals mean_gap_ms.
     mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0
-    times = [plan.start_ms]
-    for gap in rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist():
-        # a gap as long as the horizon already fails the plan; capped, infinity never rounds
-        times.append(times[-1] + max(1, round(min(gap, horizon_ms))))
-    return times
+    gaps = rng.lognormal(mean=mu, sigma=sigma, size=plan.count - 1).tolist()
+    # a gap as long as the horizon already fails the plan; capped, infinity never rounds
+    return accumulate((max(1, round(min(gap, horizon_ms))) for gap in gaps), initial=plan.start_ms)
 
 
-def fraud_events(plans: Sequence[FraudPlan], horizon_ms: int) -> list[tuple]:
-    """Impression/click row pairs for every plan, in ``row_order``.
+def fraud_events(plans: Sequence[FraudPlan], horizon_ms: int) -> Iterator[tuple]:
+    """Impression/click row pairs for every plan, in ``row_order``, yielded as
+    they are read: one lazy stream per plan, merged.
 
     Each click gets its own synthetic impression in slot 1. Their query ids
     run from FRAUD_QUERY_ID_BASE through the plans in order. ``ScenarioConfig``
     checks each plan against the horizon; ``EventLog.append`` rejects any row
     at or past a log's.
     """
-    rows = []
-    qid = FRAUD_QUERY_ID_BASE
-    for plan in plans:
+    def rows(plan: FraudPlan, first_qid: int) -> Iterator[tuple]:
         source = ClickSource.SCRIPTED_FRAUD if plan.kind == SCRIPTED else ClickSource.HUMAN_FRAUD
-        for t in click_times(plan, horizon_ms):
-            rows.append((t, plan.target, 1, qid, IMPRESSION))
-            rows.append((t, plan.target, 1, qid, source))
-            qid += 1
-    rows.sort(key=row_order)
-    return rows
+        for qid, t in enumerate(click_times(plan, horizon_ms), start=first_qid):
+            yield (t, plan.target, 1, qid, IMPRESSION)
+            yield (t, plan.target, 1, qid, source)
+
+    first_qids = accumulate((plan.count for plan in plans), initial=FRAUD_QUERY_ID_BASE)
+    return heapq.merge(*map(rows, plans, first_qids), key=row_order)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from adsim.core import IMPRESSION, ClickEvent, EventLog, ImpressionEvent
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
-from adsim.traffic import fraud_events, organic_events, query_times
+from adsim.traffic import organic_events, query_times
 
 
 def event_sort_key(e) -> tuple[int, int, str, int]:
@@ -52,8 +52,11 @@ def organic_log(cfg, allocation, horizon_ms: int, seed: int) -> EventLog:
 
 
 def with_fraud(log: EventLog, plans) -> EventLog:
-    """A new log with the plans' fraud events merged in; ``log`` is untouched."""
-    return log_of([*log, *map(event_of, fraud_events(plans, log.horizon))], log.horizon)
+    """A new log with the plans' fraud events, as ``oracles.fraud_rows_listed``
+    builds them, merged in; ``log`` is untouched."""
+    from oracles import fraud_rows_listed  # oracles imports this module
+
+    return log_of([*log, *map(event_of, fraud_rows_listed(plans, log.horizon))], log.horizon)
 
 
 def estimate_at(kind: str, events, advertiser: str, param: int, now: int) -> CtrEstimate:

@@ -8,13 +8,16 @@ objects (``list(log)``, taken once per log) rather than the log, whose
 iteration builds the objects anew each time. The traffic and
 simulator oracles take numpy's generator, since they must reproduce its
 draws, and make them one call at a time; they import numpy themselves, so the
-other oracles load none. The output references format every cell of a series
-anew, with no text carried over from the tick before.
+other oracles load none. ``fraud_rows_listed`` lists every fraud row of a run
+and sorts the list once, against the package's merge of one stream per plan.
+The output references format every cell of a series anew, with no text carried
+over from the tick before.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import statistics
 import xml.etree.ElementTree as ET
@@ -24,7 +27,7 @@ from adsim.auction import Bid, gsp_allocate, rank
 from adsim.bench import format_rate
 from adsim.core import ClickEvent, ClickSource, Event, EventLog, ImpressionEvent
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
-from adsim.traffic import FraudFlag, fraud_events
+from adsim.traffic import FRAUD_QUERY_ID_BASE, SCRIPTED, FraudFlag
 from helpers import event_of, event_sort_key, log_of, row_of
 
 
@@ -75,6 +78,38 @@ def organic_events_one_draw_at_a_time(cfg, allocation, rng, t_lo, t_hi, query_id
     return events, qid
 
 
+def fraud_rows_listed(plans, horizon_ms: int) -> list[tuple]:
+    """Every plan's impression/click rows, listed plan by plan and then sorted
+    by ``event_sort_key``. A scripted plan clicks at ``start_ms + i *
+    interval_ms``; a human plan draws each log-normal gap with its own
+    ``rng.lognormal`` call, caps it at ``horizon_ms`` and rounds it to at least
+    1 ms. Query ids count up from ``FRAUD_QUERY_ID_BASE`` through the plans in
+    their listed order, whatever their times."""
+    events = []
+    qid = FRAUD_QUERY_ID_BASE
+    for plan in plans:
+        if plan.kind == SCRIPTED:
+            times = [plan.start_ms + i * plan.interval_ms for i in range(plan.count)]
+            source = ClickSource.SCRIPTED_FRAUD
+        else:
+            import numpy as np
+
+            rng = np.random.default_rng(plan.seed)
+            sigma = plan.gap_sigma
+            mu = math.log(plan.mean_gap_ms) - sigma * sigma / 2.0  # the mean gap is mean_gap_ms
+            times = [plan.start_ms]
+            for _ in range(plan.count - 1):
+                gap = rng.lognormal(mean=mu, sigma=sigma)
+                times.append(times[-1] + max(1, round(min(gap, horizon_ms))))
+            source = ClickSource.HUMAN_FRAUD
+        for t in times:
+            events.append(ImpressionEvent(t, plan.target, 1, qid))
+            events.append(ClickEvent(t, plan.target, 1, qid, source))
+            qid += 1
+    events.sort(key=event_sort_key)
+    return [row_of(e) for e in events]
+
+
 def simulate_every_tick(cfg) -> tuple[list, dict[int, dict[str, float]]]:
     """``bench.simulate`` running the auction on every tick: each advertiser's
     own fold of the primary kind read at the tick start, ``rank`` and
@@ -90,7 +125,7 @@ def simulate_every_tick(cfg) -> tuple[list, dict[int, dict[str, float]]]:
     spec = cfg.estimators[0]
     relative = spec.kind == "relative"
     folds = {adv: ESTIMATOR_KINDS[spec.kind][1](spec.param) for adv in cfg.advertisers}
-    fraud = [event_of(row) for row in fraud_events(cfg.fraud_plans, cfg.horizon_ms)]
+    fraud = [event_of(row) for row in fraud_rows_listed(cfg.fraud_plans, cfg.horizon_ms)]
     events, query_ticks = [], {}
     qid = 0
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):

@@ -676,7 +676,7 @@ def test_simulate_writes_exactly_the_fraud_events():
         return e.query_id if isinstance(e, ImpressionEvent) else e.impression_ref
 
     fraud = [e for e in simulate(cfg) if query_id(e) >= FRAUD_QUERY_ID_BASE]
-    assert [row_of(e) for e in fraud] == fraud_events(cfg.fraud_plans, cfg.horizon_ms)
+    assert [row_of(e) for e in fraud] == list(fraud_events(cfg.fraud_plans, cfg.horizon_ms))
 
 
 def test_simulate_tallies_the_cohort_once_per_tick(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from adsim.auction import SlotAllocation
 from adsim.bench import build_series
 from adsim.core import (
+    IMPRESSION,
     ClickEvent,
     ClickSource,
     DuplicateImpressionError,
@@ -17,6 +19,7 @@ from adsim.core import (
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
     HUMAN,
+    MAX_EVENTS,
     SCRIPTED,
     FraudPlan,
     TrafficConfig,
@@ -29,7 +32,12 @@ from adsim.traffic import (
 from adsim.estimators import ESTIMATOR_KINDS, WindowSpec
 
 from helpers import event_of, event_sort_key, log_of, organic_log, row_of, with_fraud
-from oracles import detect_scripted_brute, organic_events_one_draw_at_a_time, tally_brute
+from oracles import (
+    detect_scripted_brute,
+    fraud_rows_listed,
+    organic_events_one_draw_at_a_time,
+    tally_brute,
+)
 
 
 def alloc(*advertisers):
@@ -184,8 +192,8 @@ def test_human_times_are_seeded_and_increasing():
         kind=HUMAN, target="z", start_ms=100, count=400,
         mean_gap_ms=1_000.0, gap_sigma=0.5, seed=9,
     )
-    times = click_times(plan, 10**9)
-    assert times == click_times(plan, 10**9)
+    times = list(click_times(plan, 10**9))
+    assert times == list(click_times(plan, 10**9))
     assert times[0] == 100
     assert all(b > a for a, b in zip(times, times[1:]))
     gaps = [b - a for a, b in zip(times, times[1:])]
@@ -226,6 +234,54 @@ def test_fraud_events_number_the_plans_in_order_and_sort_canonically():
         ("b", base + 3, ClickSource.HUMAN_FRAUD),
         ("b", base + 4, ClickSource.HUMAN_FRAUD),
     ]
+
+
+def scripted(target, start_ms, count, interval_ms):
+    return FraudPlan(kind=SCRIPTED, target=target, start_ms=start_ms, count=count,
+                     interval_ms=interval_ms)
+
+
+def human(target, start_ms, count, seed, mean_gap_ms=40.0, gap_sigma=0.6):
+    return FraudPlan(kind=HUMAN, target=target, start_ms=start_ms, count=count,
+                     mean_gap_ms=mean_gap_ms, gap_sigma=gap_sigma, seed=seed)
+
+
+FRAUD_HORIZON_MS = 10_000
+FRAUD_MIXES = {
+    "none": [],
+    "one-scripted": [scripted("a", 10, 20, 7)],
+    "one-human": [human("b", 0, 40, seed=1)],
+    # clicks at 50-90 ms from both scripted plans, and the same plan twice
+    "coinciding-on-one-target": [
+        scripted("a", 0, 10, 10), scripted("a", 50, 10, 5), scripted("a", 50, 10, 5),
+        human("a", 0, 30, seed=2, mean_gap_ms=5.0, gap_sigma=0.3),
+    ],
+    "human-before-an-earlier-scripted": [human("b", 500, 20, seed=3), scripted("a", 0, 20, 10)],
+    "many": [
+        human("c", 2_000, 50, seed=4, gap_sigma=1.5), scripted("b", 100, 60, 3),
+        human("a", 0, 60, seed=5), scripted("c", 1_990, 40, 20), human("b", 150, 1, seed=6),
+    ],
+    # every gap drawn far past the horizon, so each is capped at it
+    "capped-gaps": [human("a", 0, 3, seed=7, mean_gap_ms=1e9, gap_sigma=0.1)],
+}
+
+
+@pytest.mark.parametrize("plans", FRAUD_MIXES.values(), ids=FRAUD_MIXES)
+def test_fraud_events_yield_the_rows_one_sorted_list_gives(plans):
+    assert list(fraud_events(plans, FRAUD_HORIZON_MS)) == fraud_rows_listed(plans, FRAUD_HORIZON_MS)
+
+
+def test_the_first_fraud_row_is_read_without_listing_the_rest():
+    # listing every row before the first would hold 2 * 10^6 rows, over 400 MB traced
+    plan = scripted("a", 0, MAX_EVENTS, 1)
+    tracemalloc.start()
+    try:
+        first = next(iter(fraud_events([plan], MAX_EVENTS)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0, "a", 1, FRAUD_QUERY_ID_BASE, IMPRESSION)
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
