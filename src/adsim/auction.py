@@ -66,10 +66,10 @@ class AuctionConfig:
     ranking: str = BY_BID
 
     def __post_init__(self):
-        check_min("num_slots", self.num_slots, 1)
-        check_min("reserve_price", self.reserve_price, 0)
+        check_min("auction.num_slots", self.num_slots, 1)
+        check_min("auction.reserve_price", self.reserve_price, 0)
         if self.ranking not in RANKINGS:
-            raise ValueError(f"ranking: expected one of {RANKINGS}, got {self.ranking!r}")
+            raise ValueError(f"auction.ranking: expected one of {RANKINGS}, got {self.ranking!r}")
 
 
 def rank(

@@ -264,9 +264,9 @@ class ScenarioConfig:
 
     Its checks and those of the configs it holds are the only scenario
     bounds, each fraud plan's target and horizon included. Messages start
-    with the offending value's INI path. Those of ``AuctionConfig`` and
-    ``FraudPlan`` start with the key alone, and those about a plan with
-    ``fraud_plans[i]``; :func:`load_config` names the section instead.
+    with the offending value's INI path. Those of ``FraudPlan`` start with
+    the key alone, and those about a plan with ``fraud_plans[i]``;
+    :func:`load_config` names the plan's section instead.
     """
 
     seed: int
@@ -378,14 +378,6 @@ def _read(name: str, items: Mapping[str, str], keys: Mapping[str, tuple]) -> dic
     return values
 
 
-def _located(prefix: str, cls, **kwargs):
-    """``cls(**kwargs)``; its ValueError becomes a ConfigError behind ``prefix``."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
-
-
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse the INI-style scenario format (see the annotated example file).
 
@@ -431,20 +423,22 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     scenario, bids = read["scenario"], read["bids"]
     scenario.setdefault("focus", min(bids, default=""))
-    auction_cfg = _located("auction.", AuctionConfig, **read["auction"])
-    traffic_cfg = _located("", TrafficConfig, base_ctr=read["base_ctr"], **read["traffic"])
-    specs = tuple(parse_spec(tok, "estimators.specs") for tok in read["estimators"]["specs"].split())
-    for i, (name, plan) in enumerate(plans.items()):
-        if plan["kind"] == HUMAN:
-            plan.setdefault("seed", (scenario["seed"] + i + 1) % (MAX_SEED + 1))
-        plans[name] = _located(f"{name}.", FraudPlan, **plan)
-
-    try:
+    try:  # parse_spec and the plan loop raise ConfigError, which this except lets through
+        auction = AuctionConfig(**read["auction"])
+        traffic = TrafficConfig(base_ctr=read["base_ctr"], **read["traffic"])
+        specs = tuple(parse_spec(tok, "estimators.specs") for tok in read["estimators"]["specs"].split())
+        for i, (name, plan) in enumerate(plans.items()):
+            if plan["kind"] == HUMAN:
+                plan.setdefault("seed", (scenario["seed"] + i + 1) % (MAX_SEED + 1))
+            try:
+                plans[name] = FraudPlan(**plan)
+            except ValueError as exc:  # a plan's own checks name the key alone
+                raise ConfigError(f"{name}.{exc}") from exc
         return ScenarioConfig(
             **scenario,
             bids=bids,
-            auction=auction_cfg,
-            traffic=traffic_cfg,
+            auction=auction,
+            traffic=traffic,
             estimators=specs,
             fraud_plans=tuple(plans.values()),
             **{f"detector_{key}": value for key, value in read["detector"].items()},
@@ -473,7 +467,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
     spec = cfg.estimators[0]
     if spec.kind == "relative":  # one tally for the cohort: every row, read once per auction
-        shared = RelativeCtr(spec.param)
+        shared = spec.fold()
         observe = shared.observe
 
         def ctrs_at(now: int) -> dict[AdvertiserId, float]:
@@ -483,7 +477,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
                 return dict.fromkeys(advertisers, cfg.default_ctr)
             return {adv: counts.get(adv, 0) / total for adv in advertisers}
     else:  # one fold per advertiser, fed only its own rows
-        folds = {adv: ESTIMATOR_KINDS[spec.kind][1](spec.param) for adv in advertisers}
+        folds = {adv: spec.fold() for adv in advertisers}
 
         def observe(t, advertiser, slot, ref, source) -> None:
             folds[advertiser].observe(t, advertiser, slot, ref, source)
@@ -526,13 +520,13 @@ def build_series(
     click to the relative one, which reads no impression. ``exclude`` drops clicks (keyed by
     advertiser and impression ref) from the estimator view and the counts,
     which is how flagged fraud is discarded. Counts are cumulative."""
-    if tick_ms < 1:
-        raise ValueError("tick_ms must be >= 1")
+    if tick_ms < (lo := max(1, -(-log.horizon // MAX_TICKS))):  # one row per tick, at most MAX_TICKS
+        raise ValueError(f"tick_ms must be >= {lo}, got {tick_ms}")
     if len({spec.kind for spec in specs}) != len(specs):
         raise ValueError("estimator kinds must be unique")
     # columns in ESTIMATOR_KINDS order, whatever the configured order
     ordered = [spec for kind in ESTIMATOR_KINDS for spec in specs if spec.kind == kind]
-    folds = {spec.label: ESTIMATOR_KINDS[spec.kind][1](spec.param) for spec in ordered}
+    folds = {spec.label: spec.fold() for spec in ordered}
     relative = next((fold for fold in folds.values() if isinstance(fold, RelativeCtr)), None)
     estimates = {  # the relative fold answers for one advertiser of its cohort
         label: partial(fold.estimate, focus) if fold is relative else fold.estimate

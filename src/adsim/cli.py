@@ -223,7 +223,7 @@ def _cmd_demo_gfp(args) -> int:
         history = best_response_run(bids, vals, cfg, args.epsilon, args.steps)
     except ValueError as exc:
         field, _, reason = str(exc).partition(": ")
-        flag = {"num_slots": "--slots", "reserve_price": "--reserve", "steps": "--steps"}[field]
+        flag = {"auction.num_slots": "--slots", "auction.reserve_price": "--reserve", "steps": "--steps"}[field]
         raise ConfigError(f"{flag}: {reason}") from exc
     print(f"first-price bid war, epsilon={args.epsilon}, reserve={args.reserve}:")
     print(f"  start: {_fmt_state(names, history[0])}")

@@ -58,7 +58,7 @@ class TimeWindowCtr:
     """Clicks over impressions within the trailing half-open window [now-T, now)."""
 
     def __init__(self, window_ms: int):
-        if window_ms < 1:
+        if window_ms is None or window_ms < 1:
             raise ValueError("window_ms must be >= 1")
         self.window_ms = window_ms
         self._imp: deque[int] = deque()
@@ -83,7 +83,7 @@ class ImpressionWindowCtr:
     """Clicked fraction of the last N impressions fed."""
 
     def __init__(self, size: int):
-        if size < 1:
+        if size is None or size < 1:
             raise ValueError("size must be >= 1")
         self.size = size
         self._window: deque[int] = deque()  # query ids, oldest first
@@ -113,7 +113,7 @@ class ClickWindowCtr:
     """
 
     def __init__(self, size: int):
-        if size < 1:
+        if size is None or size < 1:
             raise ValueError("size must be >= 1")
         self.size = size
         self._imp_pos: dict[int, int] = {}  # query id -> arrival ordinal
@@ -204,11 +204,11 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "relative":
-            if self.param is not None and self.param < 1:
-                raise ValueError("relative interval must be >= 1 ms")
-        elif self.param is None or self.param < 1:
-            raise ValueError(f"{self.kind} window parameter must be >= 1")
+        self.fold()  # the fold is the one check of the window
+
+    def fold(self):
+        """A fresh streaming fold of this kind over this window."""
+        return ESTIMATOR_KINDS[self.kind][1](self.param)
 
     @property
     def label(self) -> str:

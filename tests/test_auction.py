@@ -43,8 +43,16 @@ def prices(allocs):
         (lambda: SlotAllocation(0, "a", 0, 0.0), "slot must be >= 1, got 0"),
         (lambda: SlotAllocation(1, "a", -1, 0.0), "negative price: -1"),
         (lambda: SlotAllocation(1, "a", 0, -0.5), "negative rank score: -0.5"),
+        # AuctionConfig names its section, as the loader reports it
+        (lambda: AuctionConfig(0), r"^auction\.num_slots: must be >= 1, got 0$"),
+        (lambda: AuctionConfig(1, -1), r"^auction\.reserve_price: must be >= 0, got -1$"),
+        (
+            lambda: AuctionConfig(1, ranking="best"),
+            r"^auction\.ranking: expected one of \('by_bid', 'by_ctr_weighted'\), got 'best'$",
+        ),
     ],
-    ids=["bid:empty_id", "bid:negative", "slot:0", "slot:price", "slot:score"],
+    ids=["bid:empty_id", "bid:negative", "slot:0", "slot:price", "slot:score",
+         "auction:num_slots", "auction:reserve_price", "auction:ranking"],
 )
 def test_auction_records_reject_impossible_fields(build, message):
     with pytest.raises(ValueError, match=message):

@@ -462,6 +462,10 @@ def test_absent_optional_keys_take_the_dataclass_defaults(tmp_path):
             lambda s: s + "\n[fraud:x]\nkind = human\ntarget = a\nstart_ms = 0\ncount = 5\nmean_gap_ms = 100\ngap_sigma = 0.1\nseed = -1\n",
             "fraud:x.seed",
         ),
+        (  # the auction section still reports before the estimators
+            lambda s: s.replace("num_slots = 1", "num_slots = 0").replace("specs = relative", "specs = time:0"),
+            "auction.num_slots: must be >= 1, got 0",
+        ),
     ],
 )
 def test_config_errors_name_the_offending_field(tmp_path, mangle, fragment):
@@ -846,6 +850,15 @@ def test_build_series_rejects_a_tick_below_one_ms(tick_ms):
     log = log_of([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
     with pytest.raises(ValueError, match="tick_ms must be >= 1"):
         build_series(log, "alpha", [WindowSpec("relative")], tick_ms)
+
+
+def test_build_series_holds_the_log_to_max_ticks(monkeypatch):
+    # a library caller gets the bound that load_config and adsim replay apply
+    monkeypatch.setattr(adsim.bench, "MAX_TICKS", 10)
+    log = log_of([ImpressionEvent(0, "alpha", 1, 0)], 50)
+    with pytest.raises(ValueError, match=r"^tick_ms must be >= 5, got 1$"):
+        build_series(log, "alpha", [WindowSpec("relative")], 1)
+    assert len(build_series(log, "alpha", [WindowSpec("relative")], 5)) == 10
 
 
 def test_build_series_exclude_drops_clicks_from_counts_and_estimates():

@@ -121,6 +121,17 @@ def test_run_reports_bad_config(tmp_path, capsys):
     assert "scenario.seed" in capsys.readouterr().err
 
 
+def test_run_reports_a_bad_window_at_its_spec(tmp_path, capsys):
+    # the time fold's own check, behind the key and the token
+    path = tmp_path / "bad.ini"
+    path.write_text(MINIMAL_INI.replace("specs = relative time:3000", "specs = time:0"))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: estimators.specs: window_ms must be >= 1 in 'time:0' "
+        "(expected time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>])\n"
+    )
+
+
 def test_run_reports_a_bad_fraud_seed(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     crew = "\n[fraud:crew]\nkind = human\ntarget = b\nstart_ms = 0\ncount = 5\n"
@@ -510,8 +521,9 @@ def test_demo_gfp_errors_name_the_flag(capsys, argv, message):
         (["--tick-ms", "0"], "error: --tick-ms: must be >= 1"),
         (["--spec", "time:1", "--spec", "time:2"], "error: --spec: estimator kinds must be unique"),
         (["--spec", "time:x"], "error: --spec: bad window parameter in 'time:x'"),
+        (["--spec", "clicks"], "error: --spec: size must be >= 1 in 'clicks' (expected time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>])"),
     ],
-    ids=["tick_ms", "duplicate_kinds", "bad_param"],
+    ids=["tick_ms", "duplicate_kinds", "bad_param", "missing_window"],
 )
 def test_replay_errors_name_the_flag(tmp_path, capsys, argv, message):
     # like demo-gfp's, with its dashes, and before the log is read

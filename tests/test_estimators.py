@@ -111,6 +111,9 @@ def test_spec_validation():
 def test_a_fold_rejects_a_window_below_one(fold, message):
     with pytest.raises(ValueError, match=message):
         fold(0)
+    if fold is not RelativeCtr:  # a missing interval is RelativeCtr's cumulative mode
+        with pytest.raises(ValueError, match=message):
+            fold(None)
 
 
 # ---------------------------------------------------------------------------
