@@ -295,6 +295,8 @@ class ScenarioConfig:
             raise ValueError(f"traffic.queries_per_second: must be <= {MAX_EVENTS * 1000 / self.horizon_ms / shown:g}"
                              f" ({MAX_EVENTS} impressions in {shown} slots), got {qps}")
         for adv, amount in self.bids.items():
+            if not adv:
+                raise ValueError("bids: empty advertiser id")
             check_min(f"bids.{adv}", amount, 0)
         if self.focus not in self.bids:
             raise ValueError(f"scenario.focus: {self.focus!r} has no bid")
@@ -392,7 +394,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not path.is_file():
         raise ConfigError(f"{path}: no such file")
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -236,12 +236,8 @@ class EventLog:
 # One JSON object per line: a header carrying the log horizon, then one line
 # per impression or click. The writer emits exactly these canonical lines, keys
 # sorted and no spaces, so identical logs serialize to identical bytes. The
-# reader takes any JSON object with these keys, in any order or spacing. A line
-# that is exactly a template's output, with a plain ASCII advertiser, matches the
-# pattern built from the two templates; any other line goes to ``json.loads``,
-# which checks the JSON shape of the record. Either way the line becomes a row
-# for ``EventLog.append``, which checks the values of every event, so both paths
-# give the same events and the same messages.
+# reader takes any JSON object with these keys, in any order or spacing, as a
+# row for ``EventLog.append``, which checks the values of every event.
 
 _HEADER_LINE = '{"horizon":%d,"kind":"header"}\n'
 _IMPRESSION_LINE = '{"advertiser":%s,"kind":"impression","query_id":%d,"slot":%d,"t":%d}\n'
@@ -253,20 +249,20 @@ _RECORD_KEYS = {kind: set(re.findall(r'"(\w+)":', line))  # the keys its templat
                 for kind, line in (("impression", _IMPRESSION_LINE), ("click", _CLICK_LINE))}
 
 _JSON_INT = rb"(-?(?:0|[1-9][0-9]*))"
-_PLAIN_ADVERTISER = rb'"([ !#-\[\]-~]*)"'  # printable ASCII but '"' and '\', its own JSON
+# any ASCII JSON string, so any str json.dumps writes: plain runs between escapes
+_JSON_STRING = rb'("[ !#-\[\]-~]*(?:\\(?:["\\/bfnrt]|u[0-9A-Fa-f]{4})[ !#-\[\]-~]*)*")'
 _SOURCE_OF = {v.encode(): k for k, v in _SOURCE_JSON.items()}
 _SOURCE = b"(%s)" % b"|".join(map(re.escape, _SOURCE_OF))
 
 
 def _line_pattern(template: str, *fields: bytes) -> bytes:
-    """A line template as a pattern, with ``fields`` as the patterns of its slots in order."""
-    return re.escape(template.encode()).replace(b"%d", b"%s") % fields
+    """A line template as a pattern: each ``%d`` slot an integer, each ``%s`` the next of ``fields``."""
+    return re.escape(template.encode()).replace(b"%d", _JSON_INT) % fields
 
 
 # Either template's line, anchored at a line start so that findall matches whole lines.
 _EVENT_RE = re.compile(b"(?m)^(?:%s|%s)" % (
-    _line_pattern(_IMPRESSION_LINE, _PLAIN_ADVERTISER, *[_JSON_INT] * 3),
-    _line_pattern(_CLICK_LINE, _PLAIN_ADVERTISER, _JSON_INT, _JSON_INT, _SOURCE, _JSON_INT)))
+    _line_pattern(_IMPRESSION_LINE, _JSON_STRING), _line_pattern(_CLICK_LINE, _JSON_STRING, _SOURCE)))
 _READ_BLOCK = 16384  # bytes per read_log block, before it runs on to the next line feed
 
 
@@ -322,14 +318,15 @@ def read_log(path: str | Path) -> EventLog:
     """Parse a JSONL log. Raises ``MalformedRecordError`` with the offending line.
 
     A line ends at a line feed alone, as JSON Lines defines, and is decoded on
-    its own, so a byte that is not UTF-8 is reported on its line. An event line
-    as ``write_log`` writes it, with a plain ASCII advertiser, is matched, not
-    parsed, one ``findall`` per block of lines: its fields go straight to
-    ``append``, with one ``str`` per advertiser and one ``int`` per slot. A
-    ``t`` or query id (or ref) equal to the previous matched line's shares that
-    line's ``int``. A block with any other line is taken line by line, and each
-    other line is decoded to the same row; no path builds an event object."""
-    names, slots = _Shared(bytes.decode), _Shared(int)
+    its own, so a byte that is not UTF-8 is reported on its line. A block of
+    ``write_log`` lines, whatever their advertisers, is matched with one
+    ``findall``; its fields go straight to ``append``, with one ``int`` per slot
+    and a ``t`` or query id (or ref) equal to the previous matched line's
+    sharing its ``int``. Each line of any other block goes to ``json.loads``,
+    which checks its JSON shape, and becomes the same row, with the same
+    messages and one ``str`` per advertiser. No path builds an event object."""
+    names, slots = _Shared(lambda raw: json.decoder.scanstring(raw.decode(), 1)[0]), _Shared(int)
+    texts = {}  # a parsed line's advertiser to the first equal str, so it is shared too
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
@@ -341,15 +338,14 @@ def read_log(path: str | Path) -> EventLog:
             log = EventLog(rec["horizon"])
         except ValueError as exc:
             raise MalformedRecordError(1, str(exc)) from exc
-        add, findall, fullmatch = log.append, _EVENT_RE.findall, _EVENT_RE.fullmatch
+        add, findall = log.append, _EVENT_RE.findall
         t_raw = q_raw = None  # the last matched t and query id or ref, as bytes
         line_no, no_fields = 1, (b"",) * 8
         for block in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), b""):
             rows = findall(block)
             # a match is one whole line, so equal counts and a final line feed mean all matched
             if block[-1:] != b"\n" or len(rows) != block.count(b"\n"):
-                rows = [m.groups(b"") if (m := fullmatch(raw)) else (raw, *no_fields)
-                        for raw in io.BytesIO(block)]  # lines end at a line feed alone
+                rows = [(raw, *no_fields) for raw in io.BytesIO(block)]  # lines end at a line feed alone
             for line_no, row in enumerate(rows, line_no + 1):
                 advertiser, q_bytes, slot, t_bytes, c_adv, c_q, c_slot, source, c_t = row
                 try:
@@ -358,8 +354,9 @@ def read_log(path: str | Path) -> EventLog:
                     elif c_t:  # a click line
                         advertiser, q_bytes, slot, t_bytes = c_adv, c_q, c_slot, c_t
                         source = _SOURCE_OF[source]
-                    else:  # any other line, as bytes in the first field
-                        add(*_parse_row(_json_record(advertiser)))
+                    else:  # a line of an unmatched block, as bytes in the first field
+                        when, adv, slot, ref, source = _parse_row(_json_record(advertiser))  # t, q stay shared
+                        add(when, texts.setdefault(adv, adv) if type(adv) is str else adv, slot, ref, source)
                         continue
                     if t_bytes != t_raw:  # equal bytes share the previous line's int
                         t_raw, t = t_bytes, int(t_bytes)

@@ -281,6 +281,8 @@ def test_scenario_config_cross_checks():
         tiny_config(estimators=(WindowSpec("relative"), WindowSpec("relative", 99)))
     with pytest.raises(ValueError, match="^detector.min_run:"):
         tiny_config(detector_min_run=2)
+    with pytest.raises(ValueError, match="^bids: empty advertiser id$"):  # no INI key is empty
+        tiny_config(bids={"a": 1000, "": 300}, traffic=TrafficConfig(4.0, {"a": 0.3, "": 0.2}))
     with pytest.raises(ValueError):
         tiny_config(
             fraud_plans=(
@@ -336,6 +338,12 @@ def test_a_scripted_plan_is_checked_without_listing_its_clicks():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_load_config_reads_a_config_saved_with_a_byte_order_mark(tmp_path, example_ini):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + example_ini.read_bytes())
+    assert load_config(path) == load_config(example_ini)
 
 
 def test_load_config_reads_the_annotated_example(example_ini):

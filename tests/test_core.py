@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adsim import core
 from adsim.auction import AuctionConfig
 from adsim.bench import ScenarioConfig, simulate
 from adsim.core import (
     _CLICK_LINE,
+    _EVENT_RE,
     _HEADER_LINE,
     _IMPRESSION_LINE,
     _WRITE_BLOCK,
@@ -324,17 +328,76 @@ def test_the_writer_renders_the_line_templates(tmp_path, extra):
         assert read_log(path) == written
 
 
-def test_read_log_shares_one_str_per_matched_advertiser(tmp_path):
+def _record_json_loads(monkeypatch) -> list[str]:
+    """The list of every string ``json.loads`` is handed from now on, in order."""
+    parsed, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s: parsed.append(s) or loads(s))
+    return parsed
+
+
+def test_read_log_shares_one_str_per_matched_advertiser(tmp_path, monkeypatch):
+    # names JSON escapes, non-ASCII and not, all matched: json.loads sees the header alone
+    advertisers = ("alpha", "beta", "广告", 'q"uote', "back\\slash")
     log = EventLog(100)
     for q in range(10):
-        for slot, adv in enumerate(("alpha", "beta"), start=1):
+        for slot, adv in enumerate(advertisers, start=1):
             log.append(*row_of(imp(q, adv, slot, qid=q)))
         log.append(*row_of(clk(q, "beta", 2, ref=q)))
+        log.append(*row_of(clk(q, "广告", 3, ref=q)))
     path = tmp_path / "events.jsonl"
     write_log(log, path)
+    parsed = _record_json_loads(monkeypatch)
     back = read_log(path)
     assert back == log
-    assert len({id(e.advertiser) for e in back}) == 2
+    assert parsed == ['{"horizon":100,"kind":"header"}']
+    objects = {}
+    for _, adv, *_ in back.records():
+        objects.setdefault(adv, set()).add(id(adv))
+    assert objects.keys() == set(advertisers)
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_an_escaped_advertiser_reads_as_json_loads_reads_it(tmp_path, monkeypatch):
+    # both hex cases and every short escape match the pattern, and decode to
+    # the str json.loads gives; each spelling is decoded once
+    spellings = [r"\u00e9", r"\u00E9", r"\ud83d\ude00", r"\ud800", r'\"\\\/\b\f\n\r\t']
+    lines = [_HEADER_LINE % 10]
+    for q, spelling in enumerate(spellings):
+        lines.append(_IMPRESSION_LINE % (f'"{spelling}"', q, 1, q))
+        lines.append(_CLICK_LINE % (f'"{spelling}"', q, 1, "null", q))
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(lines), encoding="ascii")
+    parsed = _record_json_loads(monkeypatch)
+    back = read_log(path)
+    monkeypatch.undo()
+    assert parsed == [lines[0].strip()]
+    names = [adv for _, adv, *_ in back.records()]
+    assert names == [json.loads(f'"{spelling}"') for spelling in spellings for _ in "ic"]
+    assert names[:4] == ["é"] * 4
+    assert all(imp_name is clk_name for imp_name, clk_name in zip(names[::2], names[1::2]))
+
+
+# any non-empty str, lone surrogates, quotes, backslashes and control characters included
+_ANY_ADVERTISER = st.text(
+    st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+    | st.sampled_from('"\\/\b\f\n\r\t\x7f'),
+    min_size=1,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_ADVERTISER)
+def test_every_line_write_log_writes_matches_the_event_pattern(tmp_path_factory, advertiser):
+    log = EventLog(10)
+    log.append(1, advertiser, 2, 3, IMPRESSION)
+    log.append(4, advertiser, 2, 3, None)
+    path = tmp_path_factory.getbasetemp() / "any_advertiser.jsonl"
+    write_log(log, path)
+    header, *events = path.read_bytes().splitlines(keepends=True)
+    assert len(events) == 2
+    assert all(_EVENT_RE.fullmatch(line) for line in events)
+    # read as json.loads reads it: a high then a low lone surrogate read as one pair
+    assert {adv for _, adv, *_ in read_log(path).records()} == {json.loads(json.dumps(advertiser))}
 
 
 def test_read_log_keeps_no_event_objects(tmp_path):
@@ -389,8 +452,16 @@ def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
     assert read_log(path) == log_of(expected, 10)
 
 
-def _plain(advertiser: str) -> bool:
-    return advertiser.isascii() and advertiser.isprintable() and not {'"', "\\"} & set(advertiser)
+def _json_loads_calls(data: bytes, block: int, written: set[bytes]) -> list[str]:
+    """What read_log hands ``json.loads`` for a file of ``data`` read in blocks of
+    ``block`` bytes: the header, then each line of every block that holds a
+    line not in ``written``, the lines laid out as write_log lays them out."""
+    fh = io.BytesIO(data)  # the blocks, read as read_log reads them
+    calls = [fh.readline()]
+    while lines := list(io.BytesIO(fh.read(block) + fh.readline())):
+        if not written.issuperset(lines):
+            calls += lines
+    return [raw.decode().strip() for raw in calls]
 
 
 def _rewrite(line: str, form: str) -> str:
@@ -420,20 +491,16 @@ def test_matched_and_parsed_lines_read_the_same(tmp_path, monkeypatch, form):
     rewritten = [_rewrite(line, form) for line in lines]
     path = tmp_path / "rewritten.jsonl"
     path.write_bytes("".join(rewritten).encode("utf-8"))
-    parsed = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s: parsed.append(s) or loads(s))
-    assert read_log(path) == _EDGE_LOG
+    parsed = _record_json_loads(monkeypatch)
+    back = read_log(path)
     monkeypatch.undo()
-    # json.loads sees the header and every line but a write_log line with a plain advertiser
-    expected = [
-        new.strip()
-        for line_no, (old, new) in enumerate(zip(lines, rewritten), start=1)
-        if line_no == 1 or new != old or not _plain(json.loads(old)["advertiser"])
-    ]
-    assert parsed == expected
-    if form == "canonical":
-        assert len(parsed) < len(lines)  # so some lines were matched
+    assert back == _EDGE_LOG
+    names = {}  # one str per advertiser, matched or parsed
+    assert all(names.setdefault(adv, adv) is adv for _, adv, *_ in back.records())
+    # the whole log is one block: json.loads sees the header alone if the
+    # pattern matches every line, else every line
+    matched = form in ("canonical", "escaped")
+    assert parsed == ([rewritten[0].strip()] if matched else [line.strip() for line in rewritten])
 
 
 # read_log block sizes: one line a block, sizes that cut a line (a canonical
@@ -457,19 +524,28 @@ def test_a_log_reads_the_same_across_block_edges(tmp_path, monkeypatch, block):
     for tail in (b"\n", b""):  # a last line with no line feed still reads
         path.write_bytes(b"\n".join(lines) + tail)
         assert read_log(path) == log
-    write_log(_EDGE_LOG, path)  # blocks of matched and parsed lines
+    write_log(_EDGE_LOG, path)  # blocks of escaped, non-ASCII and plain advertisers
     assert read_log(path) == _EDGE_LOG
-    # a non-canonical line in the middle, and the unterminated last line, alone
-    # go to json.loads, besides the header
+    edge = _canonical_lines(tmp_path, _EDGE_LOG)
+    for i in range(1, len(edge)):  # one parsed line between matched ones
+        odd = [*edge]
+        odd[i] = json.dumps(json.loads(edge[i]), separators=(", ", ": ")).encode()
+        path.write_bytes(b"\n".join(odd) + b"\n")
+        assert read_log(path) == _EDGE_LOG
+    # a non-canonical line in the middle, and the unterminated last line: their
+    # blocks go to json.loads line by line, besides the header
     middle = len(lines) // 2
     spaced = [*lines]
     spaced[middle] = json.dumps(json.loads(lines[middle]), separators=(", ", ": ")).encode()
     path.write_bytes(b"\n".join(spaced))
-    parsed = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s: parsed.append(s) or loads(s))
+    parsed = _record_json_loads(monkeypatch)
     assert read_log(path) == log
-    assert parsed == [lines[0].decode(), spaced[middle].decode(), lines[-1].decode()]
+    monkeypatch.undo()
+    assert parsed == _json_loads_calls(path.read_bytes(), block, {line + b"\n" for line in lines})
+    if block == 1:  # one line a block
+        assert parsed == [lines[0].decode(), spaced[middle].decode(), lines[-1].decode()]
+    if block == core._READ_BLOCK:  # one block
+        assert parsed == [line.decode() for line in spaced]
 
 
 @pytest.mark.parametrize(

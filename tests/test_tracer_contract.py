@@ -83,7 +83,7 @@ def test_the_tracer_reads_work_from_what_the_wrapped_names_return(monkeypatch):
 
 def test_the_tracer_counts_every_row_the_log_takes(tmp_path, monkeypatch):
     spans = load_spans(monkeypatch)
-    # a read log with one line for json.loads, not the canonical pattern
+    # a read log with one spaced line, so its block goes to json.loads, not the pattern
     path = tmp_path / "events.jsonl"
     write_log(random_log(5), path)
     header, first, *rest = path.read_text().splitlines(keepends=True)
