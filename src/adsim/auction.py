@@ -39,8 +39,7 @@ class Bid:
     def __post_init__(self):
         if not self.advertiser:
             raise ValueError("empty advertiser id")
-        if self.amount < 0:
-            raise ValueError(f"negative bid: {self.amount}")
+        check_min("amount", self.amount, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,12 +50,9 @@ class SlotAllocation:
     rank_score: float
 
     def __post_init__(self):
-        if self.slot < 1:
-            raise ValueError(f"slot must be >= 1, got {self.slot}")
-        if self.price_per_click < 0:
-            raise ValueError(f"negative price: {self.price_per_click}")
-        if self.rank_score < 0:
-            raise ValueError(f"negative rank score: {self.rank_score}")
+        check_min("slot", self.slot, 1)
+        check_min("price_per_click", self.price_per_click, 0)
+        check_min("rank_score", self.rank_score, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,8 +163,7 @@ def gfp_best_response_step(
         raise UnknownMoverError(f"{mover!r} has no standing bid")
     if mover not in values:
         raise UnknownMoverError(f"{mover!r} has no per-click value")
-    if epsilon < 1:
-        raise ValueError(f"epsilon must be >= 1 cent, got {epsilon}")
+    check_min("epsilon", epsilon, 1)
     value = values[mover]
     others = sorted((amt for adv, amt in bids.items() if adv != mover), reverse=True)
     # the price of each slot from the top; every slot past the last competitor costs the same

@@ -85,10 +85,10 @@ class SeriesRow:
     ctr: Mapping[str, float | None]
 
     def __post_init__(self):
-        if self.time_index < 1:
-            raise ValueError(f"time_index must be >= 1, got {self.time_index}")
-        if min(self.impressions, self.clicks, self.total_clicks) < 0:
-            raise ValueError("negative counts")
+        check_min("time_index", self.time_index, 1)
+        check_min("impressions", self.impressions, 0)
+        check_min("clicks", self.clicks, 0)
+        check_min("total_clicks", self.total_clicks, 0)
 
 
 @dataclass(frozen=True)
@@ -522,8 +522,7 @@ def build_series(
     click to the relative one, which reads no impression. ``exclude`` drops clicks (keyed by
     advertiser and impression ref) from the estimator view and the counts,
     which is how flagged fraud is discarded. Counts are cumulative."""
-    if tick_ms < (lo := max(1, -(-log.horizon // MAX_TICKS))):  # one row per tick, at most MAX_TICKS
-        raise ValueError(f"tick_ms must be >= {lo}, got {tick_ms}")
+    check_min("tick_ms", tick_ms, max(1, -(-log.horizon // MAX_TICKS)))  # at most MAX_TICKS rows
     if len({spec.kind for spec in specs}) != len(specs):
         raise ValueError("estimator kinds must be unique")
     # columns in ESTIMATOR_KINDS order, whatever the configured order

@@ -29,15 +29,18 @@ MAX_SEED = 2**64 - 1
 
 
 def check_min(path: str, value, lo) -> None:
-    """Raise ValueError starting with ``path`` unless ``value`` is finite and ``lo <= value``."""
-    if value - value:  # NaN (true) for NaN and +-inf, 0 for any finite number
-        raise ValueError(f"{path}: must be a finite number, got {value}")
+    """Raise ValueError starting with ``path`` unless ``value`` is a finite number ``>= lo``."""
+    try:
+        if value - value:  # NaN (true) for NaN and +-inf, 0 for any finite number
+            raise ValueError(f"{path}: must be a finite number, got {value}")
+    except TypeError:  # not a number at all: None, a str, ...
+        raise ValueError(f"{path}: must be a number, got {value!r}") from None
     if value < lo:
         raise ValueError(f"{path}: must be >= {lo}, got {value}")
 
 
 def check_range(path: str, value, lo, hi) -> None:
-    """Raise ValueError starting with ``path`` unless ``value`` is finite and in ``[lo, hi]``."""
+    """Raise ValueError starting with ``path`` unless ``value`` is a finite number in ``[lo, hi]``."""
     check_min(path, value, lo)
     if value > hi:
         raise ValueError(f"{path}: must be <= {hi}, got {value}")
@@ -112,6 +115,7 @@ class ClickEvent:
 Event = Union[ImpressionEvent, ClickEvent]
 
 IMPRESSION = "impression"  # an impression's source in a row and in the log's columns
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]").search
 
 
 def row_order(row: tuple) -> tuple[int, bool, str, int]:
@@ -130,7 +134,8 @@ class EventLog:
     and the only writer of the columns and sets, so any log it accepts
     round-trips through ``write_log``/``read_log``. It wants ``t``, ``slot``
     and the query id (``ref``) to be ``int`` (not ``bool``), the advertiser a
-    non-empty ``str``, a click source a ``ClickSource`` or ``None``,
+    non-empty ``str`` with no surrogate pair (JSON reads one back as one
+    character), a click source a ``ClickSource`` or ``None``,
     ``slot >= 1``, time order within ``[0, horizon)``, one impression per
     (advertiser, query id), and at most one click on each, once it is in the
     log. The last two rules read per-advertiser sets of the events' own query
@@ -183,6 +188,8 @@ class EventLog:
                 raise DuplicateClickError(f"impression {ref} of {advertiser!r} already clicked")
             clicked.add(ref)
         elif not shown:  # the advertiser's first impression
+            if _SURROGATE_PAIR(advertiser):
+                raise ValueError(f"surrogate pair in advertiser id {advertiser!r}")
             self._impressions[advertiser], self._clicked[advertiser] = {ref}, set()
         elif ref in shown:
             raise DuplicateImpressionError(f"impression {ref} of {advertiser!r} already in the log")
@@ -325,8 +332,9 @@ def read_log(path: str | Path) -> EventLog:
     sharing its ``int``. Each line of any other block goes to ``json.loads``,
     which checks its JSON shape, and becomes the same row, with the same
     messages and one ``str`` per advertiser. No path builds an event object."""
-    names, slots = _Shared(lambda raw: json.decoder.scanstring(raw.decode(), 1)[0]), _Shared(int)
-    texts = {}  # a parsed line's advertiser to the first equal str, so it is shared too
+    texts = {}  # each advertiser's first str, shared by its matched and parsed lines alike
+    names = _Shared(lambda raw: texts.setdefault(s := json.decoder.scanstring(raw.decode(), 1)[0], s))
+    slots = _Shared(int)
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:

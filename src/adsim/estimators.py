@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import IMPRESSION, AdvertiserId
+from .core import IMPRESSION, AdvertiserId, check_min, check_range
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,8 +58,7 @@ class TimeWindowCtr:
     """Clicks over impressions within the trailing half-open window [now-T, now)."""
 
     def __init__(self, window_ms: int):
-        if window_ms is None or window_ms < 1:
-            raise ValueError("window_ms must be >= 1")
+        check_min("window_ms", window_ms, 1)
         self.window_ms = window_ms
         self._imp: deque[int] = deque()
         self._clk: deque[int] = deque()
@@ -83,8 +82,7 @@ class ImpressionWindowCtr:
     """Clicked fraction of the last N impressions fed."""
 
     def __init__(self, size: int):
-        if size is None or size < 1:
-            raise ValueError("size must be >= 1")
+        check_min("size", size, 1)
         self.size = size
         self._window: deque[int] = deque()  # query ids, oldest first
         self._members: set[int] = set()
@@ -113,8 +111,7 @@ class ClickWindowCtr:
     """
 
     def __init__(self, size: int):
-        if size is None or size < 1:
-            raise ValueError("size must be >= 1")
+        check_min("size", size, 1)
         self.size = size
         self._imp_pos: dict[int, int] = {}  # query id -> arrival ordinal
         self._imp_count = 0
@@ -145,8 +142,8 @@ class RelativeCtr:
     """
 
     def __init__(self, interval_ms: int | None = None):
-        if interval_ms is not None and interval_ms < 1:
-            raise ValueError("interval_ms must be >= 1")
+        if interval_ms is not None:  # None is the cumulative mode
+            check_min("interval_ms", interval_ms, 1)
         self.interval_ms = interval_ms
         self._counts: dict[str, int] = {}
         # fed in sliding mode only, so _evict never reads a None interval_ms
@@ -218,8 +215,8 @@ class WindowSpec:
 
 def ctr_relative(clicks: int, total_clicks: int) -> CtrEstimate:
     """An advertiser's share of the cohort's clicks: #clicks_i / #clicks_t."""
-    if clicks > total_clicks:
-        raise ValueError("an advertiser's clicks exceed the cohort total")
+    check_min("total_clicks", total_clicks, 0)
+    check_range("clicks", clicks, 0, total_clicks)
     return CtrEstimate(clicks, total_clicks)
 
 
@@ -230,8 +227,8 @@ def ctr_legacy(clicks: int, impressions: int) -> float:
     into clicks, so clicks must be added back to recover the display total.
     Raises ``ZeroDivisionError`` when both counts are zero.
     """
-    if clicks < 0 or impressions < 0:
-        raise ValueError("counts must be non-negative")
+    check_min("clicks", clicks, 0)
+    check_min("impressions", impressions, 0)
     if impressions + clicks == 0:
         raise ZeroDivisionError("no displays: impressions + clicks == 0")
     return clicks / (impressions + clicks)

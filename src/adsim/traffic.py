@@ -220,10 +220,8 @@ def detect_scripted(
     in doubled integers: ``m2`` is twice the median, exactly as
     ``statistics.median`` would give it.
     """
-    if min_run < 3:
-        raise ValueError(f"min_run must be >= 3, got {min_run}")
-    if interval_tolerance_ms < 0:
-        raise ValueError(f"negative tolerance: {interval_tolerance_ms}")
+    check_min("min_run", min_run, 3)
+    check_min("interval_tolerance_ms", interval_tolerance_ms, 0)
     tol2 = 2 * interval_tolerance_ms
     clicks_by: dict[str, list[tuple[int, int]]] = {}  # advertiser -> [(t, ref)]
     for t, adv, _, ref, source in log.records():

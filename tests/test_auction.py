@@ -39,10 +39,10 @@ def prices(allocs):
     "build, message",
     [
         (lambda: Bid("", 1), "empty advertiser id"),
-        (lambda: Bid("a", -1), "negative bid: -1"),
-        (lambda: SlotAllocation(0, "a", 0, 0.0), "slot must be >= 1, got 0"),
-        (lambda: SlotAllocation(1, "a", -1, 0.0), "negative price: -1"),
-        (lambda: SlotAllocation(1, "a", 0, -0.5), "negative rank score: -0.5"),
+        (lambda: Bid("a", -1), r"^amount: must be >= 0, got -1$"),
+        (lambda: SlotAllocation(0, "a", 0, 0.0), r"^slot: must be >= 1, got 0$"),
+        (lambda: SlotAllocation(1, "a", -1, 0.0), r"^price_per_click: must be >= 0, got -1$"),
+        (lambda: SlotAllocation(1, "a", 0, -0.5), r"^rank_score: must be >= 0, got -0\.5$"),
         # AuctionConfig names its section, as the loader reports it
         (lambda: AuctionConfig(0), r"^auction\.num_slots: must be >= 1, got 0$"),
         (lambda: AuctionConfig(1, -1), r"^auction\.reserve_price: must be >= 0, got -1$"),

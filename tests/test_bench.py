@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import adsim.bench
-from adsim.auction import BY_CTR_WEIGHTED, AuctionConfig, rank
+from adsim.auction import (
+    BY_CTR_WEIGHTED,
+    AuctionConfig,
+    Bid,
+    SlotAllocation,
+    gfp_best_response_step,
+    rank,
+)
 from adsim.bench import (
     _KEYS,
     _PLAN_KEYS,
@@ -46,7 +53,15 @@ from adsim.bench import (
 )
 from adsim.cli import main
 from adsim.core import ClickEvent, ClickSource, ImpressionEvent
-from adsim.estimators import RelativeCtr, WindowSpec
+from adsim.estimators import (
+    ClickWindowCtr,
+    ImpressionWindowCtr,
+    RelativeCtr,
+    TimeWindowCtr,
+    WindowSpec,
+    ctr_legacy,
+    ctr_relative,
+)
 from adsim.traffic import (
     FRAUD_QUERY_ID_BASE,
     HUMAN,
@@ -55,6 +70,7 @@ from adsim.traffic import (
     SCRIPTED,
     FraudPlan,
     TrafficConfig,
+    detect_scripted,
     fraud_events,
 )
 from helpers import log_of, row_of
@@ -173,15 +189,76 @@ def row(t, value, column="x"):
 @pytest.mark.parametrize(
     "counts, message",
     [
-        ((0, 0, 0, 0), "time_index must be >= 1, got 0"),
-        ((1, -1, 0, 0), "negative counts"),
-        ((1, 0, -1, 0), "negative counts"),
-        ((1, 0, 0, -1), "negative counts"),
+        ((0, 0, 0, 0), "time_index: must be >= 1, got 0"),
+        ((1, -1, 0, 0), "impressions: must be >= 0, got -1"),
+        ((1, 0, -1, 0), "clicks: must be >= 0, got -1"),
+        ((1, 0, 0, -1), "total_clicks: must be >= 0, got -1"),
     ],
+    ids=["counts0-time_index must be >= 1, got 0", "counts1-negative counts",
+         "counts2-negative counts", "counts3-negative counts"],
 )
 def test_a_series_row_starts_at_tick_1_and_counts_nothing_negative(counts, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as err:
         SeriesRow(*counts, {})
+    assert str(err.value) == message
+
+
+_ONE_IMPRESSION = log_of([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
+# every numeric bound outside the scenario config: its field and a call that puts v there
+# (test_estimators.py checks that the windowed folds reject None)
+_BOUNDS = [
+    ("amount", lambda v: Bid("a", v)),
+    ("slot", lambda v: SlotAllocation(v, "a", 0, 0.0)),
+    ("price_per_click", lambda v: SlotAllocation(1, "a", v, 0.0)),
+    ("rank_score", lambda v: SlotAllocation(1, "a", 0, v)),
+    ("epsilon", lambda v: gfp_best_response_step({"a": 1}, {"a": 5}, "a", v, AuctionConfig(1))),
+    ("window_ms", TimeWindowCtr),
+    ("size", ImpressionWindowCtr),
+    ("size", ClickWindowCtr),
+    ("interval_ms", RelativeCtr),
+    ("clicks", lambda v: ctr_legacy(v, 1)),
+    ("impressions", lambda v: ctr_legacy(1, v)),
+    ("clicks", lambda v: ctr_relative(v, 10)),
+    ("total_clicks", lambda v: ctr_relative(1, v)),
+    ("min_run", lambda v: detect_scripted(_ONE_IMPRESSION, v)),
+    ("interval_tolerance_ms", lambda v: detect_scripted(_ONE_IMPRESSION, 5, v)),
+    ("time_index", lambda v: SeriesRow(v, 0, 0, 0, {})),
+    ("impressions", lambda v: SeriesRow(1, v, 0, 0, {})),
+    ("clicks", lambda v: SeriesRow(1, 0, v, 0, {})),
+    ("total_clicks", lambda v: SeriesRow(1, 0, 0, v, {})),
+]  # and build_series's tick_ms, below
+
+
+@pytest.mark.parametrize("field, call", _BOUNDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_every_bound_rejects_nan_and_infinity_naming_its_field(field, call, value):
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{field}: must be a finite number, got {value}"
+
+
+def test_a_bound_that_is_not_a_number_is_a_located_value_error():
+    with pytest.raises(ValueError) as err:
+        tiny_config(seed="1")
+    assert str(err.value) == "scenario.seed: must be a number, got '1'"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_build_series_rejects_an_infinite_tick_at_once(monkeypatch, value):
+    # an infinite tick never passes the closing tick's end, so rows would be built forever
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        if len(built) > 1_000:
+            raise AssertionError("build_series kept building rows")
+        return SeriesRow(*fields)
+
+    monkeypatch.setattr(adsim.bench, "SeriesRow", counted)
+    with pytest.raises(ValueError) as err:
+        build_series(_ONE_IMPRESSION, "alpha", [WindowSpec("relative")], value)
+    assert str(err.value) == f"tick_ms: must be a finite number, got {value}"
+    assert not built
 
 
 def test_shape_check_increasing():
@@ -856,15 +933,16 @@ def test_build_series_rejects_duplicate_kinds():
 @pytest.mark.parametrize("tick_ms", [0, -1_000])
 def test_build_series_rejects_a_tick_below_one_ms(tick_ms):
     log = log_of([ImpressionEvent(0, "alpha", 1, 0)], 3_000)
-    with pytest.raises(ValueError, match="tick_ms must be >= 1"):
+    with pytest.raises(ValueError) as err:
         build_series(log, "alpha", [WindowSpec("relative")], tick_ms)
+    assert str(err.value) == f"tick_ms: must be >= 1, got {tick_ms}"
 
 
 def test_build_series_holds_the_log_to_max_ticks(monkeypatch):
     # a library caller gets the bound that load_config and adsim replay apply
     monkeypatch.setattr(adsim.bench, "MAX_TICKS", 10)
     log = log_of([ImpressionEvent(0, "alpha", 1, 0)], 50)
-    with pytest.raises(ValueError, match=r"^tick_ms must be >= 5, got 1$"):
+    with pytest.raises(ValueError, match=r"^tick_ms: must be >= 5, got 1$"):
         build_series(log, "alpha", [WindowSpec("relative")], 1)
     assert len(build_series(log, "alpha", [WindowSpec("relative")], 5)) == 10
 

@@ -127,7 +127,7 @@ def test_run_reports_a_bad_window_at_its_spec(tmp_path, capsys):
     path.write_text(MINIMAL_INI.replace("specs = relative time:3000", "specs = time:0"))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: estimators.specs: window_ms must be >= 1 in 'time:0' "
+        "error: estimators.specs: window_ms: must be >= 1, got 0 in 'time:0' "
         "(expected time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>])\n"
     )
 
@@ -521,7 +521,7 @@ def test_demo_gfp_errors_name_the_flag(capsys, argv, message):
         (["--tick-ms", "0"], "error: --tick-ms: must be >= 1"),
         (["--spec", "time:1", "--spec", "time:2"], "error: --spec: estimator kinds must be unique"),
         (["--spec", "time:x"], "error: --spec: bad window parameter in 'time:x'"),
-        (["--spec", "clicks"], "error: --spec: size must be >= 1 in 'clicks' (expected time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>])"),
+        (["--spec", "clicks"], "error: --spec: size: must be a number, got None in 'clicks' (expected time:<ms> | impressions:<n> | clicks:<n> | relative[:<ms>])"),
     ],
     ids=["tick_ms", "duplicate_kinds", "bad_param", "missing_window"],
 )

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adsim import core
@@ -350,8 +350,21 @@ def test_read_log_shares_one_str_per_matched_advertiser(tmp_path, monkeypatch):
     back = read_log(path)
     assert back == log
     assert parsed == ['{"horizon":100,"kind":"header"}']
+    _assert_one_str_per_advertiser(back, advertisers)
+    # matched blocks, then a last block parsed for its one spaced line: still one str each
+    header, *lines, last = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([header, *lines, last.replace(",", ", ", 1)]), encoding="utf-8")
+    monkeypatch.setattr(core, "_READ_BLOCK", 512)
+    parsed.clear()
+    back = read_log(path)
+    assert back == log
+    assert 1 < len(parsed) < len(lines)
+    _assert_one_str_per_advertiser(back, advertisers)
+
+
+def _assert_one_str_per_advertiser(log, advertisers):
     objects = {}
-    for _, adv, *_ in back.records():
+    for _, adv, *_ in log.records():
         objects.setdefault(adv, set()).add(id(adv))
     assert objects.keys() == set(advertisers)
     assert all(len(ids) == 1 for ids in objects.values())
@@ -387,8 +400,17 @@ _ANY_ADVERTISER = st.text(
 
 @settings(max_examples=300, deadline=None)
 @given(_ANY_ADVERTISER)
+@example("\ud800\udc00")  # a high then a low surrogate: JSON reads them as one character
+@example("a\udbff\udfffb")
+@example("\udc00\ud800")  # a low then a high one are two lone surrogates, and round-trip
 def test_every_line_write_log_writes_matches_the_event_pattern(tmp_path_factory, advertiser):
     log = EventLog(10)
+    if re.search("[\ud800-\udbff][\udc00-\udfff]", advertiser):
+        with pytest.raises(ValueError) as err:
+            log.append(1, advertiser, 2, 3, IMPRESSION)
+        assert str(err.value) == f"surrogate pair in advertiser id {advertiser!r}"
+        assert len(log) == 0 and log.advertisers() == []
+        return
     log.append(1, advertiser, 2, 3, IMPRESSION)
     log.append(4, advertiser, 2, 3, None)
     path = tmp_path_factory.getbasetemp() / "any_advertiser.jsonl"
@@ -396,8 +418,7 @@ def test_every_line_write_log_writes_matches_the_event_pattern(tmp_path_factory,
     header, *events = path.read_bytes().splitlines(keepends=True)
     assert len(events) == 2
     assert all(_EVENT_RE.fullmatch(line) for line in events)
-    # read as json.loads reads it: a high then a low lone surrogate read as one pair
-    assert {adv for _, adv, *_ in read_log(path).records()} == {json.loads(json.dumps(advertiser))}
+    assert read_log(path) == log
 
 
 def test_read_log_keeps_no_event_objects(tmp_path):

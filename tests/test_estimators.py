@@ -100,20 +100,23 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "fold, message",
+    "fold, field",
     [
-        (TimeWindowCtr, "window_ms must be >= 1"),
-        (ImpressionWindowCtr, "size must be >= 1"),
-        (ClickWindowCtr, "size must be >= 1"),
-        (RelativeCtr, "interval_ms must be >= 1"),
+        (TimeWindowCtr, "window_ms"),
+        (ImpressionWindowCtr, "size"),
+        (ClickWindowCtr, "size"),
+        (RelativeCtr, "interval_ms"),
     ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else f"{v} must be >= 1",
 )
-def test_a_fold_rejects_a_window_below_one(fold, message):
-    with pytest.raises(ValueError, match=message):
+def test_a_fold_rejects_a_window_below_one(fold, field):
+    with pytest.raises(ValueError) as err:
         fold(0)
+    assert str(err.value) == f"{field}: must be >= 1, got 0"
     if fold is not RelativeCtr:  # a missing interval is RelativeCtr's cumulative mode
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as err:
             fold(None)
+        assert str(err.value) == f"{field}: must be a number, got None"
 
 
 # ---------------------------------------------------------------------------
