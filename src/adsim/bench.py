@@ -462,7 +462,9 @@ class ScenarioResult:
 
 
 def simulate(cfg: ScenarioConfig) -> EventLog:
-    """Drive the per-tick auction/traffic/fraud loop and return the event log."""
+    """Drive the per-tick auction/traffic/fraud loop and return the event log.
+
+    A tick whose CTR map equals the last auction's reuses its allocation."""
     from numpy.random import default_rng  # numpy loads only where a stream is seeded
     rng = default_rng(cfg.seed)
     advertisers = cfg.advertisers
@@ -493,12 +495,15 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
     log = EventLog(cfg.horizon_ms)
     add = log.append
     next_qid = 0
+    last_ctrs = allocation = None  # the last auction's; bids and auction are fixed for a run
     for tick_start in range(0, cfg.horizon_ms, cfg.tick_ms):
         tick_end = min(tick_start + cfg.tick_ms, cfg.horizon_ms)
         times = query_times(cfg.traffic, rng, tick_start, tick_end)
         rows = []
         if times:  # a tick without queries shows no ad, so it runs no auction
-            allocation = gsp_allocate(rank(bid_list, ctrs_at(tick_start), cfg.auction), cfg.auction)
+            if (ctrs := ctrs_at(tick_start)) != last_ctrs:  # an equal map, checked, ranks the same
+                allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
+                last_ctrs = ctrs
             rows, next_qid = organic_events(cfg.traffic, allocation, rng, times, next_qid)
         while pending and pending[0] < tick_end:
             rows.append(pending)
@@ -599,17 +604,18 @@ def series_columns(series: Sequence[SeriesRow]) -> list[str]:
 def series_cells(series: Sequence[SeriesRow]) -> Iterator[list[str]]:
     """The header, then one row of string cells per tick; undefined rates are empty.
 
-    Each column keeps its previous rate's ``repr`` and text, so a rate that
-    repeats its column's previous tick is formatted once. Keyed on the
-    ``repr``, ``0.0`` and ``-0.0`` keep their own text."""
+    Each column reuses its previous rate's text for a rate of the same type,
+    equal and, for a zero, of the same sign: ``-0.0`` keeps its own text, and
+    NaN and ``True`` after ``1`` are formatted anew (``True`` is rejected)."""
     cols = series_columns(series)
     yield ["time", "impressions", "clicks", "total_clicks", *cols]
-    last = {c: (None, "") for c in cols}  # column -> (repr, text) of its previous rate
+    last = {c: (None, "") for c in cols}  # column -> (rate, text) of its previous rate
     for row in series:
         cells = [str(row.time_index), str(row.impressions), str(row.clicks), str(row.total_clicks)]
         for c in cols:
-            if (v := row.ctr.get(c)) is not None and (key := repr(v)) != last[c][0]:
-                last[c] = (key, format_rate(v))
+            if (v := row.ctr.get(c)) is not None and not (
+                    v == (p := last[c][0]) and type(v) is type(p) and (v or repr(v) == repr(p))):
+                last[c] = (v, format_rate(v))
             cells.append("" if v is None else last[c][1])
         yield cells
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import InvalidOperation
+from functools import partial
 
 import pytest
 
@@ -58,6 +60,7 @@ FIXED = {
         "ctr_time": [0.25, 1e-05, 1e-05, 5e-05, 5e-05, NAN, NAN, 1e-05, None, NAN, 5e-05],
         "ctr_click": [None, NAN, NAN, 5e-05, 1e-05, 1e-05, None, None, 5e-05, 5e-05, NAN],
     },
+    "true_after_one": {"ctr_time": [1, True]},  # equal, but format_rate(True) raises
     "undefined": {"ctr_time": [None, None], "ctr_relative": [None, None]},
     "empty": {},
 }
@@ -75,7 +78,12 @@ def test_emitted_bytes_equal_every_cell_formatted_anew(tmp_path, case):
         series = series_of(FIXED[case])
     else:
         series = series_of(GENERATED[case.rsplit("-", 1)[0]](random.Random(case)))
-    emit_csv(series, tmp_path / "series.csv")
+    if case == "true_after_one":  # the reused text of 1 must not stand in for True
+        for emit in (series_csv_each, partial(emit_csv, path=tmp_path / "series.csv")):
+            with pytest.raises(InvalidOperation):
+                emit(series)
+    else:
+        emit_csv(series, tmp_path / "series.csv")
+        assert (tmp_path / "series.csv").read_text() == series_csv_each(series)
     emit_plot(series, tmp_path / "series.svg", title=case)
-    assert (tmp_path / "series.csv").read_text() == series_csv_each(series)
     assert (tmp_path / "series.svg").read_text() == series_svg_each(series, title=case)
