@@ -39,7 +39,7 @@ from .core import (
     row_order,
     write_atomic,
 )
-from .estimators import ESTIMATOR_KINDS, RelativeCtr, WindowSpec, ctr_legacy, ctr_relative
+from .estimators import ESTIMATOR_KINDS, ClickWindowCtr, RelativeCtr, WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
     HUMAN,
     MAX_EVENTS,
@@ -532,7 +532,10 @@ def build_series(
         raise ValueError("estimator kinds must be unique")
     # columns in ESTIMATOR_KINDS order, whatever the configured order
     ordered = [spec for kind in ESTIMATOR_KINDS for spec in specs if spec.kind == kind]
-    folds = {spec.label: spec.fold() for spec in ordered}
+    # the click column keeps an ordinal only for the impressions a kept click names
+    kept = log.clicked(focus) - {ref for adv, ref in exclude or () if adv == focus}
+    folds = {spec.label: ClickWindowCtr(spec.param, kept) if spec.kind == "clicks" else spec.fold()
+             for spec in ordered}
     relative = next((fold for fold in folds.values() if isinstance(fold, RelativeCtr)), None)
     estimates = {  # the relative fold answers for one advertiser of its cohort
         label: partial(fold.estimate, focus) if fold is relative else fold.estimate

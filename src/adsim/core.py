@@ -218,6 +218,10 @@ class EventLog:
     def clicks(self) -> int:
         return sum(map(len, self._clicked.values()))
 
+    def clicked(self, advertiser: AdvertiserId) -> set[int]:
+        """A copy of the query ids of ``advertiser``'s clicked impressions."""
+        return set(self._clicked.get(advertiser, ()))
+
     def __iter__(self) -> Iterator[Event]:
         for t, advertiser, slot, ref, source in self.records():
             if source is IMPRESSION:

@@ -107,22 +107,26 @@ class ClickWindowCtr:
     """Last N clicks over the impressions shown since the Nth-most-recent click.
 
     The denominator counts the impressions fed from the one that received
-    that Nth-last click (inclusive) through the last one fed.
+    that Nth-last click (inclusive) through the last one fed. It keeps each
+    impression's arrival ordinal for its click; given ``clicked``, the query ids
+    later clicks will name, only those, each dropped when its click arrives.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, clicked: set[int] | None = None):
         check_min("size", size, 1)
         self.size = size
+        self._clicked = clicked
         self._imp_pos: dict[int, int] = {}  # query id -> arrival ordinal
         self._imp_count = 0
         self._recent: deque[int] = deque()  # ordinals of last N clicked impressions
 
     def observe(self, t, advertiser, slot, ref, source) -> None:
         if source is IMPRESSION:
-            self._imp_pos[ref] = self._imp_count
+            if self._clicked is None or ref in self._clicked:
+                self._imp_pos[ref] = self._imp_count
             self._imp_count += 1
         else:
-            self._recent.append(self._imp_pos[ref])
+            self._recent.append(self._imp_pos[ref] if self._clicked is None else self._imp_pos.pop(ref))
             if len(self._recent) > self.size:
                 self._recent.popleft()
 

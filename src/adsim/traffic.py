@@ -65,6 +65,7 @@ class TrafficConfig:
         check_min("traffic.queries_per_second", self.queries_per_second, 0.0)
         for adv, p in self.base_ctr.items():
             check_range(f"base_ctr.{adv}", p, 0.0, 1.0)
+        check_min("traffic.position_decay", self.position_decay, 0.0)  # a finite number; 0 fails below
         if not 0.0 < self.position_decay <= 1.0:
             raise ValueError(f"traffic.position_decay: outside (0, 1]: {self.position_decay}")
 

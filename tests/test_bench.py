@@ -227,6 +227,7 @@ _BOUNDS = [
     ("impressions", lambda v: SeriesRow(1, v, 0, 0, {})),
     ("clicks", lambda v: SeriesRow(1, 0, v, 0, {})),
     ("total_clicks", lambda v: SeriesRow(1, 0, 0, v, {})),
+    ("traffic.position_decay", lambda v: TrafficConfig(1.0, {}, v)),
 ]  # and build_series's tick_ms, below
 
 
@@ -242,6 +243,18 @@ def test_a_bound_that_is_not_a_number_is_a_located_value_error():
     with pytest.raises(ValueError) as err:
         tiny_config(seed="1")
     assert str(err.value) == "scenario.seed: must be a number, got '1'"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0.5", "must be a number, got '0.5'"),
+    (None, "must be a number, got None"),
+    (0, "outside (0, 1]: 0"),  # the open interval keeps its own messages
+    (1.5, "outside (0, 1]: 1.5"),
+])
+def test_position_decay_is_a_number_in_its_open_interval(value, message):
+    with pytest.raises(ValueError) as err:
+        TrafficConfig(1.0, {}, value)
+    assert str(err.value) == f"traffic.position_decay: {message}"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -948,6 +961,27 @@ def test_build_series_holds_the_log_to_max_ticks(monkeypatch):
     with pytest.raises(ValueError, match=r"^tick_ms: must be >= 5, got 1$"):
         build_series(log, "alpha", [WindowSpec("relative")], 1)
     assert len(build_series(log, "alpha", [WindowSpec("relative")], 5)) == 10
+
+
+def _build_series_peak(impressions: int) -> int:
+    """``build_series``' traced peak with a ``clicks:10`` column on a log of
+    ``impressions`` impressions of ``a`` over 100 ticks, with the same 200
+    clicks at the same times whatever ``impressions`` is."""
+    events = [ImpressionEvent(i * 10_000 // impressions, "a", 1, i) for i in range(impressions)]
+    events += [ClickEvent(k * 50 + 1, "a", 1, k * impressions // 200, None) for k in range(200)]
+    log = log_of(events, 10_000)
+    tracemalloc.start()
+    build_series(log, "a", [WindowSpec("clicks", 10)], 100)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_build_series_click_column_does_not_grow_with_unclicked_impressions():
+    # the click fold keeps an ordinal only for impressions a kept click names; the
+    # plain fold's one per impression would add about 1.1 MB here
+    small = _build_series_peak(2_000)  # first, so caches that any first run fills count against it
+    assert _build_series_peak(20_000) - small < 100_000
 
 
 def test_build_series_exclude_drops_clicks_from_counts_and_estimates():

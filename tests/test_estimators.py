@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from functools import partial
 
@@ -282,12 +283,25 @@ def test_single_shot_matches_oracle(kind, seed, param, now):
         assert est_counts(est) == BRUTES[kind](events, adv, param, now)
 
 
-@pytest.mark.parametrize("kind", sorted(BRUTES))
-def test_incremental_estimates_match_oracle(kind):
+@pytest.mark.parametrize("kind, drop", [
+    *(pytest.param(kind, None, id=kind) for kind in sorted(BRUTES)),
+    # a click fold given the advertiser's clicked ids, as build_series builds it, fed
+    # every click or with some dropped, whose ids the set still names
+    pytest.param("clicks", 0.0, id="clicks-given-clicked"),
+    pytest.param("clicks", 0.3, id="clicks-given-clicked-dropped"),
+])
+def test_incremental_estimates_match_oracle(kind, drop):
     for seed in range(25):
         snapshot = list(random_log(seed + 500))  # one object view for every checkpoint
         param = (seed % 13) + 1
-        fold = ESTIMATOR_KINDS[kind][1](param)
+        if drop is None:
+            fold = ESTIMATOR_KINDS[kind][1](param)
+        else:
+            clicked = {e.impression_ref for e in snapshot
+                       if isinstance(e, ClickEvent) and e.advertiser == "b"}
+            fold = ClickWindowCtr(param, clicked)
+            rng = random.Random(seed)
+            snapshot = [e for e in snapshot if not isinstance(e, ClickEvent) or rng.random() >= drop]
         # every event's own time and the time its window edge reaches it
         checkpoints = {(seed * 37 + k * 997) % 11_000 for k in range(8)}
         checkpoints |= {e.t + d for e in snapshot for d in (0, param)}
