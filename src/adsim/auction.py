@@ -156,8 +156,9 @@ def gfp_best_response_step(
     The mover takes the best slot it can afford: occupying slot j means
     outbidding the j-th highest competitor by ``epsilon``, and a slot with no
     competitor below costs ``reserve + epsilon`` (just above the floor).
-    Bids never exceed the mover's per-click value; if every slot is out of
-    reach the mover retreats to the reserve.
+    Bids never exceed the mover's per-click value, so a slot is out of reach
+    when its price or the reserve is above that value; if every slot is, the
+    mover retreats to the reserve, or to its value below it (which wins nothing).
     """
     if mover not in bids:
         raise UnknownMoverError(f"{mover!r} has no standing bid")
@@ -169,9 +170,9 @@ def gfp_best_response_step(
     # the price of each slot from the top; every slot past the last competitor costs the same
     prices = [amt + epsilon for amt in others] + [cfg.reserve_price + epsilon]
     for required in prices[: cfg.num_slots]:
-        if required <= value:
-            return max(cfg.reserve_price, required)
-    return cfg.reserve_price
+        if (bid := max(cfg.reserve_price, required)) <= value:
+            return bid
+    return min(cfg.reserve_price, value)
 
 
 def best_response_run(

@@ -505,10 +505,12 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
                 allocation = gsp_allocate(rank(bid_list, ctrs, cfg.auction), cfg.auction)
                 last_ctrs = ctrs
             rows, next_qid = organic_events(cfg.traffic, allocation, rng, times, next_qid)
+        organic = bool(rows)  # fraud rows alone come in row_order from fraud_events' merge
         while pending and pending[0] < tick_end:
             rows.append(pending)
             pending = next(fraud, None)
-        rows.sort(key=row_order)
+        if organic:
+            rows.sort(key=row_order)
         for row in rows:
             add(*row)
             observe(*row)
@@ -537,11 +539,16 @@ def build_series(
     folds = {spec.label: ClickWindowCtr(spec.param, kept) if spec.kind == "clicks" else spec.fold()
              for spec in ordered}
     relative = next((fold for fold in folds.values() if isinstance(fold, RelativeCtr)), None)
-    estimates = {  # the relative fold answers for one advertiser of its cohort
-        label: partial(fold.estimate, focus) if fold is relative else fold.estimate
-        for label, fold in folds.items()
-    }
     windowed = [fold.observe for fold in folds.values() if fold is not relative]
+    # a column is estimated again only when its key moved: the count of rows its fold was fed,
+    # and for a window measured in time, whose eviction runs in estimate, every tick
+    reads = [  # the relative fold answers for one advertiser of its cohort
+        (spec.label, partial(fold.estimate, focus) if fold is relative else fold.estimate, fold is relative,
+         spec.kind == "time" or fold is relative and spec.param is not None)
+        for spec, fold in zip(ordered, folds.values())
+    ]
+    keys = dict.fromkeys(folds)  # label -> the key its rate was read at
+    rates = {label: None for label in folds}  # copied per row: dict.fromkeys(folds) presizes larger
     rows: list[SeriesRow] = []
     impressions = clicks = total_clicks = 0
     tick_end = tick_ms  # unclamped: every t in the log is below the horizon
@@ -551,9 +558,12 @@ def build_series(
         t, advertiser, _, ref, source = row
         while t >= tick_end:
             now = min(tick_end, log.horizon)
-            rates = {label: est.value if (est := estimate(now)).defined else None
-                     for label, estimate in estimates.items()}
-            rows.append(SeriesRow(len(rows) + 1, impressions, clicks, total_clicks, rates))
+            for label, estimate, on_total, timed in reads:
+                key = total_clicks if on_total else impressions + clicks
+                if timed or key != keys[label]:
+                    keys[label] = key
+                    rates[label] = est.value if (est := estimate(now)).defined else None
+            rows.append(SeriesRow(len(rows) + 1, impressions, clicks, total_clicks, dict(rates)))
             tick_end += tick_ms
         if source is IMPRESSION:
             if advertiser != focus:  # no fold reads another advertiser's impression

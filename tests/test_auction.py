@@ -229,7 +229,33 @@ def test_a_huge_slot_count_prices_only_the_slots_down_to_the_first_free_one():
     bids = {"a": 1000, "b": 300}
     assert gfp_best_response_step(bids, {"a": 500, "b": 0}, "a", 100, cfg) == 400
     assert gfp_best_response_step(bids, {"a": 200, "b": 0}, "a", 100, cfg) == 150
-    assert gfp_best_response_step(bids, {"a": 0, "b": 0}, "a", 100, cfg) == 50
+    assert gfp_best_response_step(bids, {"a": 0, "b": 0}, "a", 100, cfg) == 0  # under the reserve
+
+
+def test_a_reserve_above_the_movers_value_caps_its_bid_at_the_value():
+    cfg = by_bid(2, reserve=5_000)
+    # slot 1 costs 400 against b, but the reserve lifts that bid past a's value
+    assert gfp_best_response_step({"a": 1000, "b": 300}, {"a": 1100, "b": 800}, "a", 100, cfg) == 1100
+    assert gfp_best_response_step({"a": 1100, "b": 300}, {"a": 1100, "b": 800}, "b", 100, cfg) == 800
+    history = best_response_run({"a": 1000, "b": 300}, {"a": 1100, "b": 800}, cfg, 100, steps=4)
+    assert history == [(1000, 300), (1100, 300), (1100, 800), (1100, 800), (1100, 800)]
+    # a reserve within the value still prices a slot whose competitor bids below it
+    cfg = by_bid(1, reserve=600)
+    assert gfp_best_response_step({"a": 900, "b": 10}, {"a": 1000, "b": 0}, "a", 100, cfg) == 600
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_no_best_response_exceeds_the_movers_value(data):
+    n = data.draw(st.integers(2, 5))
+    names = [chr(ord("a") + i) for i in range(n)]
+    bids = dict(zip(names, data.draw(st.lists(st.integers(0, 3_000), min_size=n, max_size=n))))
+    values = dict(zip(names, data.draw(st.lists(st.integers(0, 3_000), min_size=n, max_size=n))))
+    cfg = by_bid(data.draw(st.integers(1, 4)), reserve=data.draw(st.integers(0, 4_000)))
+    mover = data.draw(st.sampled_from(names))
+    new = gfp_best_response_step(bids, values, mover, data.draw(st.integers(1, 500)), cfg)
+    assert 0 <= new <= values[mover]
+    assert new >= cfg.reserve_price or new == values[mover]  # under the reserve only as its value
 
 
 def test_unknown_mover_is_rejected():

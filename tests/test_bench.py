@@ -1033,12 +1033,9 @@ def series_brute(log, focus, specs, tick_ms, exclude) -> list[tuple]:
     return rows
 
 
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("focus", ["a", "nobody"])
-@pytest.mark.parametrize("excluding", [False, True], ids=["all_clicks", "exclude"])
-def test_build_series_matches_the_oracles(seed, focus, excluding):
+def check_series_against_the_oracles(seed, focus, excluding, max_queries, ticks_ms):
     rng = random.Random(seed)
-    log = random_log(seed, max_queries=rng.choice([40, 150]))
+    log = random_log(seed, max_queries=rng.choice(max_queries))
     specs = (
         WindowSpec("time", rng.randint(1, 4_000)),
         WindowSpec("impressions", rng.randint(1, 12)),
@@ -1047,10 +1044,25 @@ def test_build_series_matches_the_oracles(seed, focus, excluding):
     )
     clicks = [(e.advertiser, e.impression_ref) for e in log if isinstance(e, ClickEvent)]
     exclude = {key for key in clicks if rng.random() < 0.3} if excluding else set()
-    tick_ms = rng.choice([300, 700, 2_500, 10_000])
+    tick_ms = rng.choice(ticks_ms)
     rows = build_series(log, focus, specs, tick_ms, exclude or None)
     got = [(r.time_index, r.impressions, r.clicks, r.total_clicks, dict(r.ctr)) for r in rows]
     assert got == series_brute(log, focus, specs, tick_ms, exclude)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("focus", ["a", "nobody"])
+@pytest.mark.parametrize("excluding", [False, True], ids=["all_clicks", "exclude"])
+def test_build_series_matches_the_oracles(seed, focus, excluding):
+    check_series_against_the_oracles(seed, focus, excluding, [40, 150], [300, 700, 2_500, 10_000])
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("focus", ["a", "nobody"])
+@pytest.mark.parametrize("excluding", [False, True], ids=["all_clicks", "exclude"])
+def test_build_series_matches_the_oracles_on_short_ticks_of_a_sparse_log(seed, focus, excluding):
+    # most ticks get no focus row or no click, so most columns reuse the last tick's rate
+    check_series_against_the_oracles(seed, focus, excluding, [40], [50, 100])
 
 
 def test_drop_flagged_removes_scripted_clicks_from_the_series():

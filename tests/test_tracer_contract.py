@@ -104,28 +104,55 @@ def test_the_tracer_counts_every_row_the_log_takes(tmp_path, monkeypatch):
         assert tracer.counters["core.EventLog.append"].calls == len(log), fn.__name__
 
 
-@pytest.mark.parametrize("drop", [False, True], ids=["all clicks", "exclude"])
-def test_the_series_pass_feeds_each_fold_only_the_rows_it_reads(monkeypatch, drop):
+def moved_keys(rows, tick_ms: int, ticks: int, horizon: int) -> int:
+    """On how many ticks the count of ``rows`` before the tick's end differs
+    from the tick before; the first tick always counts."""
+    counts = [sum(row[0] < min(i * tick_ms, horizon) for row in rows) for i in range(1, ticks + 1)]
+    return sum(a != b for a, b in zip([None, *counts], counts))
+
+
+def traced_series(monkeypatch, log, tick_ms, exclude):
+    """The tracer's counters for ``build_series`` over ``log`` with focus "a", the
+    tick count, and the expected estimate calls: a count column is estimated on
+    the ticks its key moved (the windowed folds' on the focus's rows, the
+    cumulative relative fold's on the kept clicks), the time column on every tick."""
     spans = load_spans(monkeypatch)
-    log = random_log(7, max_queries=400)
     specs = [WindowSpec("time", 1_000), WindowSpec("impressions", 5), WindowSpec("clicks", 3),
              WindowSpec("relative")]
-    clicks = [(adv, ref) for _, adv, _, ref, source in log.records() if source is not IMPRESSION]
-    exclude = set(clicks[::3]) if drop else None
     tracer = spans.Tracer()
-    series = tracer.run("job", adsim.bench.build_series, log, "a", specs, 1_000, exclude)
-    ticks = len(series)
-    assert ticks == 10
+    ticks = len(tracer.run("job", adsim.bench.build_series, log, "a", specs, tick_ms, exclude))
     kept = [
         row for row in log.records()
         if row[4] is IMPRESSION or not exclude or (row[1], row[3]) not in exclude
     ]
     focus = [row for row in kept if row[1] == "a"]
     kept_clicks = [row for row in kept if row[4] is not IMPRESSION]
+    moved = ticks + 2 * moved_keys(focus, tick_ms, ticks, log.horizon) + moved_keys(
+        kept_clicks, tick_ms, ticks, log.horizon)
+    return tracer.counters, ticks, focus, kept_clicks, moved
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all clicks", "exclude"])
+def test_the_series_pass_feeds_each_fold_only_the_rows_it_reads(monkeypatch, drop):
+    log = random_log(7, max_queries=400)
+    clicks = [(adv, ref) for _, adv, _, ref, source in log.records() if source is not IMPRESSION]
+    exclude = set(clicks[::3]) if drop else None
+    counters, ticks, focus, kept_clicks, moved = traced_series(monkeypatch, log, 1_000, exclude)
+    assert ticks == 10
     focus_impressions = [row for row in focus if row[4] is IMPRESSION]
     assert len(kept_clicks) > len(focus) - len(focus_impressions) > 10
-    # one estimate per column per tick, the relative column's included
-    assert tracer.counters["estimators.estimate"].calls == 4 * ticks
+    # a busy log moves every key on every tick: one estimate per column per tick
+    assert counters["estimators.estimate"].calls == moved == 4 * ticks
     # the three windowed folds read the focus's rows, the relative fold every
     # kept click and no impression
-    assert tracer.counters["estimators.observe"].calls == 3 * len(focus) + len(kept_clicks)
+    assert counters["estimators.observe"].calls == 3 * len(focus) + len(kept_clicks)
+
+
+def test_a_quiet_series_estimates_a_count_column_only_when_its_key_moved(monkeypatch):
+    log = random_log(7, max_queries=30)
+    clicks = [(adv, ref) for _, adv, _, ref, source in log.records() if source is not IMPRESSION]
+    counters, ticks, focus, kept_clicks, moved = traced_series(monkeypatch, log, 100, set(clicks[::3]))
+    assert ticks == 100
+    assert len(focus) > 5 and len(kept_clicks) > 5
+    assert counters["estimators.estimate"].calls == moved < 4 * ticks
+    assert counters["estimators.observe"].calls == 3 * len(focus) + len(kept_clicks)
