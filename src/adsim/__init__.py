@@ -23,6 +23,7 @@ from .bench import (
     Erratum,
     ScenarioConfig,
     ScenarioResult,
+    Series,
     SeriesRow,
     ShapeViolation,
     build_series,

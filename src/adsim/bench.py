@@ -19,12 +19,13 @@ import configparser
 import csv
 import io
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from itertools import chain
+from math import inf
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
 from xml.etree import ElementTree as ET
 
 from .auction import AuctionConfig, Bid, gsp_allocate, rank
@@ -89,6 +90,33 @@ class SeriesRow:
         check_min("impressions", self.impressions, 0)
         check_min("clicks", self.clicks, 0)
         check_min("total_clicks", self.total_clicks, 0)
+
+
+@dataclass(frozen=True)
+class Series(Sequence):
+    """The per-tick series as columns: tick ``i`` (from 1) holds
+    ``impressions[i - 1]``, ``clicks[i - 1]`` and ``total_clicks[i - 1]``, and
+    ``ctr[label][i - 1]`` for each estimator column. Indexing and iteration go
+    by rows: each is a :class:`SeriesRow`, checked as it is built."""
+
+    impressions: list[int]
+    clicks: list[int]
+    total_clicks: list[int]
+    ctr: Mapping[str, list[float | None]]
+
+    def __post_init__(self):
+        if any(len(c) != len(self.impressions) for c in (self.clicks, self.total_clicks, *self.ctr.values())):
+            raise ValueError("series columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.impressions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # a negative index counts from the end
+        return SeriesRow(i + 1, self.impressions[i], self.clicks[i], self.total_clicks[i],
+                         {label: rates[i] for label, rates in self.ctr.items()})
 
 
 @dataclass(frozen=True)
@@ -165,25 +193,20 @@ _ERRATA_NOTES = {
 
 @dataclass(frozen=True)
 class ReferenceReplay:
-    legacy_rows: list[SeriesRow]  # clicks/(impressions+clicks), column ctr_old
-    relative_rows: list[SeriesRow]  # share of cohort clicks, column ctr_new
+    legacy_rows: Series  # clicks/(impressions+clicks), column ctr_old
+    relative_rows: Series  # share of cohort clicks, column ctr_new
     errata: list[Erratum]
 
 
 def replay_reference_tables() -> ReferenceReplay:
     """Recompute both reference tables from the reconstruction and list errata."""
-    legacy_rows = []
-    relative_rows = []
-    for t in range(1, REFERENCE_STEPS + 1):
-        imp = reconstructed_impressions(t)
-        clk = reconstructed_clicks(t)
-        total = RECONSTRUCTED_TOTAL_CLICKS[t - 1]
-        legacy_rows.append(
-            SeriesRow(t, imp, clk, total, {"ctr_old": ctr_legacy(clk, imp)})
-        )
-        relative_rows.append(
-            SeriesRow(t, imp, clk, total, {"ctr_new": ctr_relative(clk, total).value})
-        )
+    steps = range(1, REFERENCE_STEPS + 1)
+    imps = [reconstructed_impressions(t) for t in steps]
+    clks = [reconstructed_clicks(t) for t in steps]
+    totals = list(RECONSTRUCTED_TOTAL_CLICKS)
+    legacy_rows = Series(imps, clks, totals, {"ctr_old": list(map(ctr_legacy, clks, imps))})
+    relative = [ctr_relative(c, total).value for c, total in zip(clks, totals)]
+    relative_rows = Series(imps, clks, totals, {"ctr_new": relative})
     return ReferenceReplay(legacy_rows, relative_rows, _build_errata(legacy_rows, relative_rows))
 
 
@@ -206,9 +229,9 @@ def _build_errata(legacy_rows, relative_rows) -> list[Erratum]:
         ))
     for table, column, printed, reconstructed, tolerance in (
         (1, "impressions", PRINTED_IMPRESSIONS, [reconstructed_impressions(t) for t in steps], 0),
-        (1, "ctr", PRINTED_LEGACY_CTR, [row.ctr["ctr_old"] for row in legacy_rows], 0.001),
+        (1, "ctr", PRINTED_LEGACY_CTR, legacy_rows.ctr["ctr_old"], 0.001),
         (2, "total_clicks", PRINTED_TOTAL_CLICKS, RECONSTRUCTED_TOTAL_CLICKS, 0),
-        (2, "ctr", PRINTED_RELATIVE_CTR, [row.ctr["ctr_new"] for row in relative_rows], 0.001),
+        (2, "ctr", PRINTED_RELATIVE_CTR, relative_rows.ctr["ctr_new"], 0.001),
     ):
         rows, note = _ERRATA_NOTES.get((table, column), ((), ""))
         for t, cell, value in zip(steps, printed, reconstructed):
@@ -221,7 +244,7 @@ def _build_errata(legacy_rows, relative_rows) -> list[Erratum]:
     return errata
 
 
-def curve_shape_check(series: Sequence[SeriesRow], column: str, shape: str) -> int | None:
+def curve_shape_check(series: Series, column: str, shape: str) -> int | None:
     """Assert a CTR column is strictly increasing, or rises to one peak then falls.
 
     Returns the peak's tick for a rise-then-fall curve, None for an increasing
@@ -231,17 +254,14 @@ def curve_shape_check(series: Sequence[SeriesRow], column: str, shape: str) -> i
         raise ValueError(f"unknown shape {shape!r}")
     if not series:
         raise ValueError("empty series")
-    values = []
-    for row in series:
-        v = row.ctr.get(column)
-        if v is None:
-            raise ShapeViolation(row.time_index, f"column {column!r} undefined")
-        values.append(v)
+    values = series.ctr.get(column, [None])  # a missing column is undefined from tick 1
+    if None in values:
+        raise ShapeViolation(values.index(None) + 1, f"column {column!r} undefined")
     increasing = shape == SHAPE_INCREASING
     # an increasing curve is one that rises to a peak at its last tick
     peak = len(values) - 1 if increasing else max(range(len(values)), key=values.__getitem__)
     if not increasing and peak in (0, len(values) - 1):
-        raise ShapeViolation(series[peak].time_index, f"{column} has no interior peak")
+        raise ShapeViolation(peak + 1, f"{column} has no interior peak")
     for i in range(1, len(values)):
         before, after = values[i - 1], values[i]
         if i <= peak and after <= before:
@@ -250,8 +270,8 @@ def curve_shape_check(series: Sequence[SeriesRow], column: str, shape: str) -> i
             broke = "rose after its peak"
         else:
             continue
-        raise ShapeViolation(series[i].time_index, f"{column} {broke}: {before:.6f} -> {after:.6f}")
-    return None if increasing else series[peak].time_index
+        raise ShapeViolation(i + 1, f"{column} {broke}: {before:.6f} -> {after:.6f}")
+    return None if increasing else peak + 1
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +477,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 @dataclass
 class ScenarioResult:
     log: EventLog
-    rows: list[SeriesRow]
+    rows: Series
     flags: list[FraudFlag]
 
 
@@ -523,9 +543,9 @@ def build_series(
     specs: Sequence[WindowSpec],
     tick_ms: int,
     exclude: set[tuple[AdvertiserId, int]] | None = None,
-) -> list[SeriesRow]:
-    """Stream a log through the estimators, one row per tick, with one fold per
-    column for ``focus``: a focus row goes to every windowed fold, and every
+) -> Series:
+    """Stream a log through the estimators into a series of one row per tick, with one
+    fold per column for ``focus``: a focus row goes to every windowed fold, and every
     click to the relative one, which reads no impression. ``exclude`` drops clicks (keyed by
     advertiser and impression ref) from the estimator view and the counts,
     which is how flagged fraud is discarded. Counts are cumulative."""
@@ -540,16 +560,18 @@ def build_series(
              for spec in ordered}
     relative = next((fold for fold in folds.values() if isinstance(fold, RelativeCtr)), None)
     windowed = [fold.observe for fold in folds.values() if fold is not relative]
-    # a column is estimated again only when its key moved: the count of rows its fold was fed,
-    # and for a window measured in time, whose eviction runs in estimate, every tick
+    series = Series([], [], [], {label: [] for label in folds})
+    # a column is estimated again only when its key moved, the count of rows its fold
+    # was fed, or when ``now`` passed the edge of a window measured in time
     reads = [  # the relative fold answers for one advertiser of its cohort
-        (spec.label, partial(fold.estimate, focus) if fold is relative else fold.estimate, fold is relative,
-         spec.kind == "time" or fold is relative and spec.param is not None)
-        for spec, fold in zip(ordered, folds.values())
+        (partial(fold.estimate, focus) if fold is relative else fold.estimate, fold is relative,
+         fold.edge if spec.kind in ("time", "relative") else None, rates_of.append)
+        for spec, fold, rates_of in zip(ordered, folds.values(), series.ctr.values())
     ]
-    keys = dict.fromkeys(folds)  # label -> the key its rate was read at
-    rates = {label: None for label in folds}  # copied per row: dict.fromkeys(folds) presizes larger
-    rows: list[SeriesRow] = []
+    add_imp, add_clk, add_tot = series.impressions.append, series.clicks.append, series.total_clicks.append
+    keys = [None] * len(reads)  # per column: the key its rate was read at,
+    edges = [inf] * len(reads)  # its fold's edge after that read,
+    rates = [None] * len(reads)  # and that rate
     impressions = clicks = total_clicks = 0
     tick_end = tick_ms  # unclamped: every t in the log is below the horizon
     # after the log, an impression of no advertiser at the last tick's end closes the ticks left
@@ -558,12 +580,17 @@ def build_series(
         t, advertiser, _, ref, source = row
         while t >= tick_end:
             now = min(tick_end, log.horizon)
-            for label, estimate, on_total, timed in reads:
+            for j, (estimate, on_total, edge, add) in enumerate(reads):
                 key = total_clicks if on_total else impressions + clicks
-                if timed or key != keys[label]:
-                    keys[label] = key
-                    rates[label] = est.value if (est := estimate(now)).defined else None
-            rows.append(SeriesRow(len(rows) + 1, impressions, clicks, total_clicks, dict(rates)))
+                if key != keys[j] or now > edges[j]:
+                    keys[j] = key
+                    rates[j] = est.value if (est := estimate(now)).defined else None
+                    if edge:
+                        edges[j] = inf if (at := edge()) is None else at
+                add(rates[j])
+            add_imp(impressions)
+            add_clk(clicks)
+            add_tot(total_clicks)
             tick_end += tick_ms
         if source is IMPRESSION:
             if advertiser != focus:  # no fold reads another advertiser's impression
@@ -580,7 +607,7 @@ def build_series(
             clicks += 1
         for observe in windowed:
             observe(*row)
-    return rows
+    return series
 
 
 def run_scenario(cfg: ScenarioConfig, drop_flagged: bool = False) -> ScenarioResult:
@@ -610,30 +637,30 @@ def format_rate(x: float) -> str:
     return str(Decimal(repr(x)).quantize(_RATE_QUANTUM, rounding=ROUND_HALF_UP))
 
 
-def series_columns(series: Sequence[SeriesRow]) -> list[str]:
-    return list(series[0].ctr) if series else []
+def series_cells(series: Series) -> Iterator[Sequence[str]]:
+    """The header, then one row of string cells per tick; undefined rates are empty."""
+    yield ["time", "impressions", "clicks", "total_clicks", *series.ctr]
+    counts = (range(1, len(series) + 1), series.impressions, series.clicks, series.total_clicks)
+    yield from zip(*(map(str, c) for c in counts), *map(_rate_texts, series.ctr.values()))
 
 
-def series_cells(series: Sequence[SeriesRow]) -> Iterator[list[str]]:
-    """The header, then one row of string cells per tick; undefined rates are empty.
-
-    Each column reuses its previous rate's text for a rate of the same type,
-    equal and, for a zero, of the same sign: ``-0.0`` keeps its own text, and
-    NaN and ``True`` after ``1`` are formatted anew (``True`` is rejected)."""
-    cols = series_columns(series)
-    yield ["time", "impressions", "clicks", "total_clicks", *cols]
-    last = {c: (None, "") for c in cols}  # column -> (rate, text) of its previous rate
-    for row in series:
-        cells = [str(row.time_index), str(row.impressions), str(row.clicks), str(row.total_clicks)]
-        for c in cols:
-            if (v := row.ctr.get(c)) is not None and not (
-                    v == (p := last[c][0]) and type(v) is type(p) and (v or repr(v) == repr(p))):
-                last[c] = (v, format_rate(v))
-            cells.append("" if v is None else last[c][1])
-        yield cells
+def _rate_texts(rates: Iterable[float | None]) -> Iterator[str]:
+    """Each rate's text, formatted anew only where it differs from the last
+    defined rate: in type, in value or, for a zero, in sign. So ``-0.0`` keeps
+    its own text, and NaN and ``True`` after ``1`` are formatted anew (``True``
+    is rejected)."""
+    last, text = None, ""
+    for v in rates:
+        if v is None:
+            yield ""
+            continue
+        if v is not last and not (v == last and type(v) is type(last) and (v or repr(v) == repr(last))):
+            text = format_rate(v)
+        last = v
+        yield text
 
 
-def emit_csv(series: Sequence[SeriesRow], path: str | Path) -> None:
+def emit_csv(series: Series, path: str | Path) -> None:
     """RFC-4180 CSV, written atomically. Undefined estimates are empty cells."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(series_cells(series))
@@ -643,18 +670,16 @@ def emit_csv(series: Sequence[SeriesRow], path: str | Path) -> None:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def emit_plot(series: Sequence[SeriesRow], path: str | Path, title: str = "") -> None:
+def emit_plot(series: Series, path: str | Path, title: str = "") -> None:
     """SVG line chart, one polyline per estimator column, written atomically."""
     width, height = 720, 440
     ml, mr, mt, mb = 60, 160, 30, 50
     plot_w, plot_h = width - ml - mr, height - mt - mb
-    cols = series_columns(series)
-    times = [r.time_index for r in series]
+    times = range(1, len(series) + 1)
     t_lo, t_hi = (times[0], times[-1]) if times else (0, 1)
     t_span = max(t_hi - t_lo, 1)
-    y_hi = max(
-        (v for r in series for v in r.ctr.values() if v is not None), default=1.0
-    )
+    # in tick order, not column by column: max keeps the first of equal maxima, and a NaN's place counts
+    y_hi = max((v for rates in zip(*series.ctr.values()) for v in rates if v is not None), default=1.0)
     y_hi = (y_hi or 1.0) * 1.05
 
     def sx(t: float) -> float:
@@ -690,16 +715,16 @@ def emit_plot(series: Sequence[SeriesRow], path: str | Path, title: str = "") ->
         _text(svg, x, mt + plot_h + 18, str(t), anchor="middle")
     _text(svg, ml + plot_w / 2, height - 12, "time", anchor="middle")
     _text(svg, 18, mt + plot_h / 2, "CTR", anchor="middle")
-    for i, col in enumerate(cols):
+    for i, (col, rates) in enumerate(series.ctr.items()):
         color = _PALETTE[i % len(_PALETTE)]
         points = []
         last = y = None  # an equal rate has the same sy, signed zeros included
-        for r in series:
-            if (v := r.ctr.get(col)) is None:
+        for t, v in zip(times, rates):
+            if v is None:
                 continue
             if v != last:
                 last, y = v, f"{sy(v):.2f}"
-            points.append(f"{sx(r.time_index):.2f},{y}")
+            points.append(f"{sx(t):.2f},{y}")
         ET.SubElement(
             svg,
             "polyline",

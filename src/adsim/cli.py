@@ -17,7 +17,7 @@ from .bench import (
     SHAPE_RISE_THEN_FALL,
     SPEC_SYNTAX,
     ConfigError,
-    SeriesRow,
+    Series,
     ShapeViolation,
     build_series,
     curve_shape_check,
@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_series(rows: list[SeriesRow]) -> str:
-    return "\n".join("  ".join(f"{c:>12}" for c in cells) for cells in series_cells(rows))
+def _render_series(series: Series) -> str:
+    return "\n".join("  ".join(f"{c:>12}" for c in cells) for cells in series_cells(series))
 
 
 def _out_dir(path: str) -> Path:

@@ -19,7 +19,10 @@ order; feed exactly the events with ``t < now`` before calling
 what the fold was fed: ``now`` only sets the trailing edge ``now - T`` of the
 time window and of the sliding relative one. As an event at ``t`` is fed, the
 queue it joins drops what falls below ``t - T`` (every later ``now`` exceeds
-``t``); ``estimate`` prunes the time fold's other queue.
+``t``). The time fold's other queue is pruned only by ``estimate(now)``,
+which drops what falls below ``now - T`` from every queue. It drops nothing
+until ``now`` passes ``edge()``, the oldest held ``t`` plus ``T``, so with
+nothing fed since, an estimate at any ``now`` up to the edge repeats the last.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ class TimeWindowCtr:
                 dq.popleft()
         y = len(self._imp)
         return CtrEstimate(len(self._clk), y) if y else CtrEstimate(0, 0)
+
+    def edge(self) -> int | None:
+        """The last ``now`` at which ``estimate`` drops nothing: the oldest held
+        ``t`` plus the window; None while the fold holds no event."""
+        held = [dq[0] for dq in (self._imp, self._clk) if dq]
+        return min(held) + self.window_ms if held else None
 
 
 class ImpressionWindowCtr:
@@ -177,6 +186,12 @@ class RelativeCtr:
     def estimate(self, advertiser: AdvertiserId, now: int) -> CtrEstimate:
         self._evict(now)  # read the counts in place, not a tally's copy
         return ctr_relative(self._counts.get(advertiser, 0), sum(self._counts.values()))
+
+    def edge(self) -> int | None:
+        """The last ``now`` at which ``estimate`` drops nothing: the oldest queued
+        click's ``t`` plus the interval; None with no click queued, as in the
+        cumulative mode."""
+        return self._window[0][0] + self.interval_ms if self._window else None
 
 
 # The estimator kinds in CSV column order: kind -> (column label, streaming fold).

@@ -38,14 +38,16 @@ def random_log(
     max_queries: int = 120,
     advertisers: tuple[str, ...] = ("a", "b", "c", "d"),
     click_prob: float = 0.45,
+    times: Sequence[int] = (),
 ) -> EventLog:
     """An arbitrary but valid log: clicks share their impression's timestamp,
-    query ids are unique but deliberately non-contiguous."""
+    query ids are unique but deliberately non-contiguous, and each query's time
+    is drawn from ``times``, or from all of ``[0, horizon_ms)`` when it is empty."""
     rng = random.Random(seed)
     events = []
     qid = rng.randrange(50)
     for _ in range(rng.randrange(max_queries + 1)):
-        t = rng.randrange(horizon_ms)
+        t = rng.choice(times or range(horizon_ms))  # with no times, the draw randrange(horizon_ms) makes
         shown = rng.sample(advertisers, rng.randint(1, len(advertisers)))
         for slot, adv in enumerate(shown, start=1):
             events.append(ImpressionEvent(t, adv, slot, qid))

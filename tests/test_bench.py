@@ -37,6 +37,7 @@ from adsim.bench import (
     SHAPE_RISE_THEN_FALL,
     ConfigError,
     ScenarioConfig,
+    Series,
     SeriesRow,
     ShapeViolation,
     build_series,
@@ -49,12 +50,12 @@ from adsim.bench import (
     reconstructed_impressions,
     replay_reference_tables,
     run_scenario,
-    series_columns,
     simulate,
 )
 from adsim.cli import main
 from adsim.core import ClickEvent, ClickSource, ImpressionEvent
 from adsim.estimators import (
+    ESTIMATOR_KINDS,
     ClickWindowCtr,
     ImpressionWindowCtr,
     RelativeCtr,
@@ -183,8 +184,10 @@ def test_a_printed_cell_no_note_explains_fails_the_replay(monkeypatch, name, row
 # Shape checks.
 
 
-def row(t, value, column="x"):
-    return SeriesRow(t, 0, 0, 0, {column: value})
+def curve(*values, column="x"):
+    """A series of ``values`` in one rate column, from tick 1, with zero counts."""
+    zeros = [0] * len(values)
+    return Series(zeros, zeros, zeros, {column: list(values)})
 
 
 @pytest.mark.parametrize(
@@ -259,52 +262,45 @@ def test_position_decay_is_a_number_in_its_open_interval(value, message):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_build_series_rejects_an_infinite_tick_at_once(monkeypatch, value):
-    # an infinite tick never passes the closing tick's end, so rows would be built forever
-    built = []
+    # an infinite tick never passes the closing tick's end, so ticks would be added forever
+    def unread():
+        raise AssertionError("build_series read the log")
 
-    def counted(*fields):
-        built.append(fields)
-        if len(built) > 1_000:
-            raise AssertionError("build_series kept building rows")
-        return SeriesRow(*fields)
-
-    monkeypatch.setattr(adsim.bench, "SeriesRow", counted)
+    monkeypatch.setattr(_ONE_IMPRESSION, "records", unread)
     with pytest.raises(ValueError) as err:
         build_series(_ONE_IMPRESSION, "alpha", [WindowSpec("relative")], value)
     assert str(err.value) == f"tick_ms: must be a finite number, got {value}"
-    assert not built
 
 
 def test_shape_check_increasing():
-    assert curve_shape_check([row(t, t / 10) for t in range(1, 6)], "x", SHAPE_INCREASING) is None
+    assert curve_shape_check(curve(*(t / 10 for t in range(1, 6))), "x", SHAPE_INCREASING) is None
     with pytest.raises(ShapeViolation) as err:
-        curve_shape_check(
-            [row(1, 0.1), row(2, 0.2), row(3, 0.2)], "x", SHAPE_INCREASING
-        )
+        curve_shape_check(curve(0.1, 0.2, 0.2), "x", SHAPE_INCREASING)
     assert err.value.time_index == 3
 
 
 def test_shape_check_rise_then_fall():
-    series = [row(1, 0.1), row(2, 0.3), row(3, 0.25), row(4, 0.2)]
-    assert curve_shape_check(series, "x", SHAPE_RISE_THEN_FALL) == 2
+    assert curve_shape_check(curve(0.1, 0.3, 0.25, 0.2), "x", SHAPE_RISE_THEN_FALL) == 2
     # a rebound after the peak is a violation at the offending tick
-    bad = [row(1, 0.1), row(2, 0.3), row(3, 0.25), row(4, 0.26)]
     with pytest.raises(ShapeViolation) as err:
-        curve_shape_check(bad, "x", SHAPE_RISE_THEN_FALL)
+        curve_shape_check(curve(0.1, 0.3, 0.25, 0.26), "x", SHAPE_RISE_THEN_FALL)
     assert err.value.time_index == 4
     # monotone series have no interior peak
     with pytest.raises(ShapeViolation):
-        curve_shape_check([row(t, t / 10) for t in range(1, 5)], "x", SHAPE_RISE_THEN_FALL)
+        curve_shape_check(curve(*(t / 10 for t in range(1, 5))), "x", SHAPE_RISE_THEN_FALL)
 
 
 def test_shape_check_rejects_gaps_and_bad_arguments():
     with pytest.raises(ShapeViolation) as err:
-        curve_shape_check([row(1, 0.1), row(2, None)], "x", SHAPE_INCREASING)
+        curve_shape_check(curve(0.1, None), "x", SHAPE_INCREASING)
     assert err.value.time_index == 2
+    with pytest.raises(ShapeViolation) as err:  # a column the series lacks is undefined at tick 1
+        curve_shape_check(curve(0.1, 0.2), "y", SHAPE_INCREASING)
+    assert str(err.value) == "t=1: column 'y' undefined"
     with pytest.raises(ValueError):
-        curve_shape_check([row(1, 0.1)], "x", "sideways")
+        curve_shape_check(curve(0.1), "x", "sideways")
     with pytest.raises(ValueError):
-        curve_shape_check([], "x", SHAPE_INCREASING)
+        curve_shape_check(curve(), "x", SHAPE_INCREASING)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +325,7 @@ def test_shape_check_rejects_gaps_and_bad_arguments():
 )
 def test_shape_violations_name_the_tick_and_the_step(values, shape, message):
     with pytest.raises(ShapeViolation) as err:
-        curve_shape_check([row(t, v) for t, v in enumerate(values, start=1)], "x", shape)
+        curve_shape_check(curve(*values), "x", shape)
     assert str(err.value) == message
     assert message.startswith(f"t={err.value.time_index}: ")
 
@@ -984,6 +980,27 @@ def test_build_series_click_column_does_not_grow_with_unclicked_impressions():
     assert _build_series_peak(20_000) - small < 100_000
 
 
+def _empty_ticks_peak(ticks: int) -> int:
+    """``build_series``' traced peak, its result included, with all four kinds over
+    ``ticks`` ticks of 100 ms that hold one focus impression, at t=0, between them."""
+    log = log_of([ImpressionEvent(0, "a", 1, 0)], ticks * 100)
+    specs = [WindowSpec(kind, 1_000 if kind == "time" else None if kind == "relative" else 5)
+             for kind in ESTIMATOR_KINDS]
+    tracemalloc.start()
+    series = build_series(log, "a", specs, 100)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(series) == ticks
+    return peak
+
+
+def test_an_empty_tick_adds_at_most_100_bytes_to_the_series():
+    # seven columns of one list slot each take about 63 B a tick with the lists'
+    # spare room; a row object with its own rate dict took 337 B
+    small = _empty_ticks_peak(20_000)  # first, so caches that any first run fills count against it
+    assert (_empty_ticks_peak(80_000) - small) / 60_000 <= 100
+
+
 def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
     events = [
         ImpressionEvent(100, "a", 1, 0),
@@ -1033,18 +1050,30 @@ def series_brute(log, focus, specs, tick_ms, exclude) -> list[tuple]:
     return rows
 
 
-def check_series_against_the_oracles(seed, focus, excluding, max_queries, ticks_ms):
+def check_series_against_the_oracles(seed, focus, excluding, max_queries, ticks_ms, at_edges=False):
+    """``build_series`` against ``series_brute`` on a drawn log, windows, exclusions
+    and tick. ``at_edges`` draws the tick first, then time and relative windows of
+    one or two ticks or a fraction of one, and draws the log's times from each
+    tick's end less each window and a millisecond either side of that."""
     rng = random.Random(seed)
-    log = random_log(seed, max_queries=rng.choice(max_queries))
+    times = ()
+    if at_edges:
+        tick_ms = rng.choice(ticks_ms)
+        time_ms, relative_ms = (rng.choice([tick_ms, 2 * tick_ms, tick_ms // 5, tick_ms // 2]) for _ in "tr")
+        ends = range(tick_ms, 10_000 + tick_ms, tick_ms)  # random_log's horizon, 10 s, ends the last
+        times = sorted({t for end in ends for window in (time_ms, relative_ms) for d in (-1, 0, 1)
+                        if 0 <= (t := min(end, 10_000) - window + d) < 10_000})
+    log = random_log(seed, max_queries=rng.choice(max_queries), times=times)
     specs = (
-        WindowSpec("time", rng.randint(1, 4_000)),
+        WindowSpec("time", time_ms if at_edges else rng.randint(1, 4_000)),
         WindowSpec("impressions", rng.randint(1, 12)),
         WindowSpec("clicks", rng.randint(1, 6)),
-        WindowSpec("relative", rng.choice([None, rng.randint(1, 3_000)])),
+        WindowSpec("relative", relative_ms if at_edges else rng.choice([None, rng.randint(1, 3_000)])),
     )
     clicks = [(e.advertiser, e.impression_ref) for e in log if isinstance(e, ClickEvent)]
     exclude = {key for key in clicks if rng.random() < 0.3} if excluding else set()
-    tick_ms = rng.choice(ticks_ms)
+    if not at_edges:
+        tick_ms = rng.choice(ticks_ms)
     rows = build_series(log, focus, specs, tick_ms, exclude or None)
     got = [(r.time_index, r.impressions, r.clicks, r.total_clicks, dict(r.ctr)) for r in rows]
     assert got == series_brute(log, focus, specs, tick_ms, exclude)
@@ -1063,6 +1092,15 @@ def test_build_series_matches_the_oracles(seed, focus, excluding):
 def test_build_series_matches_the_oracles_on_short_ticks_of_a_sparse_log(seed, focus, excluding):
     # most ticks get no focus row or no click, so most columns reuse the last tick's rate
     check_series_against_the_oracles(seed, focus, excluding, [40], [50, 100])
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("focus", ["a", "nobody"])
+@pytest.mark.parametrize("excluding", [False, True], ids=["all_clicks", "exclude"])
+def test_build_series_matches_the_oracles_at_a_windows_edge(seed, focus, excluding):
+    # the folds drop a row at t < now - window, so a time column read past its edge
+    # a tick late would repeat a stale rate; a sparse log moves few keys to hide that
+    check_series_against_the_oracles(seed, focus, excluding, [20, 40], [50, 100, 300], at_edges=True)
 
 
 def test_drop_flagged_removes_scripted_clicks_from_the_series():
@@ -1115,10 +1153,7 @@ def test_flags_found_by_run_scenario_cover_the_injection():
 
 
 def sample_series():
-    return [
-        SeriesRow(1, 10, 2, 5, {"ctr_time": None, "ctr_relative": 0.4}),
-        SeriesRow(2, 30, 6, 12, {"ctr_time": 0.2, "ctr_relative": 0.5}),
-    ]
+    return Series([10, 30], [2, 6], [5, 12], {"ctr_time": [None, 0.2], "ctr_relative": [0.4, 0.5]})
 
 
 def test_emit_csv_layout(tmp_path):
@@ -1157,6 +1192,22 @@ def test_emit_plot_draws_one_polyline_per_column(tmp_path):
     assert "ctr_time" in texts and "ctr_relative" in texts and "demo" in texts
 
 
-def test_series_columns():
-    assert series_columns(sample_series()) == ["ctr_time", "ctr_relative"]
-    assert series_columns([]) == []
+def test_a_series_reads_as_rows():
+    series = sample_series()
+    rows = [
+        SeriesRow(1, 10, 2, 5, {"ctr_time": None, "ctr_relative": 0.4}),
+        SeriesRow(2, 30, 6, 12, {"ctr_time": 0.2, "ctr_relative": 0.5}),
+    ]
+    assert len(series) == 2 and list(series) == rows
+    assert (series[0], series[-1], series[-2:], series[::-1]) == (rows[0], rows[1], rows, rows[::-1])
+    assert list(series[1].ctr) == ["ctr_time", "ctr_relative"]
+    with pytest.raises(IndexError):
+        series[2]
+    assert series == sample_series() and series != Series([], [], [], {})
+    assert (series == rows) is False  # a series equals a series, not a list
+    # a row is checked when it is read, not when the columns are built
+    negative = Series([-1], [0], [0], {})
+    with pytest.raises(ValueError, match="^impressions: must be >= 0, got -1$"):
+        negative[0]
+    with pytest.raises(ValueError, match="^series columns differ in length$"):
+        Series([1, 2], [0, 0], [0, 0], {"ctr_time": [None]})

@@ -330,6 +330,38 @@ def test_relative_matches_oracle(interval):
             assert fold.tally(now) == relative_brute(events, interval, now)
 
 
+@pytest.mark.parametrize("token", ["time:1000", "time:40", "relative:1500", "relative:40", "relative"])
+def test_an_estimate_changes_only_once_now_passes_the_folds_edge(token):
+    # build_series skips a time-measured column on that: fed nothing, the estimate
+    # holds for every now up to edge(), the oldest held t plus the window, and
+    # changes just past it; a fold with no edge holds until it is fed
+    spec = parse_spec(token, "spec")
+    passed = 0
+    for seed in range(25):
+        events = list(random_log(seed + 700))
+        if spec.kind == "time":
+            events = [e for e in events if e.advertiser == "b"]
+        fold = spec.fold()
+        read = fold.estimate if spec.kind == "time" else partial(fold.estimate, "b")
+        now = idx = 0
+        while idx < len(events):
+            now = max(now, events[idx].t + 1)
+            while idx < len(events) and events[idx].t < now:
+                fold.observe(*row_of(events[idx]))
+                idx += 1
+            last, edge = read(now), fold.edge()
+            stop = events[idx].t if idx < len(events) else 20_000  # the next feed's t
+            if edge is None or edge >= stop:
+                now = stop
+                assert read(now) == last
+            else:
+                assert read(edge) == last
+                now = edge + 1
+                assert read(now) != last
+                passed += 1
+    assert passed > 25 or spec.param is None
+
+
 _STATE_SPECS = [
     "relative",
     "relative:1000",

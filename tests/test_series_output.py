@@ -14,18 +14,17 @@ from functools import partial
 
 import pytest
 
-from adsim.bench import SeriesRow, emit_csv, emit_plot
+from adsim.bench import Series, emit_csv, emit_plot
 from oracles import series_csv_each, series_svg_each
 
 COLUMNS = ("ctr_time", "ctr_impr", "ctr_click", "ctr_relative")
 NAN = math.nan
 
 
-def series_of(columns: dict[str, list]) -> list[SeriesRow]:
-    """One row per tick, the rates read down each column."""
-    ticks = len(next(iter(columns.values()), []))
-    return [SeriesRow(i + 1, 2 * i, i // 3, i, {c: v[i] for c, v in columns.items()})
-            for i in range(ticks)]
+def series_of(columns: dict[str, list]) -> Series:
+    """A series of ``columns``' rates, with counts that grow with the tick."""
+    ticks = range(len(next(iter(columns.values()), [])))
+    return Series([2 * i for i in ticks], [i // 3 for i in ticks], list(ticks), columns)
 
 
 def runs_of(rng: random.Random, ticks: int, pool: list, max_run: int, gap_share: float) -> list:

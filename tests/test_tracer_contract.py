@@ -104,21 +104,35 @@ def test_the_tracer_counts_every_row_the_log_takes(tmp_path, monkeypatch):
         assert tracer.counters["core.EventLog.append"].calls == len(log), fn.__name__
 
 
-def moved_keys(rows, tick_ms: int, ticks: int, horizon: int) -> int:
-    """On how many ticks the count of ``rows`` before the tick's end differs
-    from the tick before; the first tick always counts."""
-    counts = [sum(row[0] < min(i * tick_ms, horizon) for row in rows) for i in range(1, ticks + 1)]
-    return sum(a != b for a, b in zip([None, *counts], counts))
+def reads(rows, tick_ms: int, ticks: int, horizon: int, window: int | None = None) -> int:
+    """On how many ticks a column whose fold is fed ``rows`` is estimated: those
+    where the count of ``rows`` before the tick's end differs from the tick
+    before (the first tick always counts) and, for a window of ``window`` ms,
+    those whose end passed the window's edge as it was at the last estimate,
+    its oldest held ``t`` plus the window."""
+    count = edge = None
+    estimates = 0
+    for i in range(1, ticks + 1):
+        now = min(i * tick_ms, horizon)
+        before, count = count, sum(row[0] < now for row in rows)
+        if count != before or edge is not None and now > edge:
+            estimates += 1
+            held = [row[0] for row in rows if window and now - window <= row[0] < now]
+            edge = min(held) + window if held else None
+    return estimates
 
 
-def traced_series(monkeypatch, log, tick_ms, exclude):
+RELATIVE = [WindowSpec("relative"), WindowSpec("relative", 1_500)]
+
+
+def traced_series(monkeypatch, log, tick_ms, exclude, relative):
     """The tracer's counters for ``build_series`` over ``log`` with focus "a", the
-    tick count, and the expected estimate calls: a count column is estimated on
-    the ticks its key moved (the windowed folds' on the focus's rows, the
-    cumulative relative fold's on the kept clicks), the time column on every tick."""
+    tick count, and the expected estimate calls: a column is estimated on the
+    ticks its key moved (the windowed folds' on the focus's rows, the relative
+    fold's on the kept clicks) and, for a window measured in time, on those
+    where ``now`` passed the window's edge."""
     spans = load_spans(monkeypatch)
-    specs = [WindowSpec("time", 1_000), WindowSpec("impressions", 5), WindowSpec("clicks", 3),
-             WindowSpec("relative")]
+    specs = [WindowSpec("time", 1_000), WindowSpec("impressions", 5), WindowSpec("clicks", 3), relative]
     tracer = spans.Tracer()
     ticks = len(tracer.run("job", adsim.bench.build_series, log, "a", specs, tick_ms, exclude))
     kept = [
@@ -127,17 +141,19 @@ def traced_series(monkeypatch, log, tick_ms, exclude):
     ]
     focus = [row for row in kept if row[1] == "a"]
     kept_clicks = [row for row in kept if row[4] is not IMPRESSION]
-    moved = ticks + 2 * moved_keys(focus, tick_ms, ticks, log.horizon) + moved_keys(
-        kept_clicks, tick_ms, ticks, log.horizon)
+    shape = (tick_ms, ticks, log.horizon)
+    moved = (reads(focus, *shape, 1_000) + 2 * reads(focus, *shape)
+             + reads(kept_clicks, *shape, relative.param))
     return tracer.counters, ticks, focus, kept_clicks, moved
 
 
+@pytest.mark.parametrize("relative", RELATIVE, ids=["cumulative", "sliding"])
 @pytest.mark.parametrize("drop", [False, True], ids=["all clicks", "exclude"])
-def test_the_series_pass_feeds_each_fold_only_the_rows_it_reads(monkeypatch, drop):
+def test_the_series_pass_feeds_each_fold_only_the_rows_it_reads(monkeypatch, drop, relative):
     log = random_log(7, max_queries=400)
     clicks = [(adv, ref) for _, adv, _, ref, source in log.records() if source is not IMPRESSION]
     exclude = set(clicks[::3]) if drop else None
-    counters, ticks, focus, kept_clicks, moved = traced_series(monkeypatch, log, 1_000, exclude)
+    counters, ticks, focus, kept_clicks, moved = traced_series(monkeypatch, log, 1_000, exclude, relative)
     assert ticks == 10
     focus_impressions = [row for row in focus if row[4] is IMPRESSION]
     assert len(kept_clicks) > len(focus) - len(focus_impressions) > 10
@@ -148,10 +164,15 @@ def test_the_series_pass_feeds_each_fold_only_the_rows_it_reads(monkeypatch, dro
     assert counters["estimators.observe"].calls == 3 * len(focus) + len(kept_clicks)
 
 
-def test_a_quiet_series_estimates_a_count_column_only_when_its_key_moved(monkeypatch):
-    log = random_log(7, max_queries=30)
+@pytest.mark.parametrize("relative", RELATIVE, ids=["cumulative", "sliding"])
+@pytest.mark.parametrize("grid_ms", [1, 100], ids=["any_t", "t_on_tick_ends"])
+def test_a_quiet_series_estimates_a_column_only_when_its_key_or_its_edge_moved(
+        monkeypatch, relative, grid_ms):
+    # on the tick grid a window's edge falls on a tick's end, where nothing leaves it yet
+    log = random_log(7, max_queries=30, times=range(0, 10_000, grid_ms))
     clicks = [(adv, ref) for _, adv, _, ref, source in log.records() if source is not IMPRESSION]
-    counters, ticks, focus, kept_clicks, moved = traced_series(monkeypatch, log, 100, set(clicks[::3]))
+    counters, ticks, focus, kept_clicks, moved = traced_series(
+        monkeypatch, log, 100, set(clicks[::3]), relative)
     assert ticks == 100
     assert len(focus) > 5 and len(kept_clicks) > 5
     assert counters["estimators.estimate"].calls == moved < 4 * ticks
