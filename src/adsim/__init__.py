@@ -24,7 +24,6 @@ from .bench import (
     ScenarioConfig,
     ScenarioResult,
     Series,
-    SeriesRow,
     ShapeViolation,
     build_series,
     curve_shape_check,

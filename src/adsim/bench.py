@@ -74,30 +74,11 @@ class ShapeViolation(AdsimError):
 
 
 @dataclass(frozen=True)
-class SeriesRow:
-    """One output tick: cumulative counts for the focus advertiser plus the
-    cohort click total, and one CTR estimate per configured estimator
-    (``None`` while an estimator is still undefined)."""
-
-    time_index: int
-    impressions: int
-    clicks: int
-    total_clicks: int
-    ctr: Mapping[str, float | None]
-
-    def __post_init__(self):
-        check_min("time_index", self.time_index, 1)
-        check_min("impressions", self.impressions, 0)
-        check_min("clicks", self.clicks, 0)
-        check_min("total_clicks", self.total_clicks, 0)
-
-
-@dataclass(frozen=True)
-class Series(Sequence):
+class Series:
     """The per-tick series as columns: tick ``i`` (from 1) holds
     ``impressions[i - 1]``, ``clicks[i - 1]`` and ``total_clicks[i - 1]``, and
-    ``ctr[label][i - 1]`` for each estimator column. Indexing and iteration go
-    by rows: each is a :class:`SeriesRow`, checked as it is built."""
+    ``ctr[label][i - 1]`` for each estimator column (``None`` while that
+    estimator is still undefined). The counts are checked as it is built."""
 
     impressions: list[int]
     clicks: list[int]
@@ -107,16 +88,12 @@ class Series(Sequence):
     def __post_init__(self):
         if any(len(c) != len(self.impressions) for c in (self.clicks, self.total_clicks, *self.ctr.values())):
             raise ValueError("series columns differ in length")
+        for name in ("impressions", "clicks", "total_clicks"):
+            for v in getattr(self, name):
+                check_min(name, v, 0)
 
     def __len__(self) -> int:
         return len(self.impressions)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]  # a negative index counts from the end
-        return SeriesRow(i + 1, self.impressions[i], self.clicks[i], self.total_clicks[i],
-                         {label: rates[i] for label, rates in self.ctr.items()})
 
 
 @dataclass(frozen=True)
@@ -255,8 +232,10 @@ def curve_shape_check(series: Series, column: str, shape: str) -> int | None:
     if not series:
         raise ValueError("empty series")
     values = series.ctr.get(column, [None])  # a missing column is undefined from tick 1
-    if None in values:
-        raise ShapeViolation(values.index(None) + 1, f"column {column!r} undefined")
+    # a NaN cell would pass every comparison below, so it breaks the curve where a None does
+    bad = next((i for i, v in enumerate(values) if v is None or v != v), None)
+    if bad is not None:
+        raise ShapeViolation(bad + 1, f"column {column!r} {'undefined' if values[bad] is None else 'NaN'}")
     increasing = shape == SHAPE_INCREASING
     # an increasing curve is one that rises to a peak at its last tick
     peak = len(values) - 1 if increasing else max(range(len(values)), key=values.__getitem__)
@@ -584,7 +563,9 @@ def build_series(
                 key = total_clicks if on_total else impressions + clicks
                 if key != keys[j] or now > edges[j]:
                     keys[j] = key
-                    rates[j] = est.value if (est := estimate(now)).defined else None
+                    rate = est.value if (est := estimate(now)).defined else None
+                    if rate != rates[j]:  # an equal rate keeps its float, so it is formatted once
+                        rates[j] = rate
                     if edge:
                         edges[j] = inf if (at := edge()) is None else at
                 add(rates[j])
@@ -645,18 +626,18 @@ def series_cells(series: Series) -> Iterator[Sequence[str]]:
 
 
 def _rate_texts(rates: Iterable[float | None]) -> Iterator[str]:
-    """Each rate's text, formatted anew only where it differs from the last
-    defined rate: in type, in value or, for a zero, in sign. So ``-0.0`` keeps
-    its own text, and NaN and ``True`` after ``1`` are formatted anew (``True``
-    is rejected)."""
+    """Each rate's text, formatted anew only where the rate is not the same object
+    as the last defined rate. ``build_series`` keeps one float for an unchanged
+    rate, and ``format_rate`` depends on the object alone, so an equal but
+    distinct float (``-0.0`` after ``0.0``, ``True`` after ``1``) is formatted anew."""
     last, text = None, ""
     for v in rates:
         if v is None:
             yield ""
             continue
-        if v is not last and not (v == last and type(v) is type(last) and (v or repr(v) == repr(last))):
+        if v is not last:
             text = format_rate(v)
-        last = v
+            last = v
         yield text
 
 

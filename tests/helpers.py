@@ -4,12 +4,34 @@ The package passes events around as the log's rows, ``(t, advertiser, slot,
 query id or ref, source)``; the tests' oracles build event objects. ``row_of``
 and ``event_of`` convert between the two, and ``event_sort_key`` is the
 canonical order written on event objects, independently of ``row_order``.
+A ``Series`` holds columns; ``rows`` reads it tick by tick.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from adsim.core import IMPRESSION, ClickEvent, EventLog, ImpressionEvent
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
 from adsim.traffic import organic_events, query_times
+
+
+class Row(NamedTuple):
+    """One tick of a series: its counts and one rate per estimator column."""
+
+    time_index: int
+    impressions: int
+    clicks: int
+    total_clicks: int
+    ctr: dict
+
+
+def rows(series) -> list[Row]:
+    """The series' ticks in order, from ``time_index`` 1."""
+    labels = list(series.ctr)
+    return [Row(i, imps, clks, total, dict(zip(labels, rates)))
+            for i, imps, clks, total, *rates in zip(range(1, len(series) + 1), series.impressions,
+                                                     series.clicks, series.total_clicks,
+                                                     *series.ctr.values())]
 
 
 def event_sort_key(e) -> tuple[int, int, str, int]:

@@ -28,7 +28,7 @@ from adsim.bench import format_rate
 from adsim.core import ClickEvent, ClickSource, Event, EventLog, ImpressionEvent
 from adsim.estimators import ESTIMATOR_KINDS, CtrEstimate
 from adsim.traffic import FRAUD_QUERY_ID_BASE, SCRIPTED, FraudFlag
-from helpers import event_of, event_sort_key, log_of, row_of
+from helpers import event_of, event_sort_key, log_of, row_of, rows
 
 
 def random_log(
@@ -284,11 +284,11 @@ def _flag(adv: str, run: list[ClickEvent]) -> FraudFlag:
 
 def series_csv_each(series) -> str:
     """``emit_csv``'s text, with ``format_rate`` called on every defined cell."""
-    cols = list(series[0].ctr) if series else []
+    cols = list(rows(series)[0].ctr) if series else []
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(["time", "impressions", "clicks", "total_clicks", *cols])
-    for r in series:
+    for r in rows(series):
         rates = ["" if (v := r.ctr.get(c)) is None else format_rate(v) for c in cols]
         out.writerow([str(r.time_index), str(r.impressions), str(r.clicks), str(r.total_clicks), *rates])
     return buf.getvalue()
@@ -298,10 +298,10 @@ def series_svg_each(series, title: str = "") -> str:
     """``emit_plot``'s text, with ``sx`` and ``sy`` called on every defined cell."""
     width, height, ml, mr, mt, mb = 720, 440, 60, 160, 30, 50
     plot_w, plot_h = width - ml - mr, height - mt - mb
-    cols = list(series[0].ctr) if series else []
-    times = [r.time_index for r in series]
+    cols = list(rows(series)[0].ctr) if series else []
+    times = [r.time_index for r in rows(series)]
     t_lo, t_hi = (times[0], times[-1]) if times else (0, 1)
-    y_hi = max((v for r in series for v in r.ctr.values() if v is not None), default=1.0)
+    y_hi = max((v for r in rows(series) for v in r.ctr.values() if v is not None), default=1.0)
     y_hi = (y_hi or 1.0) * 1.05
 
     def sx(t):
@@ -339,7 +339,7 @@ def series_svg_each(series, title: str = "") -> str:
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
     for i, col in enumerate(cols):
         color = palette[i % len(palette)]
-        points = [f"{sx(r.time_index):.2f},{sy(v):.2f}" for r in series
+        points = [f"{sx(r.time_index):.2f},{sy(v):.2f}" for r in rows(series)
                   if (v := r.ctr.get(col)) is not None]
         ET.SubElement(svg, "polyline", {"points": " ".join(points), "fill": "none",
                                         "stroke": color, "stroke-width": "2"})

@@ -48,7 +48,7 @@ from adsim.traffic import (
     detect_scripted,
 )
 from adsim.auction import SlotAllocation
-from helpers import estimate_at, organic_log, row_of, with_fraud
+from helpers import estimate_at, organic_log, row_of, rows, with_fraud
 from oracles import (
     click_window_brute,
     est_counts,
@@ -90,10 +90,10 @@ def test_criterion_1_table_replay():
         problems.append(f"ledger {ledger} != documented anomalies")
     skip = {(e.table, e.row, e.column) for e in replay.errata}
     for t in range(1, REFERENCE_STEPS + 1):
-        old = replay.legacy_rows[t - 1].ctr["ctr_old"]
+        old = rows(replay.legacy_rows)[t - 1].ctr["ctr_old"]
         if (1, t, "ctr") not in skip and abs(old - PRINTED_LEGACY_CTR[t - 1]) > 0.001:
             problems.append(f"table 1 ctr drifts at row {t}: {old}")
-        new = replay.relative_rows[t - 1].ctr["ctr_new"]
+        new = rows(replay.relative_rows)[t - 1].ctr["ctr_new"]
         if (2, t, "ctr") not in skip and abs(new - PRINTED_RELATIVE_CTR[t - 1]) > 0.001:
             problems.append(f"table 2 ctr drifts at row {t}: {new}")
     if elapsed >= 1.0:
@@ -251,8 +251,8 @@ def test_criterion_4_curve_shapes():
     except Exception as exc:  # noqa: BLE001
         problems.append(f"ctr_new shape: {exc}")
 
-    old = [r.ctr["ctr_old"] for r in replay.legacy_rows]
-    new = [r.ctr["ctr_new"] for r in replay.relative_rows]
+    old = [r.ctr["ctr_old"] for r in rows(replay.legacy_rows)]
+    new = [r.ctr["ctr_new"] for r in rows(replay.relative_rows)]
     for name, got, want in (
         ("ctr_old start", old[0], 0.111),
         ("ctr_old end", old[-1], 0.318),

@@ -38,7 +38,6 @@ from adsim.bench import (
     ConfigError,
     ScenarioConfig,
     Series,
-    SeriesRow,
     ShapeViolation,
     build_series,
     curve_shape_check,
@@ -75,7 +74,7 @@ from adsim.traffic import (
     detect_scripted,
     fraud_events,
 )
-from helpers import log_of, row_of
+from helpers import log_of, row_of, rows
 from oracles import (
     click_window_brute,
     impression_window_brute,
@@ -146,17 +145,17 @@ def test_replay_matches_the_printed_ctr_columns():
     replay = replay_reference_tables()
     errata_cells = {(e.table, e.row, e.column) for e in replay.errata}
     for t in range(1, REFERENCE_STEPS + 1):
-        old = replay.legacy_rows[t - 1].ctr["ctr_old"]
+        old = rows(replay.legacy_rows)[t - 1].ctr["ctr_old"]
         if (1, t, "ctr") not in errata_cells:
             assert old == pytest.approx(PRINTED_LEGACY_CTR[t - 1], abs=0.001)
-        new = replay.relative_rows[t - 1].ctr["ctr_new"]
+        new = rows(replay.relative_rows)[t - 1].ctr["ctr_new"]
         assert new == pytest.approx(PRINTED_RELATIVE_CTR[t - 1], abs=0.001)
 
 
 def test_replay_row_bookkeeping():
     replay = replay_reference_tables()
     assert len(replay.legacy_rows) == len(replay.relative_rows) == 20
-    for t, (old, new) in enumerate(zip(replay.legacy_rows, replay.relative_rows), start=1):
+    for t, (old, new) in enumerate(zip(rows(replay.legacy_rows), rows(replay.relative_rows)), start=1):
         assert old.time_index == new.time_index == t
         assert old.impressions == new.impressions == reconstructed_impressions(t)
         assert old.clicks == new.clicks == reconstructed_clicks(t)
@@ -193,17 +192,15 @@ def curve(*values, column="x"):
 @pytest.mark.parametrize(
     "counts, message",
     [
-        ((0, 0, 0, 0), "time_index: must be >= 1, got 0"),
-        ((1, -1, 0, 0), "impressions: must be >= 0, got -1"),
-        ((1, 0, -1, 0), "clicks: must be >= 0, got -1"),
-        ((1, 0, 0, -1), "total_clicks: must be >= 0, got -1"),
+        (([0, -1], [0, 0], [0, 0]), "impressions: must be >= 0, got -1"),
+        (([0, 0], [0, -1], [0, 0]), "clicks: must be >= 0, got -1"),
+        (([0, 0], [0, 0], [0, -1]), "total_clicks: must be >= 0, got -1"),
     ],
-    ids=["counts0-time_index must be >= 1, got 0", "counts1-negative counts",
-         "counts2-negative counts", "counts3-negative counts"],
+    ids=["impressions", "clicks", "total_clicks"],
 )
-def test_a_series_row_starts_at_tick_1_and_counts_nothing_negative(counts, message):
+def test_a_series_counts_nothing_negative(counts, message):
     with pytest.raises(ValueError) as err:
-        SeriesRow(*counts, {})
+        Series(*counts, {})
     assert str(err.value) == message
 
 
@@ -226,10 +223,9 @@ _BOUNDS = [
     ("total_clicks", lambda v: ctr_relative(1, v)),
     ("min_run", lambda v: detect_scripted(_ONE_IMPRESSION, v)),
     ("interval_tolerance_ms", lambda v: detect_scripted(_ONE_IMPRESSION, 5, v)),
-    ("time_index", lambda v: SeriesRow(v, 0, 0, 0, {})),
-    ("impressions", lambda v: SeriesRow(1, v, 0, 0, {})),
-    ("clicks", lambda v: SeriesRow(1, 0, v, 0, {})),
-    ("total_clicks", lambda v: SeriesRow(1, 0, 0, v, {})),
+    ("impressions", lambda v: Series([v], [0], [0], {})),
+    ("clicks", lambda v: Series([0], [v], [0], {})),
+    ("total_clicks", lambda v: Series([0], [0], [v], {})),
     ("traffic.position_decay", lambda v: TrafficConfig(1.0, {}, v)),
 ]  # and build_series's tick_ms, below
 
@@ -288,6 +284,25 @@ def test_shape_check_rise_then_fall():
     # monotone series have no interior peak
     with pytest.raises(ShapeViolation):
         curve_shape_check(curve(*(t / 10 for t in range(1, 5))), "x", SHAPE_RISE_THEN_FALL)
+
+
+@pytest.mark.parametrize(
+    "shape, values, message",
+    [
+        (SHAPE_INCREASING, (0.1, math.nan, 0.3), "t=2: column 'x' NaN"),
+        (SHAPE_INCREASING, (math.nan, math.nan, math.nan), "t=1: column 'x' NaN"),
+        (SHAPE_RISE_THEN_FALL, (0.1, 0.5, math.nan, 0.2), "t=3: column 'x' NaN"),  # not a peak at t=2 and a fall
+        (SHAPE_INCREASING, (0.1, None, math.nan), "t=2: column 'x' undefined"),
+        (SHAPE_RISE_THEN_FALL, (0.1, math.nan, None, 0.2), "t=2: column 'x' NaN"),
+    ],
+    ids=["increasing-nan-inside", "increasing-all-nan", "rise_then_fall-nan-after-peak",
+         "undefined-before-nan", "nan-before-undefined"],
+)
+def test_shape_check_breaks_at_the_first_nan_or_undefined_cell(shape, values, message):
+    # every comparison with NaN is false, so a NaN cell breaks the curve at its own tick
+    with pytest.raises(ShapeViolation) as err:
+        curve_shape_check(curve(*values), "x", shape)
+    assert str(err.value) == message
 
 
 def test_shape_check_rejects_gaps_and_bad_arguments():
@@ -883,12 +898,12 @@ def test_series_rows_are_cumulative_and_cover_every_tick():
     cfg = tiny_config()
     result = run_scenario(cfg)
     assert len(result.rows) == cfg.horizon_ms // cfg.tick_ms
-    assert [r.time_index for r in result.rows] == list(range(1, 21))
-    for prev, cur in zip(result.rows, result.rows[1:]):
+    assert [r.time_index for r in rows(result.rows)] == list(range(1, 21))
+    for prev, cur in zip(rows(result.rows), rows(result.rows)[1:]):
         assert cur.impressions >= prev.impressions
         assert cur.clicks >= prev.clicks
         assert cur.total_clicks >= prev.total_clicks
-    last = result.rows[-1]
+    last = rows(result.rows)[-1]
     assert set(last.ctr) == {"ctr_relative", "ctr_time"}
     # cumulative counts agree with the log itself
     assert last.clicks == sum(
@@ -914,25 +929,25 @@ def test_build_series_hand_checked():
         ClickEvent(2_500, "b", 2, 2, None),
     ]
     log = log_of(events, 3_000)
-    rows = build_series(log, "a", (WindowSpec("relative"),), 1_000)
-    assert [(r.impressions, r.clicks, r.total_clicks) for r in rows] == [
+    series = rows(build_series(log, "a", (WindowSpec("relative"),), 1_000))
+    assert [(r.impressions, r.clicks, r.total_clicks) for r in series] == [
         (1, 1, 1),
         (2, 1, 1),
         (3, 2, 3),
     ]
-    assert rows[0].ctr["ctr_relative"] == 1.0
-    assert rows[2].ctr["ctr_relative"] == pytest.approx(2 / 3)
+    assert series[0].ctr["ctr_relative"] == 1.0
+    assert series[2].ctr["ctr_relative"] == pytest.approx(2 / 3)
 
 
 def test_build_series_orders_columns_canonically():
     log = log_of([ImpressionEvent(0, "a", 1, 0)], 1_000)
-    rows = build_series(
+    series = build_series(
         log,
         "a",
         (WindowSpec("relative"), WindowSpec("clicks", 3), WindowSpec("time", 100)),
         1_000,
     )
-    assert list(rows[0].ctr) == ["ctr_time", "ctr_click", "ctr_relative"]
+    assert list(rows(series)[0].ctr) == ["ctr_time", "ctr_click", "ctr_relative"]
 
 
 def test_build_series_rejects_duplicate_kinds():
@@ -1009,12 +1024,12 @@ def test_build_series_exclude_drops_clicks_from_counts_and_estimates():
         ClickEvent(200, "a", 1, 1, None),
     ]
     log = log_of(events, 1_000)
-    rows = build_series(
+    first = rows(build_series(
         log, "a", (WindowSpec("relative"),), 1_000, exclude={("a", 1)}
-    )
-    assert rows[0].clicks == 1
-    assert rows[0].total_clicks == 1
-    assert rows[0].impressions == 2
+    ))[0]
+    assert first.clicks == 1
+    assert first.total_clicks == 1
+    assert first.impressions == 2
 
 
 def series_brute(log, focus, specs, tick_ms, exclude) -> list[tuple]:
@@ -1074,9 +1089,12 @@ def check_series_against_the_oracles(seed, focus, excluding, max_queries, ticks_
     exclude = {key for key in clicks if rng.random() < 0.3} if excluding else set()
     if not at_edges:
         tick_ms = rng.choice(ticks_ms)
-    rows = build_series(log, focus, specs, tick_ms, exclude or None)
-    got = [(r.time_index, r.impressions, r.clicks, r.total_clicks, dict(r.ctr)) for r in rows]
+    series = build_series(log, focus, specs, tick_ms, exclude or None)
+    got = [(r.time_index, r.impressions, r.clicks, r.total_clicks, dict(r.ctr)) for r in rows(series)]
     assert got == series_brute(log, focus, specs, tick_ms, exclude)
+    # an unchanged rate is the same float, which the emitters format once
+    for rates in series.ctr.values():
+        assert all(a is b for a, b in zip(rates, rates[1:]) if a == b)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -1120,9 +1138,9 @@ def test_drop_flagged_removes_scripted_clicks_from_the_series():
     }
     # organic clicks of the same advertiser can split the run and shield its
     # edges, so the flag set is large but not necessarily the whole injection
-    assert kept.rows[-1].clicks - dropped.rows[-1].clicks == len(flagged_for_focus)
+    assert rows(kept.rows)[-1].clicks - rows(dropped.rows)[-1].clicks == len(flagged_for_focus)
     assert len(flagged_for_focus) >= 20
-    assert dropped.rows[-1].impressions == kept.rows[-1].impressions
+    assert rows(dropped.rows)[-1].impressions == rows(kept.rows)[-1].impressions
 
 
 def test_flags_found_by_run_scenario_cover_the_injection():
@@ -1192,22 +1210,16 @@ def test_emit_plot_draws_one_polyline_per_column(tmp_path):
     assert "ctr_time" in texts and "ctr_relative" in texts and "demo" in texts
 
 
-def test_a_series_reads_as_rows():
+def test_a_series_checks_its_counts_and_column_lengths_when_built():
     series = sample_series()
-    rows = [
-        SeriesRow(1, 10, 2, 5, {"ctr_time": None, "ctr_relative": 0.4}),
-        SeriesRow(2, 30, 6, 12, {"ctr_time": 0.2, "ctr_relative": 0.5}),
-    ]
-    assert len(series) == 2 and list(series) == rows
-    assert (series[0], series[-1], series[-2:], series[::-1]) == (rows[0], rows[1], rows, rows[::-1])
-    assert list(series[1].ctr) == ["ctr_time", "ctr_relative"]
-    with pytest.raises(IndexError):
-        series[2]
+    assert len(series) == 2
     assert series == sample_series() and series != Series([], [], [], {})
-    assert (series == rows) is False  # a series equals a series, not a list
-    # a row is checked when it is read, not when the columns are built
-    negative = Series([-1], [0], [0], {})
+    assert (series == rows(series)) is False  # a series equals a series, not a list
     with pytest.raises(ValueError, match="^impressions: must be >= 0, got -1$"):
-        negative[0]
+        Series([-1], [0], [0], {})
     with pytest.raises(ValueError, match="^series columns differ in length$"):
         Series([1, 2], [0, 0], [0, 0], {"ctr_time": [None]})
+    with pytest.raises(TypeError):  # columns, not rows
+        series[0]
+    with pytest.raises(TypeError):
+        iter(series)

@@ -45,7 +45,7 @@ def test_readme_library_example_returns_what_it_shows(monkeypatch):
         assert re.fullmatch(pattern, repr(value)), (ast.unparse(node), shown.group(1), value)
         checked.append(ast.unparse(node))
     assert checked == [
-        "result.rows[-1]",
+        "result.rows.clicks[-1]",
         "gsp_allocate(ranked, auction)[0]",
         "alpha.estimate(60000)",
     ]

@@ -59,6 +59,8 @@ FIXED = {
         "ctr_time": [0.25, 1e-05, 1e-05, 5e-05, 5e-05, NAN, NAN, 1e-05, None, NAN, 5e-05],
         "ctr_click": [None, NAN, NAN, 5e-05, 1e-05, 1e-05, None, None, 5e-05, 5e-05, NAN],
     },
+    # equal but distinct floats: each is formatted anew, and a zero keeps its sign
+    "equal_distinct_floats": {"ctr_time": [float("0.5"), float("0.5"), float("-0.0"), float("-0.0")]},
     "true_after_one": {"ctr_time": [1, True]},  # equal, but format_rate(True) raises
     "undefined": {"ctr_time": [None, None], "ctr_relative": [None, None]},
     "empty": {},
