@@ -138,8 +138,11 @@ class EventLog:
     character), a click source a ``ClickSource`` or ``None``,
     ``slot >= 1``, time order within ``[0, horizon)``, one impression per
     (advertiser, query id), and at most one click on each, once it is in the
-    log. The last two rules read per-advertiser sets of the events' own query
-    ids. ``simulate``, ``read_log`` and ``stripped()`` all add rows through it.
+    log. The last two rules read, per advertiser, a set of the clicked query
+    ids and the shown ones as ``range(lo, hi)`` plus a set of the others: a
+    new id equal to ``hi`` that the set does not hold moves ``hi`` up, so a
+    run of consecutive ids costs no set entry. ``simulate``, ``read_log`` and
+    ``stripped()`` all add rows through it.
     """
 
     def __init__(self, horizon: int):
@@ -149,7 +152,7 @@ class EventLog:
             raise ValueError(f"negative horizon: {horizon}")
         self.horizon = horizon
         self._columns = ([], [], [], [], [])  # t, advertiser, slot, ref, source
-        self._impressions: dict[AdvertiserId, set[int]] = {}
+        self._impressions: dict[AdvertiserId, list] = {}  # [lo, hi, others]
         self._clicked: dict[AdvertiserId, set[int]] = {}
 
     def append(self, t, advertiser, slot, ref, source) -> None:
@@ -177,9 +180,9 @@ class EventLog:
             raise OutOfOrderError(f"event at t={t} behind log tail t={times[-1]}")
         if t >= self.horizon:
             raise HorizonExceededError(f"event at t={t} at or past horizon {self.horizon}")
-        shown = self._impressions.get(advertiser, ())
+        shown = self._impressions.get(advertiser)
         if is_click:
-            if ref not in shown:
+            if shown is None or not (shown[0] <= ref < shown[1] or ref in shown[2]):
                 raise DanglingClickError(
                     f"click at t={t} references unknown impression {ref} of {advertiser!r}"
                 )
@@ -187,14 +190,18 @@ class EventLog:
             if ref in clicked:
                 raise DuplicateClickError(f"impression {ref} of {advertiser!r} already clicked")
             clicked.add(ref)
-        elif not shown:  # the advertiser's first impression
+        elif shown is None:  # the advertiser's first impression
             if _SURROGATE_PAIR(advertiser):
                 raise ValueError(f"surrogate pair in advertiser id {advertiser!r}")
-            self._impressions[advertiser], self._clicked[advertiser] = {ref}, set()
-        elif ref in shown:
-            raise DuplicateImpressionError(f"impression {ref} of {advertiser!r} already in the log")
+            self._impressions[advertiser], self._clicked[advertiser] = [ref, ref + 1, set()], set()
         else:
-            shown.add(ref)
+            lo, hi, others = shown
+            if ref == hi and ref not in others:
+                shown[1] = ref + 1
+            elif lo <= ref < hi or ref in others:
+                raise DuplicateImpressionError(f"impression {ref} of {advertiser!r} already in the log")
+            else:
+                others.add(ref)
         times.append(t)
         advertisers.append(advertiser)
         slots.append(slot)

@@ -143,6 +143,76 @@ def test_impressions_are_unique_per_advertiser_and_query_id():
         log.append(*row_of(imp(11, "a", qid=5)))
 
 
+class _SetGate:
+    """The log's duplicate and dangling rules over plain sets of query ids."""
+
+    def __init__(self):
+        self.shown: dict[str, set[int]] = {}
+        self.clicked: dict[str, set[int]] = {}
+
+    def append(self, t, advertiser, ref, is_click):
+        shown = self.shown.get(advertiser, set())
+        if is_click:
+            if ref not in shown:
+                raise DanglingClickError(
+                    f"click at t={t} references unknown impression {ref} of {advertiser!r}"
+                )
+            if ref in self.clicked[advertiser]:
+                raise DuplicateClickError(f"impression {ref} of {advertiser!r} already clicked")
+            self.clicked[advertiser].add(ref)
+        elif ref in shown:
+            raise DuplicateImpressionError(f"impression {ref} of {advertiser!r} already in the log")
+        else:
+            self.shown.setdefault(advertiser, set()).add(ref)
+            self.clicked.setdefault(advertiser, set())
+
+
+# where a row's query id lies against its advertiser's index when it is appended
+_AT = ("lo-1", "lo", "hi-1", "hi", "hi+1", "other", "negative", "1e9+k", "2**70")
+_INDEX_ROWS = st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.tuples(st.sampled_from("abc"[:n]), st.booleans(), st.sampled_from(_AT), st.integers(0, 3)),
+    min_size=10, max_size=40,
+))
+
+
+def _query_id(log, advertiser, at, k):
+    lo, hi, others = log._impressions.get(advertiser, (0, 0, ()))
+    if at == "other":
+        return sorted(others)[k % len(others)] if others else hi + 1 + k
+    return {"lo-1": lo - 1, "lo": lo, "hi-1": hi - 1, "hi": hi, "hi+1": hi + 1,
+            "negative": -1 - k, "1e9+k": 10**9 + k, "2**70": 2**70}[at]
+
+
+def _outcome(append, *row):
+    try:
+        append(*row)
+    except (ValueError, core.AdsimError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INDEX_ROWS)
+# the run reaches an id its set already holds: that id is a duplicate
+@example([("a", False, "lo", 0), ("a", False, "hi+1", 0), ("a", False, "hi", 0),
+          ("a", False, "hi", 0), ("b", False, "lo", 0)])
+# a click on an id outside the run, and one below it
+@example([("a", False, "1e9+k", 0), ("a", False, "hi+1", 0), ("a", True, "other", 0),
+          ("a", False, "lo-1", 0), ("a", True, "other", 0), ("a", True, "other", 0)])
+def test_the_impression_index_gates_as_plain_sets_do(rows):
+    log, model = EventLog(10**6), _SetGate()
+    for t, (advertiser, is_click, at, k) in enumerate(rows):
+        ref = _query_id(log, advertiser, at, k)
+        source = ClickSource.ORGANIC if is_click else IMPRESSION
+        assert _outcome(log.append, t, advertiser, 1, ref, source) == _outcome(
+            model.append, t, advertiser, ref, is_click
+        ), (t, advertiser, ref, is_click)
+        assert log.advertisers() == sorted(model.shown)
+        assert log.clicks() == sum(map(len, model.clicked.values()))
+        for name in "abc":
+            assert log.clicked(name) == model.clicked.get(name, set())
+
+
 def test_stripped_erases_click_labels_only():
     log = EventLog(50)
     log.append(*row_of(imp(1, qid=0)))
@@ -206,23 +276,35 @@ def test_log_introspection():
     assert repr(log) == "EventLog(horizon=100, events=6)"
 
 
-def test_log_bookkeeping_per_event_is_small():
-    # 30,000 impressions of 3 advertisers and 3,000 clicks, each made inside the
-    # traced loop and dropped once appended: what stays is all the log keeps
+def _bookkeeping_per_event(step: int) -> float:
+    """Bytes a log keeps per event for 30,000 impressions of 3 advertisers, query
+    ids ``step`` apart, and 3,000 clicks, each made inside the traced loop and
+    dropped once appended: what stays is all the log keeps."""
     log = EventLog(10_000)
     tracemalloc.start()
     try:
         for q in range(10_000):
             for slot, adv in enumerate(("a", "b", "c"), start=1):
-                log.append(*row_of(imp(q, adv, slot, qid=1_000_000 + q)))
+                log.append(*row_of(imp(q, adv, slot, qid=1_000_000 + step * q)))
             if q % 10 == 0:
                 for slot, adv in enumerate("abc", 1):
-                    log.append(*row_of(clk(q, adv, slot, ref=1_000_000 + q)))
+                    log.append(*row_of(clk(q, adv, slot, ref=1_000_000 + step * q)))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(log) == 33_000
-    assert held / len(log) < 150
+    return held / len(log)
+
+
+def test_log_bookkeeping_per_event_is_small():
+    assert _bookkeeping_per_event(1) < 150
+
+
+@pytest.mark.parametrize("step, bound", [(1, 100), (2, 150)], ids=["consecutive", "every_other"])
+def test_a_run_of_consecutive_query_ids_costs_no_set_entry(step, bound):
+    # about 86 B/event when each advertiser's ids are one run, 134 with a set
+    # entry per impression, as every other id still takes
+    assert _bookkeeping_per_event(step) < bound
 
 
 def test_log_equality():
@@ -437,9 +519,8 @@ def test_read_log_keeps_no_event_objects(tmp_path):
     assert back == log
 
 
-def test_a_read_log_keeps_no_duplicate_ints(tmp_path):
-    # an organic log of three slots per query: each query's rows hold one t and
-    # one query id, and read_log shares them as simulate does
+def _read_log_per_event(tmp_path) -> float:
+    """Bytes ``read_log`` keeps per event of an organic log of three slots per query."""
     cfg = ScenarioConfig(
         seed=5, horizon_ms=200_000, tick_ms=1_000, focus="a",
         bids={"a": 900, "b": 600, "c": 300}, auction=AuctionConfig(3),
@@ -457,8 +538,20 @@ def test_a_read_log_keeps_no_duplicate_ints(tmp_path):
         tracemalloc.stop()
     assert back == log
     assert len(log) > 30_000
-    # about 150 B/event with a fresh int per t and per query id, 114 shared
-    assert held / len(log) < 130
+    return held / len(log)
+
+
+def test_a_read_log_keeps_no_duplicate_ints(tmp_path):
+    # each query's rows hold one t and one query id, and read_log shares them
+    # as simulate does: about 150 B/event with a fresh int per t and per query
+    # id, 114 shared
+    assert _read_log_per_event(tmp_path) < 130
+
+
+def test_a_read_organic_log_keeps_no_set_entry_per_impression(tmp_path):
+    # every advertiser is shown on every query, so its ids are one run: about
+    # 66 B/event, 115 with a set entry per impression
+    assert _read_log_per_event(tmp_path) < 90
 
 
 def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
