@@ -390,10 +390,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     )
     parser.optionxform = str  # advertiser ids are case-sensitive
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"{path}: no such file")
     try:
-        parser.read(path, encoding="utf-8-sig")  # a leading byte-order mark is skipped
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
+            parser.read_file(fh)
+    except OSError as exc:  # configparser.read would skip a file it cannot open
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

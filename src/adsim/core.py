@@ -11,7 +11,6 @@ iterating a log yields.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
@@ -278,8 +277,8 @@ def _line_pattern(template: str, *fields: bytes) -> bytes:
     return re.escape(template.encode()).replace(b"%d", _JSON_INT) % fields
 
 
-# Either template's line, anchored at a line start so that findall matches whole lines.
-_EVENT_RE = re.compile(b"(?m)^(?:%s|%s)" % (
+# Either template's line, else any other line whole (the last group): one match per line.
+_EVENT_RE = re.compile(b"%s|%s|([^\n]+\n?|\n)" % (
     _line_pattern(_IMPRESSION_LINE, _JSON_STRING), _line_pattern(_CLICK_LINE, _JSON_STRING, _SOURCE)))
 _READ_BLOCK = 16384  # bytes per read_log block, before it runs on to the next line feed
 
@@ -335,14 +334,14 @@ def write_log(log: EventLog, path: str | Path) -> None:
 def read_log(path: str | Path) -> EventLog:
     """Parse a JSONL log. Raises ``MalformedRecordError`` with the offending line.
 
-    A line ends at a line feed alone, as JSON Lines defines, and is decoded on
-    its own, so a byte that is not UTF-8 is reported on its line. A block of
-    ``write_log`` lines, whatever their advertisers, is matched with one
-    ``findall``; its fields go straight to ``append``, with one ``int`` per slot
-    and a ``t`` or query id (or ref) equal to the previous matched line's
-    sharing its ``int``. Each line of any other block goes to ``json.loads``,
-    which checks its JSON shape, and becomes the same row, with the same
-    messages and one ``str`` per advertiser. No path builds an event object."""
+    A line ends at a line feed alone, as JSON Lines defines. One ``findall``
+    splits a block into its lines, and each line takes its own route. A
+    ``write_log`` line, whatever its advertiser, matches the event pattern and
+    its fields go straight to ``append``, one ``int`` per slot and a ``t`` or
+    query id (or ref) equal to the previous matched line's sharing its ``int``.
+    Any other line is decoded on its own, so a byte that is not UTF-8 is reported
+    on its line, and ``json.loads`` checks it into the same row, with the same
+    messages and one ``str`` per advertiser. No route builds an event object."""
     texts = {}  # each advertiser's first str, shared by its matched and parsed lines alike
     names = _Shared(lambda raw: texts.setdefault(s := json.decoder.scanstring(raw.decode(), 1)[0], s))
     slots = _Shared(int)
@@ -359,22 +358,18 @@ def read_log(path: str | Path) -> EventLog:
             raise MalformedRecordError(1, str(exc)) from exc
         add, findall = log.append, _EVENT_RE.findall
         t_raw = q_raw = None  # the last matched t and query id or ref, as bytes
-        line_no, no_fields = 1, (b"",) * 8
+        line_no = 1
         for block in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), b""):
-            rows = findall(block)
-            # a match is one whole line, so equal counts and a final line feed mean all matched
-            if block[-1:] != b"\n" or len(rows) != block.count(b"\n"):
-                rows = [(raw, *no_fields) for raw in io.BytesIO(block)]  # lines end at a line feed alone
-            for line_no, row in enumerate(rows, line_no + 1):
-                advertiser, q_bytes, slot, t_bytes, c_adv, c_q, c_slot, source, c_t = row
+            for line_no, row in enumerate(findall(block), line_no + 1):
+                advertiser, q_bytes, slot, t_bytes, c_adv, c_q, c_slot, source, c_t, other = row
                 try:
                     if t_bytes:  # an impression line
                         source = IMPRESSION
                     elif c_t:  # a click line
                         advertiser, q_bytes, slot, t_bytes = c_adv, c_q, c_slot, c_t
                         source = _SOURCE_OF[source]
-                    else:  # a line of an unmatched block, as bytes in the first field
-                        when, adv, slot, ref, source = _parse_row(_json_record(advertiser))  # t, q stay shared
+                    else:  # any other line
+                        when, adv, slot, ref, source = _parse_row(_json_record(other))  # t, q stay shared
                         add(when, texts.setdefault(adv, adv) if type(adv) is str else adv, slot, ref, source)
                         continue
                     if t_bytes != t_raw:  # equal bytes share the previous line's int

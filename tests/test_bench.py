@@ -663,6 +663,16 @@ def test_missing_config_file():
         load_config("/nonexistent/scenario.ini")
 
 
+def test_a_config_path_that_cannot_be_opened_says_why(tmp_path, capsys):
+    # configparser.read skips a file it cannot open, which read as a missing section
+    with pytest.raises(ConfigError) as err:
+        load_config(tmp_path)
+    assert str(err.value) == f"{tmp_path}: Is a directory"
+    assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "line, key, value",
     [

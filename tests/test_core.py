@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import io
 import json
 import re
 import tracemalloc
@@ -433,14 +432,15 @@ def test_read_log_shares_one_str_per_matched_advertiser(tmp_path, monkeypatch):
     assert back == log
     assert parsed == ['{"horizon":100,"kind":"header"}']
     _assert_one_str_per_advertiser(back, advertisers)
-    # matched blocks, then a last block parsed for its one spaced line: still one str each
+    # matched lines, then the one spaced last line parsed on its own: still one str each
     header, *lines, last = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join([header, *lines, last.replace(",", ", ", 1)]), encoding="utf-8")
+    spaced = last.replace(",", ", ", 1)
+    path.write_text("".join([header, *lines, spaced]), encoding="utf-8")
     monkeypatch.setattr(core, "_READ_BLOCK", 512)
     parsed.clear()
     back = read_log(path)
     assert back == log
-    assert 1 < len(parsed) < len(lines)
+    assert parsed == [header.strip(), spaced.strip()]
     _assert_one_str_per_advertiser(back, advertisers)
 
 
@@ -499,7 +499,7 @@ def test_every_line_write_log_writes_matches_the_event_pattern(tmp_path_factory,
     write_log(log, path)
     header, *events = path.read_bytes().splitlines(keepends=True)
     assert len(events) == 2
-    assert all(_EVENT_RE.fullmatch(line) for line in events)
+    assert all(_EVENT_RE.fullmatch(line)[10] is None for line in events)  # no catch-all match
     assert read_log(path) == log
 
 
@@ -519,8 +519,9 @@ def test_read_log_keeps_no_event_objects(tmp_path):
     assert back == log
 
 
-def _read_log_per_event(tmp_path) -> float:
-    """Bytes ``read_log`` keeps per event of an organic log of three slots per query."""
+def _read_log_per_event(tmp_path, spacing: int = 0) -> float:
+    """Bytes ``read_log`` keeps per event of an organic log of three slots per
+    query, with every ``spacing``-th event line re-spaced if ``spacing`` is set."""
     cfg = ScenarioConfig(
         seed=5, horizon_ms=200_000, tick_ms=1_000, focus="a",
         bids={"a": 900, "b": 600, "c": 300}, auction=AuctionConfig(3),
@@ -530,6 +531,11 @@ def _read_log_per_event(tmp_path) -> float:
     log = simulate(cfg)
     path = tmp_path / "events.jsonl"
     write_log(log, path)
+    if spacing:
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        for i in range(spacing - 1, len(lines), spacing):
+            lines[i] = json.dumps(json.loads(lines[i]), separators=(", ", ": ")).encode() + b"\n"
+        path.write_bytes(b"".join([header, *lines]))
     tracemalloc.start()
     try:
         back = read_log(path)
@@ -554,6 +560,13 @@ def test_a_read_organic_log_keeps_no_set_entry_per_impression(tmp_path):
     assert _read_log_per_event(tmp_path) < 90
 
 
+def test_a_read_log_with_scattered_spaced_lines_keeps_as_little(tmp_path):
+    # one event line in 40 goes to json.loads alone, and the rest share their
+    # ints as before: about 65 B/event, 101 if each such line sent its whole
+    # block to json.loads
+    assert _read_log_per_event(tmp_path, spacing=40) < 90
+
+
 def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_bytes(
@@ -564,18 +577,6 @@ def test_a_valid_but_non_canonical_file_still_parses(tmp_path):
     )
     expected = [imp(1, slot=2, qid=5), clk(3, slot=2, ref=5, source=None)]
     assert read_log(path) == log_of(expected, 10)
-
-
-def _json_loads_calls(data: bytes, block: int, written: set[bytes]) -> list[str]:
-    """What read_log hands ``json.loads`` for a file of ``data`` read in blocks of
-    ``block`` bytes: the header, then each line of every block that holds a
-    line not in ``written``, the lines laid out as write_log lays them out."""
-    fh = io.BytesIO(data)  # the blocks, read as read_log reads them
-    calls = [fh.readline()]
-    while lines := list(io.BytesIO(fh.read(block) + fh.readline())):
-        if not written.issuperset(lines):
-            calls += lines
-    return [raw.decode().strip() for raw in calls]
 
 
 def _rewrite(line: str, form: str) -> str:
@@ -596,13 +597,18 @@ def _rewrite(line: str, form: str) -> str:
 _FORMS = ["canonical", "spaced", "reversed", "escaped", "crlf"]
 
 
-@pytest.mark.parametrize("form", _FORMS)
+@pytest.mark.parametrize("form", [*_FORMS, "mixed"])
 def test_matched_and_parsed_lines_read_the_same(tmp_path, monkeypatch, form):
     canonical = tmp_path / "canonical.jsonl"
     write_log(_EDGE_LOG, canonical)
     with open(canonical, encoding="utf-8", newline="") as fh:
         lines = list(fh)
-    rewritten = [_rewrite(line, form) for line in lines]
+    if form == "mixed":  # one line in three spaced
+        unmatched = range(2, len(lines), 3)  # the lines the event pattern does not match
+        rewritten = [_rewrite(line, "spaced") if i in unmatched else line for i, line in enumerate(lines)]
+    else:
+        unmatched = () if form in ("canonical", "escaped") else range(1, len(lines))
+        rewritten = [_rewrite(line, form) for line in lines]
     path = tmp_path / "rewritten.jsonl"
     path.write_bytes("".join(rewritten).encode("utf-8"))
     parsed = _record_json_loads(monkeypatch)
@@ -611,10 +617,8 @@ def test_matched_and_parsed_lines_read_the_same(tmp_path, monkeypatch, form):
     assert back == _EDGE_LOG
     names = {}  # one str per advertiser, matched or parsed
     assert all(names.setdefault(adv, adv) is adv for _, adv, *_ in back.records())
-    # the whole log is one block: json.loads sees the header alone if the
-    # pattern matches every line, else every line
-    matched = form in ("canonical", "escaped")
-    assert parsed == ([rewritten[0].strip()] if matched else [line.strip() for line in rewritten])
+    # json.loads sees the header and each line the pattern does not match, alone
+    assert parsed == [rewritten[i].strip() for i in (0, *unmatched)]
 
 
 # read_log block sizes: one line a block, sizes that cut a line (a canonical
@@ -646,8 +650,8 @@ def test_a_log_reads_the_same_across_block_edges(tmp_path, monkeypatch, block):
         odd[i] = json.dumps(json.loads(edge[i]), separators=(", ", ": ")).encode()
         path.write_bytes(b"\n".join(odd) + b"\n")
         assert read_log(path) == _EDGE_LOG
-    # a non-canonical line in the middle, and the unterminated last line: their
-    # blocks go to json.loads line by line, besides the header
+    # a non-canonical line in the middle, and the unterminated last line: at
+    # any block size, json.loads sees these two lines and the header alone
     middle = len(lines) // 2
     spaced = [*lines]
     spaced[middle] = json.dumps(json.loads(lines[middle]), separators=(", ", ": ")).encode()
@@ -655,11 +659,7 @@ def test_a_log_reads_the_same_across_block_edges(tmp_path, monkeypatch, block):
     parsed = _record_json_loads(monkeypatch)
     assert read_log(path) == log
     monkeypatch.undo()
-    assert parsed == _json_loads_calls(path.read_bytes(), block, {line + b"\n" for line in lines})
-    if block == 1:  # one line a block
-        assert parsed == [lines[0].decode(), spaced[middle].decode(), lines[-1].decode()]
-    if block == core._READ_BLOCK:  # one block
-        assert parsed == [line.decode() for line in spaced]
+    assert parsed == [lines[0].decode(), spaced[middle].decode(), lines[-1].decode()]
 
 
 @pytest.mark.parametrize(
