@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import AdsimError, AdvertiserId, check_min, check_range
+from .core import AdsimError, AdvertiserId, check_int, check_min, check_range
 
 BY_BID = "by_bid"
 BY_CTR_WEIGHTED = "by_ctr_weighted"
@@ -39,7 +39,7 @@ class Bid:
     def __post_init__(self):
         if not self.advertiser:
             raise ValueError("empty advertiser id")
-        check_min("amount", self.amount, 0)
+        check_int("amount", self.amount, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +62,8 @@ class AuctionConfig:
     ranking: str = BY_BID
 
     def __post_init__(self):
-        check_min("auction.num_slots", self.num_slots, 1)
-        check_min("auction.reserve_price", self.reserve_price, 0)
+        check_int("auction.num_slots", self.num_slots, 1)
+        check_int("auction.reserve_price", self.reserve_price, 0)
         if self.ranking not in RANKINGS:
             raise ValueError(f"auction.ranking: expected one of {RANKINGS}, got {self.ranking!r}")
 

@@ -35,12 +35,13 @@ from .core import (
     AdsimError,
     AdvertiserId,
     EventLog,
+    check_int,
     check_min,
     check_range,
     row_order,
     write_atomic,
 )
-from .estimators import ESTIMATOR_KINDS, ClickWindowCtr, RelativeCtr, WindowSpec, ctr_legacy, ctr_relative
+from .estimators import ESTIMATOR_KINDS, RelativeCtr, WindowSpec, ctr_legacy, ctr_relative
 from .traffic import (
     HUMAN,
     MAX_EVENTS,
@@ -282,9 +283,9 @@ class ScenarioConfig:
     detector_tolerance_ms: int = 10
 
     def __post_init__(self):
-        check_range("scenario.seed", self.seed, 0, MAX_SEED)
-        check_min("scenario.horizon_ms", self.horizon_ms, 1)
-        check_range("scenario.tick_ms", self.tick_ms, 1, self.horizon_ms)
+        check_int("scenario.seed", self.seed, 0, MAX_SEED)
+        check_int("scenario.horizon_ms", self.horizon_ms, 1)
+        check_int("scenario.tick_ms", self.tick_ms, 1, self.horizon_ms)
         check_range("scenario.horizon_ms", self.horizon_ms, 1, MAX_TICKS * self.tick_ms)
         check_range("scenario.default_ctr", self.default_ctr, 0.0, 1.0)
         if not self.bids:
@@ -296,7 +297,7 @@ class ScenarioConfig:
         for adv, amount in self.bids.items():
             if not adv:
                 raise ValueError("bids: empty advertiser id")
-            check_min(f"bids.{adv}", amount, 0)
+            check_int(f"bids.{adv}", amount, 0)
         if self.focus not in self.bids:
             raise ValueError(f"scenario.focus: {self.focus!r} has no bid")
         for adv in self.traffic.base_ctr:
@@ -310,8 +311,8 @@ class ScenarioConfig:
         labels = [spec.label for spec in self.estimators]
         if len(set(labels)) != len(labels):
             raise ValueError("estimators.specs: estimator kinds must be unique")
-        check_min("detector.min_run", self.detector_min_run, 3)
-        check_min("detector.tolerance_ms", self.detector_tolerance_ms, 0)
+        check_int("detector.min_run", self.detector_min_run, 3)
+        check_int("detector.tolerance_ms", self.detector_tolerance_ms, 0)
         for i, plan in enumerate(self.fraud_plans):
             if plan.target not in self.bids:
                 raise ValueError(f"fraud_plans[{i}].target: {plan.target!r} has no bid")
@@ -464,12 +465,15 @@ class ScenarioResult:
 def simulate(cfg: ScenarioConfig) -> EventLog:
     """Drive the per-tick auction/traffic/fraud loop and return the event log.
 
-    A tick whose CTR map equals the last auction's reuses its allocation."""
+    A tick whose CTR map equals the last auction's reuses its allocation. A tick's
+    rows go into the log before any fold is fed: a click shares its impression's
+    millisecond, so ``log.clicked``, a click window's lookahead, already names it."""
     from numpy.random import default_rng  # numpy loads only where a stream is seeded
     rng = default_rng(cfg.seed)
     advertisers = cfg.advertisers
     bid_list = [Bid(a, cfg.bids[a]) for a in advertisers]
     spec = cfg.estimators[0]
+    log = EventLog(cfg.horizon_ms)
     if spec.kind == "relative":  # one tally for the cohort: every row, read once per auction
         shared = spec.fold()
         observe = shared.observe
@@ -481,7 +485,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
                 return dict.fromkeys(advertisers, cfg.default_ctr)
             return {adv: counts.get(adv, 0) / total for adv in advertisers}
     else:  # one fold per advertiser, fed only its own rows
-        folds = {adv: spec.fold() for adv in advertisers}
+        folds = {adv: spec.fold(log.clicked(adv)) for adv in advertisers}
 
         def observe(t, advertiser, slot, ref, source) -> None:
             folds[advertiser].observe(t, advertiser, slot, ref, source)
@@ -492,7 +496,6 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
 
     fraud = fraud_events(cfg.fraud_plans, cfg.horizon_ms)
     pending = next(fraud, None)  # the next fraud row, merged by the tick it falls in
-    log = EventLog(cfg.horizon_ms)
     add = log.append
     next_qid = 0
     last_ctrs = allocation = None  # the last auction's; bids and auction are fixed for a run
@@ -513,6 +516,7 @@ def simulate(cfg: ScenarioConfig) -> EventLog:
             rows.sort(key=row_order)
         for row in rows:
             add(*row)
+        for row in rows:
             observe(*row)
     return log
 
@@ -534,10 +538,7 @@ def build_series(
         raise ValueError("estimator kinds must be unique")
     # columns in ESTIMATOR_KINDS order, whatever the configured order
     ordered = [spec for kind in ESTIMATOR_KINDS for spec in specs if spec.kind == kind]
-    # the click column keeps an ordinal only for the impressions a kept click names
-    kept = log.clicked(focus) - {ref for adv, ref in exclude or () if adv == focus}
-    folds = {spec.label: ClickWindowCtr(spec.param, kept) if spec.kind == "clicks" else spec.fold()
-             for spec in ordered}
+    folds = {spec.label: spec.fold(log.clicked(focus)) for spec in ordered}
     relative = next((fold for fold in folds.values() if isinstance(fold, RelativeCtr)), None)
     windowed = [fold.observe for fold in folds.values() if fold is not relative]
     series = Series([], [], [], {label: [] for label in folds})

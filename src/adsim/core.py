@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, KeysView, Union
 
 AdvertiserId = str
 
@@ -43,6 +44,13 @@ def check_range(path: str, value, lo, hi) -> None:
     check_min(path, value, lo)
     if value > hi:
         raise ValueError(f"{path}: must be <= {hi}, got {value}")
+
+
+def check_int(path: str, value, lo, hi=float("inf")) -> None:
+    """``check_range``, ``hi`` unbounded by default, and ``value`` must be an ``int``, not a ``bool``."""
+    check_range(path, value, lo, hi)
+    if type(value) is not int:
+        raise ValueError(f"{path}: must be an integer, got {value!r}")
 
 
 class AdsimError(Exception):
@@ -130,18 +138,18 @@ class EventLog:
     as rows; iteration builds event objects from the rows.
 
     ``append(t, advertiser, slot, ref, source)`` is the one gate for a row,
-    and the only writer of the columns and sets, so any log it accepts
+    and the only writer of its columns and indexes, so any log it accepts
     round-trips through ``write_log``/``read_log``. It wants ``t``, ``slot``
     and the query id (``ref``) to be ``int`` (not ``bool``), the advertiser a
     non-empty ``str`` with no surrogate pair (JSON reads one back as one
     character), a click source a ``ClickSource`` or ``None``,
     ``slot >= 1``, time order within ``[0, horizon)``, one impression per
     (advertiser, query id), and at most one click on each, once it is in the
-    log. The last two rules read, per advertiser, a set of the clicked query
-    ids and the shown ones as ``range(lo, hi)`` plus a set of the others: a
-    new id equal to ``hi`` that the set does not hold moves ``hi`` up, so a
-    run of consecutive ids costs no set entry. ``simulate``, ``read_log`` and
-    ``stripped()`` all add rows through it.
+    log. The last two rules read, per advertiser, the clicked query ids (a
+    dict's keys, which ``clicked`` shows) and the shown ones as ``range(lo,
+    hi)`` plus a set of the others: a new id equal to ``hi`` that the set does
+    not hold moves ``hi`` up, so a run of consecutive ids costs no set entry.
+    ``simulate``, ``read_log`` and ``stripped()`` all add rows through it.
     """
 
     def __init__(self, horizon: int):
@@ -152,7 +160,7 @@ class EventLog:
         self.horizon = horizon
         self._columns = ([], [], [], [], [])  # t, advertiser, slot, ref, source
         self._impressions: dict[AdvertiserId, list] = {}  # [lo, hi, others]
-        self._clicked: dict[AdvertiserId, set[int]] = {}
+        self._clicked: defaultdict[AdvertiserId, dict[int, None]] = defaultdict(dict)  # ids as keys
 
     def append(self, t, advertiser, slot, ref, source) -> None:
         """Add the row at the tail; raise ValueError or an AdsimError if it breaks a rule."""
@@ -188,11 +196,11 @@ class EventLog:
             clicked = self._clicked[advertiser]
             if ref in clicked:
                 raise DuplicateClickError(f"impression {ref} of {advertiser!r} already clicked")
-            clicked.add(ref)
+            clicked[ref] = None
         elif shown is None:  # the advertiser's first impression
             if _SURROGATE_PAIR(advertiser):
                 raise ValueError(f"surrogate pair in advertiser id {advertiser!r}")
-            self._impressions[advertiser], self._clicked[advertiser] = [ref, ref + 1, set()], set()
+            self._impressions[advertiser] = [ref, ref + 1, set()]
         else:
             lo, hi, others = shown
             if ref == hi and ref not in others:
@@ -224,9 +232,9 @@ class EventLog:
     def clicks(self) -> int:
         return sum(map(len, self._clicked.values()))
 
-    def clicked(self, advertiser: AdvertiserId) -> set[int]:
-        """A copy of the query ids of ``advertiser``'s clicked impressions."""
-        return set(self._clicked.get(advertiser, ()))
+    def clicked(self, advertiser: AdvertiserId) -> KeysView[int]:
+        """A live, read-only view of the query ids of ``advertiser``'s clicked impressions."""
+        return self._clicked[advertiser].keys()
 
     def __iter__(self) -> Iterator[Event]:
         for t, advertiser, slot, ref, source in self.records():

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import IMPRESSION, AdvertiserId, check_min, check_range
+from .core import IMPRESSION, AdvertiserId, check_int, check_min, check_range
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +61,7 @@ class TimeWindowCtr:
     """Clicks over impressions within the trailing half-open window [now-T, now)."""
 
     def __init__(self, window_ms: int):
-        check_min("window_ms", window_ms, 1)
+        check_int("window_ms", window_ms, 1)
         self.window_ms = window_ms
         self._imp: deque[int] = deque()
         self._clk: deque[int] = deque()
@@ -91,7 +91,7 @@ class ImpressionWindowCtr:
     """Clicked fraction of the last N impressions fed."""
 
     def __init__(self, size: int):
-        check_min("size", size, 1)
+        check_int("size", size, 1)
         self.size = size
         self._window: deque[int] = deque()  # query ids, oldest first
         self._members: set[int] = set()
@@ -115,19 +115,19 @@ class ImpressionWindowCtr:
 class ClickWindowCtr:
     """Last N clicks over the impressions shown since the Nth-most-recent click.
 
-    The denominator counts the impressions fed from the one that received
-    that Nth-last click (inclusive) through the last one fed. It keeps each
-    impression's arrival ordinal for its click; given ``clicked``, the query ids
-    later clicks will name, only those, each dropped when its click arrives.
+    The denominator counts the impressions fed from the one that received that Nth-last
+    click (inclusive) through the last one fed. It keeps each impression's arrival ordinal
+    for its click; given ``clicked``, the ids later clicks will name (``simulate`` and
+    ``build_series`` hand it ``EventLog.clicked``), only those, each dropped as its click arrives.
     """
 
-    def __init__(self, size: int, clicked: set[int] | None = None):
-        check_min("size", size, 1)
+    def __init__(self, size: int, clicked=None):
+        check_int("size", size, 1)
         self.size = size
         self._clicked = clicked
         self._imp_pos: dict[int, int] = {}  # query id -> arrival ordinal
         self._imp_count = 0
-        self._recent: deque[int] = deque()  # ordinals of last N clicked impressions
+        self._recent: deque[int] = deque(maxlen=size)  # ordinals of last N clicked impressions
 
     def observe(self, t, advertiser, slot, ref, source) -> None:
         if source is IMPRESSION:
@@ -136,8 +136,6 @@ class ClickWindowCtr:
             self._imp_count += 1
         else:
             self._recent.append(self._imp_pos[ref] if self._clicked is None else self._imp_pos.pop(ref))
-            if len(self._recent) > self.size:
-                self._recent.popleft()
 
     def estimate(self, now: int) -> CtrEstimate:
         if len(self._recent) < self.size:
@@ -156,7 +154,7 @@ class RelativeCtr:
 
     def __init__(self, interval_ms: int | None = None):
         if interval_ms is not None:  # None is the cumulative mode
-            check_min("interval_ms", interval_ms, 1)
+            check_int("interval_ms", interval_ms, 1)
         self.interval_ms = interval_ms
         self._counts: dict[str, int] = {}
         # fed in sliding mode only, so _evict never reads a None interval_ms
@@ -222,9 +220,10 @@ class WindowSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         self.fold()  # the fold is the one check of the window
 
-    def fold(self):
-        """A fresh streaming fold of this kind over this window."""
-        return ESTIMATOR_KINDS[self.kind][1](self.param)
+    def fold(self, clicked=None):
+        """A fresh streaming fold of this kind over this window, a click window given ``clicked``."""
+        make = ESTIMATOR_KINDS[self.kind][1]
+        return make(self.param, clicked) if make is ClickWindowCtr else make(self.param)
 
     @property
     def label(self) -> str:

@@ -26,6 +26,7 @@ from .core import (
     ClickSource,
     EventLog,
     Seed,
+    check_int,
     check_min,
     check_range,
     row_order,
@@ -95,13 +96,13 @@ class FraudPlan:
             raise ValueError(f"kind: expected scripted or human, got {self.kind!r}")
         if not self.target:
             raise ValueError("target: empty advertiser id")
-        check_min("start_ms", self.start_ms, 0)
-        check_range("count", self.count, 1, MAX_EVENTS)
-        for key, (_, lo) in PLAN_FIELDS[self.kind].items():
+        check_int("start_ms", self.start_ms, 0)
+        check_int("count", self.count, 1, MAX_EVENTS)
+        for key, (convert, lo) in PLAN_FIELDS[self.kind].items():
             if getattr(self, key) is None:
                 raise ValueError(f"{key}: required by a {self.kind} plan")
-            check_min(key, getattr(self, key), lo)
-        check_range("seed", self.seed, 0, MAX_SEED)
+            (check_int if convert is int else check_min)(key, getattr(self, key), lo)
+        check_int("seed", self.seed, 0, MAX_SEED)
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,44 @@ def test_a_bound_that_is_not_a_number_is_a_located_value_error():
     assert str(err.value) == "scenario.seed: must be a number, got '1'"
 
 
+_SCRIPTED = dict(kind="scripted", target="a", start_ms=0, count=3, interval_ms=100)
+
+
+# every int-typed field a library caller can set, a call that puts v there, and a float
+# or bool v that is in range; the loader's int() rejects these values in an INI file
+@pytest.mark.parametrize("field, call, value", [
+    pytest.param(field, call, value, id=f"{call.__name__ + ':' if isinstance(call, type) else ''}{field}={value}")
+    for field, call, value in [
+        ("scenario.seed", lambda v: tiny_config(seed=v), 1.5),
+        ("scenario.seed", lambda v: tiny_config(seed=v), True),
+        ("scenario.horizon_ms", lambda v: tiny_config(horizon_ms=v), 20_000.5),
+        ("scenario.tick_ms", lambda v: tiny_config(tick_ms=v), 1_000.5),
+        ("bids.a", lambda v: tiny_config(bids={"a": v, "b": 300}), 1_000.5),
+        ("detector.min_run", lambda v: tiny_config(detector_min_run=v), 5.5),
+        ("detector.tolerance_ms", lambda v: tiny_config(detector_tolerance_ms=v), 10.5),
+        ("auction.num_slots", AuctionConfig, 2.5),
+        ("auction.num_slots", AuctionConfig, True),
+        ("auction.reserve_price", lambda v: AuctionConfig(2, v), 0.5),
+        ("amount", lambda v: Bid("a", v), 1_000.5),
+        ("amount", lambda v: Bid("a", v), True),
+        ("start_ms", lambda v: FraudPlan(**{**_SCRIPTED, "start_ms": v}), 0.5),
+        ("count", lambda v: FraudPlan(**{**_SCRIPTED, "count": v}), 3.5),
+        ("interval_ms", lambda v: FraudPlan(**{**_SCRIPTED, "interval_ms": v}), 100.5),
+        ("seed", lambda v: FraudPlan(**{**_SCRIPTED, "seed": v}), 1.5),
+        ("window_ms", TimeWindowCtr, 1_000.5),
+        ("size", ImpressionWindowCtr, 5.5),
+        ("size", ClickWindowCtr, 5.5),
+        ("size", ClickWindowCtr, True),
+        ("interval_ms", RelativeCtr, 1_000.5),
+    ]
+])
+def test_an_int_field_rejects_a_float_or_a_bool_naming_its_field(field, call, value):
+    call(int(value))  # the same value as an int is accepted
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{field}: must be an integer, got {value!r}"
+
+
 @pytest.mark.parametrize("value, message", [
     ("0.5", "must be a number, got '0.5'"),
     (None, "must be a number, got None"),
@@ -1003,6 +1041,28 @@ def test_build_series_click_column_does_not_grow_with_unclicked_impressions():
     # plain fold's one per impression would add about 1.1 MB here
     small = _build_series_peak(2_000)  # first, so caches that any first run fills count against it
     assert _build_series_peak(20_000) - small < 100_000
+
+
+def _simulate_peak(primary: WindowSpec) -> int:
+    """``simulate``'s traced peak, its log included, on a 60 s run ranked by bid (so
+    the log is the same whatever ``primary`` is) of about 24,000 impressions and
+    240 clicks, with ``primary`` as its only estimator."""
+    cfg = tiny_config(horizon_ms=60_000, traffic=TrafficConfig(200.0, {"a": 0.01, "b": 0.01}),
+                      estimators=(primary,))
+    tracemalloc.start()
+    simulate(cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_simulate_click_primary_keeps_no_ordinal_per_impression():
+    # the click folds read the log's own clicked ids, so each holds an ordinal only
+    # for a click still to come, and costs no more than an impression window of the
+    # same size; one ordinal per impression would add about 2.0 MB here
+    impressions, clicks = WindowSpec("impressions", 20), WindowSpec("clicks", 20)
+    _simulate_peak(impressions)  # the first run fills caches (0.8 MB) that later runs reuse
+    assert _simulate_peak(clicks) - _simulate_peak(impressions) < 100_000
 
 
 def _empty_ticks_peak(ticks: int) -> int:

@@ -212,6 +212,19 @@ def test_the_impression_index_gates_as_plain_sets_do(rows):
             assert log.clicked(name) == model.clicked.get(name, set())
 
 
+def test_clicked_is_a_live_read_only_view():
+    # simulate hands this view to its click folds before the run's first row
+    log = EventLog(50)
+    view = log.clicked("a")
+    for t in range(2):
+        log.append(t, "a", 1, t, IMPRESSION)
+        log.append(t, "a", 1, t, ClickSource.ORGANIC)
+    assert view == {0, 1} and 1 in view
+    assert not any(hasattr(view, name) for name in ("add", "discard", "pop", "clear"))
+    assert log.clicked("b") == set()
+    assert log.advertisers() == ["a"] and log.clicks() == 2
+
+
 def test_stripped_erases_click_labels_only():
     log = EventLog(50)
     log.append(*row_of(imp(1, qid=0)))

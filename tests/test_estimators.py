@@ -367,29 +367,25 @@ _STATE_SPECS = [
     "relative:1000",
     "time:1000",
     "impressions:100",
-    pytest.param(
-        "clicks:10",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="ROADMAP item 5: ClickWindowCtr._imp_pos keeps every impression",
-        ),
-    ),
+    "clicks:10",
 ]
 
 
 def _retained_bytes(spec: str, run_ms: int, rates_every: int | None) -> int:
     """Bytes the folds of one kind keep after one impression and one click
     per ms over ``run_ms``, fed as ``simulate`` feeds them (one fold per
-    advertiser, or one ``RelativeCtr`` for the cohort), with an estimate for
-    each advertiser every ``rates_every`` ms and once at the end, or, given
-    None, never."""
+    advertiser, given its clicked ids, or one ``RelativeCtr`` for the cohort),
+    with an estimate for each advertiser every ``rates_every`` ms and once at
+    the end, or, given None, never. The clicked ids are the log's memory, not
+    the folds', so they are built before tracing starts."""
     spec = parse_spec(spec, "spec")
     if spec.kind == "relative":  # one tally takes every row and answers for each advertiser
         shared = RelativeCtr(spec.param)
         folds = dict.fromkeys("abc", shared)
         estimates = [partial(shared.estimate, adv) for adv in "abc"]
     else:
-        folds = {adv: ESTIMATOR_KINDS[spec.kind][1](spec.param) for adv in "abc"}
+        clicked = {adv: set(range("abc".index(adv), run_ms, 3)) for adv in "abc"}
+        folds = {adv: spec.fold(clicked[adv]) for adv in "abc"}
         estimates = [fold.estimate for fold in folds.values()]
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]

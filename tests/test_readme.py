@@ -48,4 +48,5 @@ def test_readme_library_example_returns_what_it_shows(monkeypatch):
         "result.rows.clicks[-1]",
         "gsp_allocate(ranked, auction)[0]",
         "alpha.estimate(60000)",
+        "last20.estimate(60000)",
     ]
