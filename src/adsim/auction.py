@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import AdsimError, AdvertiserId, check_int, check_min, check_range
+from .core import AdsimError, AdvertiserId, check_int, check_min
 
 BY_BID = "by_bid"
 BY_CTR_WEIGHTED = "by_ctr_weighted"
@@ -50,8 +50,8 @@ class SlotAllocation:
     rank_score: float
 
     def __post_init__(self):
-        check_min("slot", self.slot, 1)
-        check_min("price_per_click", self.price_per_click, 0)
+        check_int("slot", self.slot, 1)
+        check_int("price_per_click", self.price_per_click, 0)
         check_min("rank_score", self.rank_score, 0)
 
 
@@ -164,7 +164,7 @@ def gfp_best_response_step(
         raise UnknownMoverError(f"{mover!r} has no standing bid")
     if mover not in values:
         raise UnknownMoverError(f"{mover!r} has no per-click value")
-    check_min("epsilon", epsilon, 1)
+    check_int("epsilon", epsilon, 1)
     value = values[mover]
     others = sorted((amt for adv, amt in bids.items() if adv != mover), reverse=True)
     # the price of each slot from the top; every slot past the last competitor costs the same
@@ -188,7 +188,7 @@ def best_response_run(
     (advertisers in sorted id order) including the initial state, so the
     result has ``steps + 1`` entries, at most ``MAX_HISTORY`` bids in all.
     """
-    check_range("steps", steps, 0, MAX_HISTORY // max(1, len(bids)) - 1)
+    check_int("steps", steps, 0, MAX_HISTORY // max(1, len(bids)) - 1)
     advertisers = sorted(bids)
     current = dict(bids)
     history = [tuple(current[a] for a in advertisers)]

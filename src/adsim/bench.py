@@ -26,7 +26,6 @@ from functools import partial
 from itertools import chain
 from math import inf
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 from .auction import AuctionConfig, Bid, gsp_allocate, rank
 from .core import (
@@ -533,7 +532,7 @@ def build_series(
     click to the relative one, which reads no impression. ``exclude`` drops clicks (keyed by
     advertiser and impression ref) from the estimator view and the counts,
     which is how flagged fraud is discarded. Counts are cumulative."""
-    check_min("tick_ms", tick_ms, max(1, -(-log.horizon // MAX_TICKS)))  # at most MAX_TICKS rows
+    check_int("tick_ms", tick_ms, max(1, -(-log.horizon // MAX_TICKS)))  # at most MAX_TICKS rows
     if len({spec.kind for spec in specs}) != len(specs):
         raise ValueError("estimator kinds must be unique")
     # columns in ESTIMATOR_KINDS order, whatever the configured order
@@ -654,7 +653,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def emit_plot(series: Series, path: str | Path, title: str = "") -> None:
-    """SVG line chart, one polyline per estimator column, written atomically."""
+    """SVG line chart, one polyline per estimator column, written atomically as one
+    string per element, in ElementTree's serialisation: attributes in the order
+    written, ``" />"`` closing an empty element, and a line feed after ``</svg>``."""
     width, height = 720, 440
     ml, mr, mt, mb = 60, 160, 30, 50
     plot_w, plot_h = width - ml - mr, height - mt - mb
@@ -671,33 +672,25 @@ def emit_plot(series: Series, path: str | Path, title: str = "") -> None:
     def sy(v: float) -> float:
         return mt + plot_h - v / y_hi * plot_h
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
-        },
-    )
+    svg = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">']
     if title:
-        _text(svg, ml, mt - 10, title, size=14)
-    axis = {"stroke": "#333333", "stroke-width": "1"}
-    _line(svg, ml, mt + plot_h, ml + plot_w, mt + plot_h, axis)
-    _line(svg, ml, mt, ml, mt + plot_h, axis)
+        svg.append(_text(ml, mt - 10, title, size=14))
+    axis = 'stroke="#333333" stroke-width="1"'
+    svg.append(_line(ml, mt + plot_h, ml + plot_w, mt + plot_h, axis))
+    svg.append(_line(ml, mt, ml, mt + plot_h, axis))
     for i in range(5):
         v = y_hi * i / 4
         y = sy(v)
-        _line(svg, ml - 4, y, ml, y, axis)
-        _text(svg, ml - 8, y + 4, f"{v:.3f}", anchor="end")
+        svg.append(_line(ml - 4, y, ml, y, axis))
+        svg.append(_text(ml - 8, y + 4, f"{v:.3f}", anchor="end"))
     step = max(1, (len(times) + 9) // 10)
     for t in times[::step]:
         x = sx(t)
-        _line(svg, x, mt + plot_h, x, mt + plot_h + 4, axis)
-        _text(svg, x, mt + plot_h + 18, str(t), anchor="middle")
-    _text(svg, ml + plot_w / 2, height - 12, "time", anchor="middle")
-    _text(svg, 18, mt + plot_h / 2, "CTR", anchor="middle")
+        svg.append(_line(x, mt + plot_h, x, mt + plot_h + 4, axis))
+        svg.append(_text(x, mt + plot_h + 18, str(t), anchor="middle"))
+    svg.append(_text(ml + plot_w / 2, height - 12, "time", anchor="middle"))
+    svg.append(_text(18, mt + plot_h / 2, "CTR", anchor="middle"))
     for i, (col, rates) in enumerate(series.ctr.items()):
         color = _PALETTE[i % len(_PALETTE)]
         points = []
@@ -708,41 +701,21 @@ def emit_plot(series: Series, path: str | Path, title: str = "") -> None:
             if v != last:
                 last, y = v, f"{sy(v):.2f}"
             points.append(f"{sx(t):.2f},{y}")
-        ET.SubElement(
-            svg,
-            "polyline",
-            {
-                "points": " ".join(points),
-                "fill": "none",
-                "stroke": color,
-                "stroke-width": "2",
-            },
-        )
+        svg.append(f'<polyline points="{" ".join(points)}" fill="none" stroke="{color}" stroke-width="2" />')
         ly = mt + 16 + 20 * i
-        _line(svg, width - mr + 12, ly - 4, width - mr + 36, ly - 4, {"stroke": color, "stroke-width": "2"})
-        _text(svg, width - mr + 42, ly, col)
-    write_atomic(path, [ET.tostring(svg, encoding="unicode"), "\n"])
+        svg.append(_line(width - mr + 12, ly - 4, width - mr + 36, ly - 4, f'stroke="{color}" stroke-width="2"'))
+        svg.append(_text(width - mr + 42, ly, col))
+    svg.append("</svg>\n")
+    write_atomic(path, svg)
 
 
-def _line(parent, x1, y1, x2, y2, attrs) -> None:
-    ET.SubElement(
-        parent,
-        "line",
-        {"x1": f"{x1:.2f}", "y1": f"{y1:.2f}", "x2": f"{x2:.2f}", "y2": f"{y2:.2f}", **attrs},
-    )
+def _line(x1, y1, x2, y2, attrs: str) -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {attrs} />'
 
 
-def _text(parent, x, y, s, anchor="start", size=11) -> None:
-    el = ET.SubElement(
-        parent,
-        "text",
-        {
-            "x": f"{x:.2f}",
-            "y": f"{y:.2f}",
-            "font-family": "sans-serif",
-            "font-size": str(size),
-            "text-anchor": anchor,
-            "fill": "#222222",
-        },
-    )
-    el.text = s
+def _text(x, y, s: str, anchor="start", size=11) -> str:
+    """``s`` is escaped as ElementTree escapes character data (``&``, ``<`` and ``>``;
+    no attribute value needs escaping), and an empty ``s`` makes an empty element."""
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" font-size="{size}" text-anchor="{anchor}" '
+            f'fill="#222222"{f">{s}</text>" if s else " />"}')

@@ -19,6 +19,7 @@ from adsim.auction import (
     AuctionConfig,
     Bid,
     SlotAllocation,
+    best_response_run,
     gfp_best_response_step,
     rank,
 )
@@ -247,8 +248,8 @@ def test_a_bound_that_is_not_a_number_is_a_located_value_error():
 _SCRIPTED = dict(kind="scripted", target="a", start_ms=0, count=3, interval_ms=100)
 
 
-# every int-typed field a library caller can set, a call that puts v there, and a float
-# or bool v that is in range; the loader's int() rejects these values in an INI file
+# every int-typed field or argument a library caller can set, a call that puts v there, and
+# a float or bool v that is in range; the loader's int() rejects these values in an INI file
 @pytest.mark.parametrize("field, call, value", [
     pytest.param(field, call, value, id=f"{call.__name__ + ':' if isinstance(call, type) else ''}{field}={value}")
     for field, call, value in [
@@ -273,6 +274,13 @@ _SCRIPTED = dict(kind="scripted", target="a", start_ms=0, count=3, interval_ms=1
         ("size", ClickWindowCtr, 5.5),
         ("size", ClickWindowCtr, True),
         ("interval_ms", RelativeCtr, 1_000.5),
+        ("tick_ms", lambda v: build_series(_ONE_IMPRESSION, "alpha", [WindowSpec("relative")], v), 100.5),
+        ("min_run", lambda v: detect_scripted(_ONE_IMPRESSION, v), 5.5),
+        ("interval_tolerance_ms", lambda v: detect_scripted(_ONE_IMPRESSION, 5, v), 10.5),
+        ("slot", lambda v: SlotAllocation(v, "a", 0, 0.0), 1.5),
+        ("price_per_click", lambda v: SlotAllocation(1, "a", v, 0.0), 0.5),
+        ("epsilon", lambda v: gfp_best_response_step({"a": 1}, {"a": 5}, "a", v, AuctionConfig(1)), 1.5),
+        ("steps", lambda v: best_response_run({"a": 1, "b": 2}, {"a": 5, "b": 5}, AuctionConfig(1), 1, v), 2.5),
     ]
 ])
 def test_an_int_field_rejects_a_float_or_a_bool_naming_its_field(field, call, value):

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
 
@@ -364,6 +365,17 @@ def test_replay_of_the_example_reproduces_its_series(tmp_path, example_ini, caps
     )
     assert code == 0
     assert dest.read_bytes() == (out / "series.csv").read_bytes()
+
+
+def test_a_focus_that_needs_escaping_reads_back_as_the_svg_title(tmp_path, example_ini):
+    # emit_plot writes its SVG as text, so an id with XML's special characters must be escaped
+    text = example_ini.read_text()
+    assert "focus = alpha " in text
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(text.replace("alpha", "a&<b>"))
+    assert main(["run", str(ini), "--out", str(tmp_path / "out")]) == 0
+    title = ET.parse(tmp_path / "out" / "series.svg").getroot()[0]
+    assert (title.tag, title.text) == ("{http://www.w3.org/2000/svg}text", "focus: a&<b>")
 
 
 def test_replay_rejects_duplicate_spec_kinds(tmp_path, ini, capsys):

@@ -3,6 +3,9 @@
 ``emit_csv`` and ``emit_plot`` format a rate that repeats its column's
 previous tick only once; their bytes must still be those of formatting each
 cell on its own (``oracles.series_csv_each`` and ``oracles.series_svg_each``).
+``emit_plot`` writes its SVG as text, and the SVG reference serialises an
+ElementTree tree, so the two also agree on how the title and the legend are
+escaped.
 The series are generated here, not simulated, so this module loads no numpy.
 """
 from __future__ import annotations
@@ -64,7 +67,10 @@ FIXED = {
     "true_after_one": {"ctr_time": [1, True]},  # equal, but format_rate(True) raises
     "undefined": {"ctr_time": [None, None], "ctr_relative": [None, None]},
     "empty": {},
+    # a legend of XML's special characters, a tab and non-ASCII text, and an empty one
+    "escaped_text": {"ctr_&<b>\"'\tünï €": [0.25, None, 0.5], "": [None, 0.1, 0.1]},
 }
+TITLES = {"escaped_text": "a&<b> & \"q\" 's'\t→ é 日本"}  # every other case is titled by its name
 GENERATED = {  # each drawn at seeds 0-2
     "runs_and_gaps": lambda rng: {c: runs_of(rng, 400, [rng.random() for _ in range(6)], 60, 0.2)
                                   for c in COLUMNS},
@@ -85,6 +91,7 @@ def test_emitted_bytes_equal_every_cell_formatted_anew(tmp_path, case):
                 emit(series)
     else:
         emit_csv(series, tmp_path / "series.csv")
-        assert (tmp_path / "series.csv").read_text() == series_csv_each(series)
-    emit_plot(series, tmp_path / "series.svg", title=case)
-    assert (tmp_path / "series.svg").read_text() == series_svg_each(series, title=case)
+        assert (tmp_path / "series.csv").read_bytes() == series_csv_each(series).encode()
+    title = TITLES.get(case, case)
+    emit_plot(series, tmp_path / "series.svg", title=title)
+    assert (tmp_path / "series.svg").read_bytes() == series_svg_each(series, title=title).encode()
